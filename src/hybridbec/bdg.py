@@ -25,7 +25,7 @@ Methods:
 
 * ``paper_literal_spectrum``: the closed-form prescription
   E_j^+-(r) = +-(Delta(r) - H_j(r)) evaluated pointwise and then averaged
-  until successive averages agree; coefficients from
+  over r once; coefficients from
   f = Delta/(H_j - E^2), B = (1/(f-1))^(1/2), A = f*B.  This form is kept
   as-is (including the dimensionally inhomogeneous E^2 in the denominator
   and the sign structure) behind a method flag; negative discriminants
@@ -96,7 +96,6 @@ class ModeSet:
     method: str
     modes: list[Mode] = field(default_factory=list)
     skipped: int = 0
-    sweeps: int = 0
 
     def energies(self, branch: str = "+") -> np.ndarray:
         return np.array([m.energy for m in self.modes if m.branch == branch])
@@ -190,17 +189,14 @@ def paper_literal_spectrum(
     averaging: str = "density",
     convention: str = "paper",
     strict_literal: bool = False,
-    tol: float = 1e-8,
-    max_sweeps: int = 10000,
 ) -> tuple[ModeSet, ModeSet]:
     """Closed-form E_j^+-(r) = +-(Delta - H_j), r-eliminated by averaging.
 
-    The position dependence is removed by repeatedly replacing the
-    eigenvalue with its average until successive sweeps agree below tol
-    (the closed form has no eigenvalue feedback, so this settles on the
-    second sweep; the loop structure is kept for faithfulness and the
-    sweep count is reported).  averaging "density" weights by the
-    species' condensate density, "volume" by the bare volume element.
+    The position dependence is removed by replacing the eigenvalue with
+    its weighted average over r.  The closed form has no eigenvalue
+    feedback, so one average is the fixed point of the paper's repeated
+    re-averaging.  averaging "density" weights by the species' condensate
+    density, "volume" by the bare volume element.
 
     strict_literal drops the lambda*phi_a^2 term from the molecule
     bracket, which the closed form omits even though the projected
@@ -229,20 +225,10 @@ def paper_literal_spectrum(
             weights = grid.w
 
         modes = []
-        total_sweeps = 0
         for j in range(j_max):
             h_of_r = levels[j] - mu + w
             for sgn, branch in ((1.0, "+"), (-1.0, "-")):
                 e_avg = _weighted_average(sgn * (delta - h_of_r), weights)
-                sweeps = 1
-                while sweeps < max_sweeps:
-                    e_next = _weighted_average(sgn * (delta - h_of_r), weights)
-                    sweeps += 1
-                    if abs(e_next - e_avg) < tol:
-                        e_avg = e_next
-                        break
-                    e_avg = e_next
-                total_sweeps = max(total_sweeps, sweeps)
                 h_bar = _weighted_average(h_of_r, weights)
                 d_bar = _weighted_average(delta, weights)
                 mode = Mode(j=j, branch=branch, energy=e_avg)
@@ -262,10 +248,7 @@ def paper_literal_spectrum(
                     mode.unstable = True
                 modes.append(mode)
         modes.sort(key=lambda m: (m.branch, m.energy))
-        out.append(
-            ModeSet(species=species, method="paper-literal", modes=modes,
-                    sweeps=total_sweeps)
-        )
+        out.append(ModeSet(species=species, method="paper-literal", modes=modes))
     return out[0], out[1]
 
 

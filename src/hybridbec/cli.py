@@ -10,8 +10,8 @@ Subcommands map one-to-one onto the physics modules:
 
 Exit codes: 0 success, 2 config error, 3 non-convergence, 4 collapse,
 5 other failure.  Failures also emit one JSON object on stderr with the
-error class and message, so callers never parse prose.  Sweep points are
-pure and order-preserving, so --jobs only changes wall time, never rows.
+error class and message, so callers never parse prose.  Sweeps run
+in-process; --jobs is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import math
 import sys
 from dataclasses import replace
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -47,21 +46,13 @@ from .variational import minimize_mode
 MODE_COLUMNS = ("method", "species", "j", "branch", "energy_re", "energy_im", "norm")
 
 
-def _pmap(fn, items, jobs: int):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with Pool(processes=jobs) as pool:
-        return pool.map(fn, items)
-
-
 def _solve_ground(cfg: RunConfig):
     grid = cfg.build_grid()
     state = solve_coupled_gpe(cfg.params, grid, cfg.solver_options())
     return grid, state
 
 
-def cmd_ground(cfg: RunConfig, outdir: Path, jobs: int = 1) -> list[Path]:
+def cmd_ground(cfg: RunConfig, outdir: Path) -> list[Path]:
     grid, state = _solve_ground(cfg)
     head = provenance(
         cfg.config_hash(),
@@ -131,8 +122,8 @@ def _nearest(value, pool):
     return min(pool, key=lambda e: abs(e - value)) if pool else math.nan
 
 
-def cmd_spectrum(cfg: RunConfig, outdir: Path, jobs: int = 1,
-                 method: str | None = None, compare: bool = False) -> list[Path]:
+def cmd_spectrum(cfg: RunConfig, outdir: Path, method: str | None = None,
+                 compare: bool = False) -> list[Path]:
     grid, state = _solve_ground(cfg)
     chosen = method or cfg.bdg["method"]
     paths = []
@@ -174,7 +165,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path, jobs: int = 1,
     return paths
 
 
-def cmd_density(cfg: RunConfig, outdir: Path, jobs: int = 1) -> list[Path]:
+def cmd_density(cfg: RunConfig, outdir: Path) -> list[Path]:
     if cfg.sweep and cfg.sweep["variable"] == "T":
         t_values = cfg.sweep["values"]
     else:
@@ -222,32 +213,26 @@ def cmd_density(cfg: RunConfig, outdir: Path, jobs: int = 1) -> list[Path]:
     return paths
 
 
-def _variational_point(task):
-    mode, n, params, box = task
-    res = minimize_mode(mode, params, n, box)
-    bare = minimize_mode(mode, replace(params, alpha=0.0, lambda_am=0.0), n, box)
-    return res, bare
-
-
-def cmd_variational(cfg: RunConfig, outdir: Path, jobs: int = 1) -> list[Path]:
+def cmd_variational(cfg: RunConfig, outdir: Path) -> list[Path]:
     if not (cfg.sweep and cfg.sweep["variable"] == "N"):
         raise ConfigError("variational requires a sweep over N")
     n_list = cfg.sweep["values"]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("sweep.values must be strictly ascending for N")
     box = cfg.search_box()
-    tasks = [(mode, n, cfg.params, box) for mode in ("010", "100") for n in n_list]
-    pairs = _pmap(_variational_point, tasks, jobs)
+    bare = replace(cfg.params, alpha=0.0, lambda_am=0.0)
     cols = {"n_atoms": [], "mode": [], "resonant": [], "v_opt": [],
             "omega_opt": [], "energy": []}
-    for res, bare in pairs:
-        for r in (res, bare):
-            cols["n_atoms"].append(r.n_atoms)
-            cols["mode"].append(r.mode)
-            cols["resonant"].append(int(r.resonant))
-            cols["v_opt"].append(r.v_opt)
-            cols["omega_opt"].append(r.omega_opt)
-            cols["energy"].append(r.energy)
+    for mode in ("010", "100"):
+        for n in n_list:
+            for params in (cfg.params, bare):
+                r = minimize_mode(mode, params, n, box)
+                cols["n_atoms"].append(r.n_atoms)
+                cols["mode"].append(r.mode)
+                cols["resonant"].append(int(r.resonant))
+                cols["v_opt"].append(r.v_opt)
+                cols["omega_opt"].append(r.omega_opt)
+                cols["energy"].append(r.energy)
     head = provenance(
         cfg.config_hash(), v_max=box.v_max, omega_lo=box.omega_lo,
         omega_hi=box.omega_hi, coarse=box.coarse,
@@ -255,19 +240,12 @@ def cmd_variational(cfg: RunConfig, outdir: Path, jobs: int = 1) -> list[Path]:
     return [write_csv(outdir / "variational.csv", head, cols)]
 
 
-def _fig3_point(task):
-    params, b, density, r0, estimate = task
-    return figure3_curve(params, [b], density=density, r0=r0,
-                         density_estimate=estimate)[0]
-
-
-def cmd_fig3(cfg: RunConfig, outdir: Path, jobs: int = 1) -> list[Path]:
+def cmd_fig3(cfg: RunConfig, outdir: Path) -> list[Path]:
     if not (cfg.sweep and cfg.sweep["variable"] == "B"):
         raise ConfigError("fig3 requires a sweep over B")
     u = cfg.uniform
-    tasks = [(cfg.params, b, u["density"], u["r0"], u["density_estimate"])
-             for b in cfg.sweep["values"]]
-    pts = _pmap(_fig3_point, tasks, jobs)
+    pts = figure3_curve(cfg.params, cfg.sweep["values"], density=u["density"],
+                        r0=u["r0"], density_estimate=u["density_estimate"])
     cols = {
         "b": [pt.b for pt in pts],
         "a_eff": [pt.a_eff for pt in pts],
@@ -299,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--out", default=None, help="artifact directory")
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; no effect, sweeps run in-process")
     ap.add_argument("--method", choices=["paper", "block", "grid"], default=None,
                     help="spectrum method override")
     ap.add_argument("--compare", action="store_true",
@@ -314,10 +293,10 @@ def main(argv=None) -> int:
         outdir = Path(args.out or cfg.output_dir or "out")
         outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "spectrum":
-            paths = cmd_spectrum(cfg, outdir, jobs=args.jobs,
-                                 method=args.method, compare=args.compare)
+            paths = cmd_spectrum(cfg, outdir, method=args.method,
+                                 compare=args.compare)
         else:
-            paths = COMMANDS[args.command](cfg, outdir, jobs=args.jobs)
+            paths = COMMANDS[args.command](cfg, outdir)
     except ConfigError as exc:
         return _fail(exc, 2)
     except ConvergenceError as exc:

@@ -55,7 +55,7 @@ def shape_factor(x, y):
 
 
 def _common_terms(v, omega, p: PhysicalParams):
-    if np.any(np.asarray(omega) <= 0.0):
+    if (np.asarray(omega) <= 0.0).any():
         raise DomainError("trial frequency must be positive")
     hb, m = p.hbar, p.mass
     quad = 1.0 + 2.0 * v * v

@@ -194,6 +194,20 @@ def test_fig3_curve_and_singularity(tmp_path):
     assert main(["fig3", "--config", cfg, "--out", str(tmp_path)]) == 5
 
 
+def test_variational_pinned_minimum_exits_5(tmp_path, capsys):
+    # the bundled parameters pin the minimiser at omega_lo = 0.2
+    data = json.loads((CONFIGS / "variational_sweep.json").read_text())
+    data["variational"]["omega_lo"] = 0.2
+    data["sweep"]["values"] = [1e4, 1e5]
+    cfg = write_config(tmp_path, "pinned.json", data)
+    for jobs in (1, 2):
+        capsys.readouterr()
+        assert main(["variational", "--config", cfg, "--out",
+                     str(tmp_path / f"j{jobs}"), "--jobs", str(jobs)]) == 5
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "BoundaryMinimumError"
+
+
 def test_jobs_do_not_change_artifacts(tmp_path):
     cfg = write_config(tmp_path, "var.json", {
         "params": {"omega_a": 1.0, "omega_m": 1.4, "lambda_a": 0.05,

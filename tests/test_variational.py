@@ -42,6 +42,8 @@ def test_energy_rejects_nonpositive_frequency():
             fn(0.1, 0.0, ZERO)
         with pytest.raises(DomainError):
             fn(0.1, -1.0, ZERO)
+        with pytest.raises(DomainError):
+            fn(0.1, np.array([0.5, 0.0]), ZERO)
 
 
 def test_zero_coupling_closed_form():

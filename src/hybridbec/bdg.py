@@ -47,14 +47,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, SimulationError
-from .gpe import CondensateState
+from .gpe import ATOM, MOLECULE, CondensateState, _one_body, _operator
 from .grid import RadialGrid, RadialOperator, harmonic_potential
 from .params import PhysicalParams
 
 log = logging.getLogger(__name__)
-
-ATOM = "atom"
-MOLECULE = "molecule"
 
 #: modes with |integral(u^2 - v^2)| below this are non-normalizable and skipped
 NORM_FLOOR = 1e-10
@@ -111,25 +108,13 @@ def basis_levels(
     """
     if j_max < 1:
         raise ConfigError(f"j_max must be >= 1, got {j_max}")
-    omega = _species_omega(species, params)
+    _, omega, _ = _one_body(species, params)
     j = np.arange(j_max, dtype=float)
     if convention == "paper":
         return params.hbar * omega * (j + 0.5)
     if convention == "oscillator3d":
         return params.hbar * omega * (2.0 * j + 1.5)
     raise ConfigError(f"unknown basis convention '{convention}'")
-
-
-def _species_omega(species: str, params: PhysicalParams) -> float:
-    if species == ATOM:
-        return params.omega_a
-    if species == MOLECULE:
-        return params.omega_m
-    raise ConfigError(f"unknown species '{species}'")
-
-
-def _species_mass(species: str, params: PhysicalParams) -> float:
-    return params.mass if species == ATOM else params.molecule_mass
 
 
 def oscillator_basis(
@@ -141,8 +126,7 @@ def oscillator_basis(
     with sum(chi^2) = 1, so <j|f(r)|j> is just sum(f * chi[:, j]**2); the
     corresponding density-normalized amplitude is chi/(r*sqrt(4*pi*h)).
     """
-    mass = _species_mass(species, params)
-    omega = _species_omega(species, params)
+    mass, omega, _ = _one_body(species, params)
     op = RadialOperator.build(
         grid, mass, harmonic_potential(grid, mass, omega), hbar=params.hbar
     )
@@ -168,6 +152,18 @@ def _background(species: str, state: CondensateState, params: PhysicalParams):
         delta = p.lambda_m * phi_m2
         mu = state.mu_m
     return w, delta, mu
+
+
+def _projection(species, state, params, grid, j_max, convention):
+    """Common setup of the basis methods: level ladder, basis chi columns,
+    the background with the one-body offset (eps for molecules) folded
+    into W, and the density-normalized amplitude of each basis state."""
+    levels = basis_levels(species, params, j_max, convention)
+    _, chi = oscillator_basis(species, params, grid, j_max)
+    w, delta, mu = _background(species, state, params)
+    w = w + _one_body(species, params)[2]
+    amp = chi / (grid.r[:, None] * math.sqrt(4.0 * np.pi * grid.h))
+    return levels, chi, w, delta, mu, amp
 
 
 def _weighted_average(values: np.ndarray, weights: np.ndarray) -> float:
@@ -211,14 +207,10 @@ def paper_literal_spectrum(
         raise ConfigError(f"unknown averaging '{averaging}'")
     out = []
     for species in (ATOM, MOLECULE):
-        levels = basis_levels(species, params, j_max, convention)
-        _, chi = oscillator_basis(species, params, grid, j_max)
-        w, delta, mu = _background(species, state, params)
-        if species == MOLECULE:
-            w = w.copy()
-            w += params.epsilon
-            if strict_literal:
-                w -= params.lambda_am * state.phi_a**2
+        levels, _, w, delta, mu, amp = _projection(
+            species, state, params, grid, j_max, convention)
+        if species == MOLECULE and strict_literal:
+            w -= params.lambda_am * state.phi_a**2
         dens = state.phi_a**2 if species == ATOM else state.phi_m**2
         weights = grid.w * dens if averaging == "density" else grid.w
         if float(np.sum(weights)) <= 0.0:
@@ -238,9 +230,8 @@ def paper_literal_spectrum(
                     b = math.sqrt(1.0 / (f - 1.0))
                     a = f * b
                     scale = math.sqrt(a * a - b * b)  # = sqrt(f + 1)
-                    amp = chi[:, j] / (grid.r * math.sqrt(4.0 * np.pi * grid.h))
-                    mode.u = (a / scale) * amp
-                    mode.v = (b / scale) * amp
+                    mode.u = (a / scale) * amp[:, j]
+                    mode.v = (b / scale) * amp[:, j]
                     mode.coeff_u = a
                     mode.coeff_v = b
                     mode.norm = 1.0
@@ -270,18 +261,14 @@ def block_2x2_spectrum(
     """
     out = []
     for species in (ATOM, MOLECULE):
-        levels = basis_levels(species, params, j_max, convention)
-        _, chi = oscillator_basis(species, params, grid, j_max)
-        w, delta, mu = _background(species, state, params)
-        if species == MOLECULE:
-            w = w + params.epsilon
+        levels, chi, w, delta, mu, amp = _projection(
+            species, state, params, grid, j_max, convention)
         modes = []
         for j in range(j_max):
             chi2 = chi[:, j] ** 2
             h = levels[j] + float(np.dot(w, chi2)) - mu
             d = float(np.dot(delta, chi2))
             disc = h * h - d * d
-            amp = chi[:, j] / (grid.r * math.sqrt(4.0 * np.pi * grid.h))
             for sgn, branch in ((1.0, "+"), (-1.0, "-")):
                 mode = Mode(j=j, branch=branch, energy=math.nan)
                 if disc >= 0.0:
@@ -294,11 +281,11 @@ def block_2x2_spectrum(
                         b = math.copysign(math.sqrt(a2 - 1.0), d) if a2 > 1.0 else 0.0
                         if sgn > 0:
                             mode.coeff_u, mode.coeff_v = a, b
-                            mode.u, mode.v = a * amp, b * amp
+                            mode.u, mode.v = a * amp[:, j], b * amp[:, j]
                             mode.norm = 1.0
                         else:
                             mode.coeff_u, mode.coeff_v = b, a
-                            mode.u, mode.v = b * amp, a * amp
+                            mode.u, mode.v = b * amp[:, j], a * amp[:, j]
                             mode.norm = -1.0
                     # e_mag == 0: Goldstone-like boundary, coefficients diverge
                 else:
@@ -321,13 +308,8 @@ def bdg_matrix(
     """Dense 2n x 2n block matrix [[L, -Delta], [Delta, -L]] for one
     angular channel, acting on stacked reduced functions (r*u, r*v)."""
     p = params
-    mass = _species_mass(species, p)
-    omega = _species_omega(species, p)
     w, delta, mu = _background(species, state, p)
-    v_trap = harmonic_potential(grid, mass, omega)
-    if species == MOLECULE:
-        v_trap = v_trap + p.epsilon
-    op = RadialOperator.build(grid, mass, v_trap + w, hbar=p.hbar, l=l)
+    op = _operator(species, p, grid, w, l)
     n = grid.n_points
     l_block = np.diag(op.diag - mu) + op.offdiag * (
         np.eye(n, k=1) + np.eye(n, k=-1)

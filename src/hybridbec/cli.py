@@ -39,6 +39,7 @@ from .errors import (
     SimulationError,
 )
 from .gpe import solve_coupled_gpe
+from .params import chemical_equilibrium_gap
 from .thermal import density_profile, total_numbers
 from .uniform import figure3_curve
 from .variational import minimize_mode
@@ -65,7 +66,7 @@ def cmd_ground(cfg: RunConfig, outdir: Path) -> list[Path]:
     summary = {
         "mu_a": state.mu_a,
         "mu_m": state.mu_m,
-        "equilibrium_gap": state.mu_m - 2.0 * state.mu_a,
+        "equilibrium_gap": chemical_equilibrium_gap(state.mu_a, state.mu_m),
         "residual": state.residual,
         "energy": state.energy,
         "iterations": state.iterations,

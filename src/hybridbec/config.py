@@ -108,7 +108,7 @@ class RunConfig:
     def solver_options(self) -> SolverOptions:
         return SolverOptions(
             tol=self.solver["tol"],
-            max_iters=int(self.solver["max_iters"]),
+            max_iters=self.solver["max_iters"],
             dt=self.solver["dt"],
         )
 

@@ -1,9 +1,12 @@
-"""Exception types shared across the simulator.
+"""Exception types shared across the simulator, and the input checks
+that raise ConfigError.
 
 The CLI maps these onto exit codes: config problems -> 2, solver
 non-convergence -> 3, physical instability (collapse) -> 4, anything
 else -> 5.
 """
+
+import numbers
 
 
 class SimulationError(Exception):
@@ -59,3 +62,17 @@ class BoundaryMinimumError(SimulationError):
         self.v = v
         self.omega = omega
         self.energy = energy
+
+
+def require_positive(name: str, value) -> None:
+    """Raise ConfigError unless value is a real number > 0 (inf allowed)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+        raise ConfigError(f"{name} must be a positive number, got {value!r}")
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """int(value) if value is an integral real >= minimum, else ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < minimum):
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -41,9 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollapseError, ConvergenceError
+from .errors import (
+    CollapseError, ConfigError, ConvergenceError, require_count, require_positive,
+)
 from .grid import RadialGrid, RadialOperator, harmonic_potential, solve_banded_shifted
 from .params import PhysicalParams
+
+ATOM = "atom"
+MOLECULE = "molecule"
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,9 @@ class SolverOptions:
     check_every    steps between defect/energy/collapse checks
     min_dt         floor for the back-off
     collapse_width RMS width below collapse_width*h triggers CollapseError
+
+    tol, dt and min_dt must be positive numbers and max_iters, check_every
+    integers >= 1; anything else raises ConfigError.
     """
 
     tol: float = 1e-8
@@ -65,6 +73,13 @@ class SolverOptions:
     check_every: int = 25
     min_dt: float = 1e-6
     collapse_width: float = 4.0
+
+    def __post_init__(self):
+        for name in ("tol", "dt", "min_dt"):
+            require_positive(name, getattr(self, name))
+        for name in ("max_iters", "check_every"):
+            count = require_count(name, getattr(self, name), 1)
+            object.__setattr__(self, name, count)
 
 
 @dataclass(eq=False)
@@ -86,16 +101,33 @@ class CondensateState:
     iterations: int = 0
 
 
-def _atom_operator(params: PhysicalParams, grid: RadialGrid) -> RadialOperator:
-    return RadialOperator.build(
-        grid, params.mass, harmonic_potential(grid, params.mass, params.omega_a),
-        hbar=params.hbar,
-    )
+def _one_body(species: str, params: PhysicalParams) -> tuple[float, float, float]:
+    """(mass, trap frequency, energy offset) of the species' one-body
+    Hamiltonian -hbar^2 grad^2/2m + m*omega^2*r^2/2 + offset; the
+    molecular offset is the detuning eps."""
+    if species == ATOM:
+        return params.mass, params.omega_a, 0.0
+    if species == MOLECULE:
+        return params.molecule_mass, params.omega_m, params.epsilon
+    raise ConfigError(f"unknown species '{species}'")
 
 
-def _molecule_operator(params: PhysicalParams, grid: RadialGrid) -> RadialOperator:
-    v = harmonic_potential(grid, params.molecule_mass, params.omega_m) + params.epsilon
-    return RadialOperator.build(grid, params.molecule_mass, v, hbar=params.hbar)
+def _operator(species: str, params: PhysicalParams, grid: RadialGrid, w=0.0, l=0):
+    """The species' one-body operator plus an optional local potential w."""
+    mass, omega, offset = _one_body(species, params)
+    v = harmonic_potential(grid, mass, omega) + offset
+    return RadialOperator.build(grid, mass, v + w, hbar=params.hbar, l=l)
+
+
+def _mean_fields(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarray):
+    """Local potentials c_a, c_m multiplying phi_a, phi_m in the stationary
+    equations; the molecular source alpha*phi_a^2 is not included."""
+    p = params
+    phi_a2 = phi_a * phi_a
+    phi_m2 = phi_m * phi_m
+    c_a = p.lambda_a * phi_a2 + p.lambda_am * phi_m2 + 2.0 * p.alpha * phi_m
+    c_m = p.lambda_m * phi_m2 + p.lambda_am * phi_a2
+    return c_a, c_m
 
 
 def gaussian_ansatz(params: PhysicalParams, grid: RadialGrid) -> CondensateState:
@@ -167,13 +199,8 @@ def gpe_defect(
     r = grid.r
     chi_a = r * state.phi_a
     chi_m = r * state.phi_m
-    op_a = _atom_operator(p, grid)
-    op_m = _molecule_operator(p, grid)
-
-    phi_a2 = state.phi_a**2
-    phi_m2 = state.phi_m**2
-    c_a = p.lambda_a * phi_a2 + p.lambda_am * phi_m2 + 2.0 * p.alpha * state.phi_m
-    c_m = p.lambda_m * phi_m2 + p.lambda_am * phi_a2
+    op_a, op_m = (_operator(s, p, grid) for s in (ATOM, MOLECULE))
+    c_a, c_m = _mean_fields(p, state.phi_a, state.phi_m)
 
     d_a = op_a.apply(chi_a) + (c_a - state.mu_a) * chi_a
     d_m = op_m.apply(chi_m) + (c_m - state.mu_m) * chi_m + p.alpha * state.phi_a * chi_a
@@ -197,33 +224,24 @@ def energy_functional(
     state: CondensateState, params: PhysicalParams, grid: RadialGrid
 ) -> float:
     """Mean-field energy whose constrained gradient is the stationary
-    system; non-increasing along the imaginary-time flow."""
+    system; non-increasing along the imaginary-time flow.  The one-body
+    part (kinetic + trap + offset) is 4*pi*h * chi.(H chi) per species."""
     p = params
-    r = grid.r
-    chi_a = r * state.phi_a
-    chi_m = r * state.phi_m
     four_pi_h = 4.0 * np.pi * grid.h
-
-    def kinetic(chi, mass):
-        k = p.hbar**2 / (2.0 * mass * grid.h**2)
-        lap = 2.0 * chi.copy()
-        lap[:-1] -= chi[1:]
-        lap[1:] -= chi[:-1]
-        return four_pi_h * k * float(np.dot(chi, lap))
-
+    one_body = 0.0
+    for species, phi in ((ATOM, state.phi_a), (MOLECULE, state.phi_m)):
+        chi = grid.r * phi
+        h_chi = _operator(species, p, grid).apply(chi)
+        one_body += four_pi_h * float(np.dot(chi, h_chi))
     phi_a2 = state.phi_a**2
     phi_m2 = state.phi_m**2
-    v_a = harmonic_potential(grid, p.mass, p.omega_a)
-    v_m = harmonic_potential(grid, p.molecule_mass, p.omega_m) + p.epsilon
     dens = (
-        v_a * phi_a2
-        + v_m * phi_m2
-        + 0.5 * p.lambda_a * phi_a2**2
+        0.5 * p.lambda_a * phi_a2**2
         + 0.5 * p.lambda_m * phi_m2**2
         + p.lambda_am * phi_a2 * phi_m2
         + 2.0 * p.alpha * phi_a2 * state.phi_m
     )
-    return kinetic(chi_a, p.mass) + kinetic(chi_m, p.molecule_mass) + grid.integrate(dens)
+    return one_body + grid.integrate(dens)
 
 
 def solve_coupled_gpe(
@@ -244,8 +262,7 @@ def solve_coupled_gpe(
 
     r = grid.r
     four_pi_h = 4.0 * np.pi * grid.h
-    op_a = _atom_operator(p, grid)
-    op_m = _molecule_operator(p, grid)
+    op_a, op_m = (_operator(s, p, grid) for s in (ATOM, MOLECULE))
 
     chi_a = r * start.phi_a
     chi_m = r * start.phi_m
@@ -287,11 +304,7 @@ def solve_coupled_gpe(
     for it in range(1, opts.max_iters + 1):
         phi_a = chi_a / r
         phi_m = chi_m / r
-        phi_a2 = phi_a * phi_a
-        phi_m2 = phi_m * phi_m
-
-        c_a = p.lambda_a * phi_a2 + p.lambda_am * phi_m2 + 2.0 * p.alpha * phi_m
-        c_m = p.lambda_m * phi_m2 + p.lambda_am * phi_a2
+        c_a, c_m = _mean_fields(p, phi_a, phi_m)
         pump_m = p.alpha * phi_a * chi_a if p.alpha != 0.0 else None
 
         if p.n_a > 0:
@@ -316,12 +329,12 @@ def solve_coupled_gpe(
                         )
             da, dm = gpe_defect(state, p, grid)
             residual = max(da, dm)
+            energy = energy_functional(state, p, grid)
             if residual < opts.tol:
                 state.residual = residual
-                state.energy = energy_functional(state, p, grid)
+                state.energy = energy
                 state.iterations = it
                 return state
-            energy = energy_functional(state, p, grid)
             if energy > prev_energy + 1e-10 * (1.0 + abs(prev_energy)):
                 dt = max(0.5 * dt, opts.min_dt)
             prev_energy = energy

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError
+from .errors import require_count, require_positive
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,12 +32,11 @@ class RadialGrid:
     w: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.r_max <= 0:
-            raise ConfigError(f"r_max must be positive, got {self.r_max}")
-        if self.n_points < 16:
-            raise ConfigError(f"n_points must be >= 16, got {self.n_points}")
-        h = self.r_max / self.n_points
-        r = h * np.arange(1, self.n_points + 1, dtype=float)
+        require_positive("r_max", self.r_max)
+        n = require_count("n_points", self.n_points, 16)
+        h = self.r_max / n
+        r = h * np.arange(1, n + 1, dtype=float)
+        object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "w", 4.0 * np.pi * r**2 * h)

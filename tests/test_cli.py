@@ -111,6 +111,27 @@ def test_invalid_inputs_exit_config_code(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "n_points", 400.5),
+    ("solver", "tol", "1e-8"),
+    ("solver", "dt", -4e-3),
+    ("solver", "max_iters", 0),
+])
+def test_invalid_grid_and_solver_exit_config_code(tmp_path, capsys, section, key, value):
+    # a fractional grid size, a string tolerance, a negative step and a zero
+    # iteration cap are config errors, not runs or solver failures
+    bad = write_config(tmp_path, "bad.json", {
+        "params": {"omega_a": 1.0, "omega_m": 1.4, "n_a": 100.0},
+        section: {key: value},
+    })
+    rc = main(["ground", "--config", bad, "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert key in err["message"]
+    assert not (tmp_path / "condensate.csv").exists()
+
+
 def test_spectrum_grid_reports_oscillator_levels(tmp_path):
     cfg = write_config(tmp_path, "spec.json", {
         "params": {"omega_a": 1.0, "omega_m": 1.4, "n_a": 100.0},

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -121,8 +123,8 @@ def test_defect_increases_under_perturbation():
     base = max(gpe_defect(s, p, GRID))
     rng = np.random.default_rng(5)
     for _ in range(5):
-        s_pert = solve_coupled_gpe(p, GRID)
-        s_pert.phi_a = s.phi_a * (1.0 + 1e-3 * rng.standard_normal(GRID.n_points))
+        noise = 1e-3 * rng.standard_normal(GRID.n_points)
+        s_pert = replace(s, phi_a=s.phi_a * (1.0 + noise))
         pert = max(gpe_defect(s_pert, p, GRID))
         assert pert > base
 
@@ -139,6 +141,28 @@ def test_energy_nonincreasing_along_flow():
     diffs = np.diff(energies)
     assert np.all(diffs <= np.abs(energies[:-1]) * 1e-9 + 1e-9)
     assert energies[-1] < energies[0]
+
+
+def test_energy_matches_chemical_potentials():
+    # projecting the stationary equations on phi_a, phi_m gives
+    # E = N_a mu_a + N_m mu_m - integral(lambda_a phi_a^4/2 + lambda_m phi_m^4/2
+    #     + lambda phi_a^2 phi_m^2 + alpha phi_a^2 phi_m);
+    # the second set has a detuning, so every term of the energy is pinned
+    cases = [
+        (PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
+                        lambda_am=0.1, alpha=0.5, n_a=200.0, n_m=100.0),
+         build_grid(r_max=8.0, n_points=400)),
+        (PhysicalParams(omega_a=1.0, omega_m=1.3, lambda_a=0.05, lambda_m=0.04,
+                        lambda_am=0.02, alpha=0.1, epsilon=0.4, n_a=50.0, n_m=20.0),
+         build_grid(r_max=8.0, n_points=200)),
+    ]
+    for p, g in cases:
+        s = solve_coupled_gpe(p, g)
+        a2, m2 = s.phi_a**2, s.phi_m**2
+        rest = g.integrate(0.5 * p.lambda_a * a2**2 + 0.5 * p.lambda_m * m2**2
+                           + p.lambda_am * a2 * m2 + p.alpha * a2 * s.phi_m)
+        expected = p.n_a * s.mu_a + p.n_m * s.mu_m - rest
+        assert energy_functional(s, p, g) == pytest.approx(expected, rel=1e-9)
 
 
 def test_mu_rayleigh_consistency():

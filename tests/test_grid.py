@@ -24,6 +24,10 @@ def test_grid_validation():
         build_grid(r_max=-1.0)
     with pytest.raises(ConfigError):
         build_grid(n_points=15)
+    with pytest.raises(ConfigError):
+        build_grid(n_points=400.5)
+    # an integral float is a valid size and is stored as an int
+    assert build_grid(n_points=400.0).n_points == 400
 
 
 def test_quadrature_gaussian_and_moments():

@@ -15,9 +15,17 @@ through the atom off-diagonal term.
 
 Methods:
 
-* ``direct_grid_spectrum``: assemble the 2n x 2n block matrix per angular
-  channel and diagonalize.  No further approximation; this is the oracle
-  the other two are judged against.
+* ``direct_grid_spectrum``: the grid BdG problem per angular channel,
+  with no further approximation; this is the oracle the other two are
+  judged against.  With g = u - v and f = u + v it reads
+  (L - Delta)(L + Delta) g = E^2 g.  The tridiagonal L + Delta is
+  factored as C C^T (C bidiagonal), and the lowest eigenpairs of the
+  symmetric pentadiagonal C^T (L - Delta) C give E^2, g = C^-T y and
+  f = C y / E.  E^2 ~ 0 is the Goldstone mode and is skipped.  Where
+  Delta = 0 the modes are the eigenpairs of L itself, negative levels
+  included.  If L + Delta is not positive definite or some E^2 < 0
+  (a dynamical instability), the channel falls back to diagonalizing
+  the dense 2n x 2n block matrix.
 
 * ``block_2x2_spectrum``: project onto auxiliary oscillator levels |j>
   and solve the standard symplectic 2x2 problem per level,
@@ -55,6 +63,9 @@ log = logging.getLogger(__name__)
 
 #: modes with |integral(u^2 - v^2)| below this are non-normalizable and skipped
 NORM_FLOOR = 1e-10
+#: |E^2| at or below this, in units of (hbar*omega_a)^2, marks the
+#: Goldstone mode of the banded grid route
+ZERO_MODE_E2 = 1e-6
 
 
 @dataclass(eq=False)
@@ -320,6 +331,102 @@ def bdg_matrix(
     return np.vstack([top, bot])
 
 
+def _dense_channel(mat, four_pi_h, n_modes):
+    """Lowest positive-norm eigenpairs of the dense 2n x 2n BdG matrix:
+    (energies, chi_u columns, chi_v columns, skipped).  Near-zero-norm
+    pairs met on the way (Goldstone remnants) are counted as skipped."""
+    try:
+        vals, vecs = scipy.linalg.eig(mat)
+    except scipy.linalg.LinAlgError as exc:
+        raise SimulationError(f"BdG eigensolver failed: {exc}") from exc
+    n = mat.shape[0] // 2
+    keep = []
+    skipped = 0
+    for k in np.argsort(vals.real):
+        s = four_pi_h * float((np.abs(vecs[:n, k]) ** 2 - np.abs(vecs[n:, k]) ** 2).sum())
+        if abs(s) <= NORM_FLOOR:
+            skipped += 1
+        elif s > 0.0:
+            # negative norms are mirror partners (E -> -E, u <-> v); the
+            # positive-norm family carries the same information
+            keep.append(k)
+            if len(keep) >= n_modes:
+                break
+    return vals[keep], vecs[:n, keep], vecs[n:, keep], skipped
+
+
+def _banded_channel(l_diag, offdiag, delta, n_modes, zero_e2):
+    """Lowest modes from (L - D)(L + D) g = E^2 g, g = u - v, as
+    (energies, chi_u columns, chi_v columns, skipped).
+
+    L + D = C C^T is a tridiagonal Cholesky (C lower bidiagonal), so
+    K = C^T (L - D) C is symmetric pentadiagonal with K y = E^2 y,
+    g = C^-T y and f = u + v = C y / E.  eig_banded gives the lowest
+    eigenvalues, inverse iteration on K the vectors.  Eigenvalues with
+    |E^2| <= zero_e2 are the Goldstone mode, counted as its skipped
+    pair.  None when L + D is not positive definite or some
+    E^2 < -zero_e2 (unstable).
+    """
+    n = len(l_diag)
+    try:
+        c = scipy.linalg.cholesky_banded(
+            np.vstack([l_diag + delta, np.full(n, offdiag)]), lower=True)
+    except scipy.linalg.LinAlgError:
+        return None
+    a, b = c[0], c[1, :-1]
+    d = l_diag - delta
+    band = np.zeros((3, n))  # lower band storage of K
+    band[0] = a * a * d
+    band[0, :-1] += b * (2.0 * offdiag * a[:-1] + b * d[1:])
+    band[1, :-1] = a[1:] * (offdiag * a[:-1] + b * d[1:])
+    band[1, :-2] += offdiag * b[1:] * b[:-1]
+    band[2, :-2] = offdiag * a[2:] * b[:-1]
+    # K in the general band storage of solve_banded, for inverse iteration
+    full = np.zeros((5, n))
+    full[0, 2:], full[1, 1:] = band[2, :-2], band[1, :-1]
+    full[2:] = band
+    count = min(n, n_modes + 2)
+    while True:
+        # eigenvalues alone cost O(n^2) where eig_banded's eigenvectors
+        # cost O(n^3); each vector then takes two O(n) banded solves,
+        # which reach round-off from a flat start (one leaves ~1e-6 of
+        # the neighbouring modes at 800 points)
+        e2 = scipy.linalg.eig_banded(band, lower=True, select="i",
+                                     select_range=(0, count - 1), eigvals_only=True)
+        y = np.empty((n, count))
+        for k, shift in enumerate(e2):
+            shifted = full.copy()
+            shifted[2] -= shift
+            x = np.ones(n)
+            try:
+                for _ in range(2):
+                    x = scipy.linalg.solve_banded((2, 2), shifted, x)
+                    x /= np.linalg.norm(x)
+            except scipy.linalg.LinAlgError:  # shift hit an exact pivot zero
+                return None
+            y[:, k] = x
+        # E^2 as the Rayleigh quotient y^T K y = z^T (L - D) z, z = C y,
+        # taken in factored form: its round-off scales with ||L||, where
+        # eig_banded's eigenvalues carry eps*||K|| ~ eps*||L||^2
+        z = a[:, None] * y
+        z[1:] += b[:, None] * y[:-1]
+        dz = d[:, None] * z
+        dz[:-1] += offdiag * z[1:]
+        dz[1:] += offdiag * z[:-1]
+        e2 = np.einsum("ik,ik->k", z, dz)
+        if e2.min() < -zero_e2:
+            return None
+        zero = np.abs(e2) <= zero_e2
+        if count - zero.sum() >= n_modes or count == n:
+            break
+        count = min(n, 2 * count)
+    energies = np.sqrt(e2[~zero][:n_modes])
+    y = y[:, ~zero][:, :n_modes]
+    g = scipy.linalg.solve_banded((0, 1), np.vstack([np.r_[0.0, b], a]), y)
+    f = z[:, ~zero][:, :n_modes] / energies
+    return energies, (f + g) / 2.0, (f - g) / 2.0, 2 * int(zero.sum())
+
+
 def direct_grid_spectrum(
     state: CondensateState,
     params: PhysicalParams,
@@ -327,55 +434,55 @@ def direct_grid_spectrum(
     l: int = 0,
     n_modes: int = 8,
 ) -> tuple[ModeSet, ModeSet]:
-    """Full diagonalization per angular channel; oracle for the others.
+    """Lowest n_modes positive-norm modes per species in channel l; the
+    oracle for the other methods.
 
-    Keeps eigenpairs with positive norm integral(u^2 - v^2) > 0,
-    normalizes them to 1, and returns the lowest n_modes by energy.
-    Near-zero-norm pairs (Goldstone remnants, conjugate partners) are
-    skipped and counted in ModeSet.skipped.  Complex eigenvalues are
-    kept only if their norm is meaningful, flagged unstable.
+    Each channel takes one of three routes (module docstring): the
+    tridiagonal eigensolve of L when Delta = 0, the banded product form
+    (L - Delta)(L + Delta) g = E^2 g otherwise, and the dense 2n x 2n
+    eigensolve when L + Delta is not positive definite or a mode is
+    unstable.  Modes are normalized to integral(u^2 - v^2) = 1 with the
+    largest |u| entry positive.  The Goldstone pair (E^2 ~ 0, or norm
+    ~ 0 on the dense route) is counted in ModeSet.skipped.  Complex
+    eigenvalues of the dense route are kept only if their norm is
+    meaningful, flagged unstable.
     """
     out = []
     four_pi_h = 4.0 * np.pi * grid.h
+    zero_e2 = ZERO_MODE_E2 * (params.hbar * params.omega_a) ** 2
     for species in (ATOM, MOLECULE):
-        mat = bdg_matrix(state, params, grid, species, l)
-        try:
-            vals, vecs = scipy.linalg.eig(mat)
-        except scipy.linalg.LinAlgError as exc:
-            raise SimulationError(f"BdG eigensolver failed: {exc}") from exc
-        n = grid.n_points
+        w, delta, mu = _background(species, state, params)
+        op = _operator(species, params, grid, w, l)
+        l_diag = op.diag - mu
+        if not delta.any():
+            # no anomalous term: E = eigenvalues of L, v = 0, signs kept
+            energies, chi_u = RadialOperator(l_diag, op.offdiag).eigensolve(n_modes)
+            found = energies, chi_u, np.zeros_like(chi_u), 0
+        else:
+            found = _banded_channel(l_diag, op.offdiag, delta, n_modes, zero_e2)
+        if found is None:
+            log.debug("%s l=%d: dense BdG eigensolve", species, l)
+            found = _dense_channel(
+                bdg_matrix(state, params, grid, species, l), four_pi_h, n_modes)
+        energies, chi_u, chi_v, skipped = found
         modes = []
-        skipped = 0
-        for k in np.argsort(vals.real):
-            e = vals[k]
-            chi_u = vecs[:n, k]
-            chi_v = vecs[n:, k]
-            s = four_pi_h * float(
-                (np.abs(chi_u) ** 2 - np.abs(chi_v) ** 2).sum()
-            )
-            if abs(s) <= NORM_FLOOR:
-                skipped += 1
-                continue
-            if s < 0.0:
-                # mirror partner (E -> -E, u <-> v); the positive-norm
-                # family carries the same information
-                continue
+        for k, e in enumerate(energies):
+            cu, cv = chi_u[:, k], chi_v[:, k]
+            s = four_pi_h * float((np.abs(cu) ** 2 - np.abs(cv) ** 2).sum())
             scale = 1.0 / math.sqrt(s)
             unstable = abs(e.imag) > 1e-9 * max(1.0, abs(e.real))
             # positive-norm eigenvectors of real problems are real up to
             # a global phase; rotate it away before storing
-            phase = np.exp(-1j * np.angle(chi_u[np.argmax(np.abs(chi_u))]))
-            u = (chi_u * phase).real * scale / grid.r
-            v = (chi_v * phase).real * scale / grid.r
+            phase = np.exp(-1j * np.angle(cu[np.argmax(np.abs(cu))]))
             modes.append(
                 Mode(
-                    j=len(modes), branch="+", energy=float(e.real),
-                    energy_imag=float(e.imag), u=u, v=v,
+                    j=k, branch="+", energy=float(e.real),
+                    energy_imag=float(e.imag),
+                    u=(cu * phase).real * scale / grid.r,
+                    v=(cv * phase).real * scale / grid.r,
                     degeneracy=2 * l + 1, norm=1.0, unstable=unstable,
                 )
             )
-            if len(modes) >= n_modes:
-                break
         if skipped:
             log.warning(
                 "%s l=%d: skipped %d non-normalizable BdG modes",

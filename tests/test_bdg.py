@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hybridbec import ConfigError, PhysicalParams, build_grid
+from hybridbec import ConfigError, PhysicalParams, bdg, build_grid
 from hybridbec.bdg import (
     ATOM,
     MOLECULE,
+    NORM_FLOOR,
     basis_levels,
     bdg_matrix,
     block_2x2_spectrum,
@@ -276,3 +278,137 @@ def test_direct_grid_determinism():
     for a, b in zip(da1.modes + dm1.modes, da2.modes + dm2.modes):
         assert a.energy == b.energy
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+EQUIVALENCE_SETS = {
+    # ROADMAP item-2 set: strong conversion, both species populated
+    "item2": PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
+                            lambda_am=0.1, alpha=0.5, n_a=200.0, n_m=100.0),
+    # detuning and conversion on
+    "hybrid": PhysicalParams(omega_a=1.0, omega_m=1.3, lambda_a=0.05, lambda_m=0.04,
+                             lambda_am=0.02, alpha=0.1, epsilon=0.4, n_a=50.0, n_m=20.0),
+    # atoms only: Goldstone pair at l = 0, molecule channel has Delta = 0
+    "decoupled": PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1,
+                                n_a=100.0, n_m=0.0),
+}
+
+
+def dense_reference(state, p, g, species, l, n_modes):
+    # the full 2n x 2n eigensolve: positive-norm modes in ascending real
+    # part, near-zero norms counted as skipped, normalized with the
+    # largest |u| entry real and positive
+    n = g.n_points
+    vals, vecs = scipy.linalg.eig(bdg_matrix(state, p, g, species, l))
+    modes, skipped = [], 0
+    for k in np.argsort(vals.real):
+        cu, cv = vecs[:n, k], vecs[n:, k]
+        norm = 4.0 * np.pi * g.h * float((np.abs(cu) ** 2 - np.abs(cv) ** 2).sum())
+        if abs(norm) <= NORM_FLOOR:
+            skipped += 1
+        elif norm > 0.0:
+            phase = np.exp(-1j * np.angle(cu[np.argmax(np.abs(cu))])) / np.sqrt(norm)
+            modes.append((vals[k], (cu * phase).real / g.r, (cv * phase).real / g.r))
+            if len(modes) == n_modes:
+                break
+    return modes, skipped
+
+
+@pytest.fixture(scope="module")
+def equivalence_states():
+    g = build_grid(r_max=8.0, n_points=200)
+    return g, {name: solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+               for name, p in EQUIVALENCE_SETS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_SETS))
+def test_direct_grid_matches_dense_eigensolve(name, equivalence_states, monkeypatch):
+    # every channel here takes the banded or the Delta = 0 route (the
+    # dense builder must not be called) and reproduces the dense result
+    g, states = equivalence_states
+    p, s = EQUIVALENCE_SETS[name], states[name]
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense fallback taken")
+
+    for l in (0, 1, 2):
+        refs = [dense_reference(s, p, g, sp, l, 8) for sp in (ATOM, MOLECULE)]
+        with monkeypatch.context() as mp:
+            mp.setattr(bdg, "bdg_matrix", no_dense)
+            got = direct_grid_spectrum(s, p, g, l=l, n_modes=8)
+        for ms, (ref, skipped) in zip(got, refs):
+            assert len(ms.modes) == len(ref) == 8
+            assert ms.skipped == skipped
+            for m, (e, u, v) in zip(ms.modes, ref):
+                assert e.imag == 0.0 and not m.unstable
+                assert m.energy == pytest.approx(e.real, rel=1e-8)
+                scale = np.max(np.abs(u))
+                assert np.max(np.abs(m.u - u)) <= 1e-7 * scale
+                assert np.max(np.abs(m.v - v)) <= 1e-7 * np.max(np.abs(v))
+        if name == "decoupled" and l == 0:
+            assert got[0].skipped == 2  # the Goldstone pair
+
+
+def test_direct_grid_keeps_sign_without_anomalous_term():
+    # spectrum_weak physics: N_m = 0, so the molecule channel has
+    # Delta = 0 and its lowest level sits just below mu_m on the grid;
+    # a product form would report |E|
+    g = build_grid(r_max=8.0, n_points=400)
+    p = EQUIVALENCE_SETS["decoupled"]
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    _, mol = direct_grid_spectrum(s, p, g, l=0, n_modes=3)
+    ref, skipped = dense_reference(s, p, g, MOLECULE, 0, 3)
+    assert mol.modes[0].energy < 0.0
+    assert mol.modes[0].energy == pytest.approx(ref[0][0].real, rel=1e-6)
+    assert mol.skipped == skipped == 0
+    assert all(np.all(m.v == 0.0) for m in mol.modes)
+
+
+def test_direct_grid_dense_fallback(monkeypatch):
+    # raising mu_a by 3 hbar*omega_a on the item-2 set makes L + Delta
+    # indefinite; raising it by 0.1 on the decoupled set keeps L + Delta
+    # positive definite but gives E^2 < 0.  Either way the atom channel
+    # falls back to the dense eigensolve and returns exactly its
+    # energies, growth rates, flags and skipped count (the imaginary
+    # pairs have zero norm and land in skipped)
+    g = build_grid(r_max=8.0, n_points=200)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return bdg_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(bdg, "bdg_matrix", counted)
+    for name, shift, channels in (("item2", 3.0, (0, 1)), ("decoupled", 0.1, (0,))):
+        p = EQUIVALENCE_SETS[name]
+        s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+        shifted = CondensateState(grid=g, phi_a=s.phi_a, phi_m=s.phi_m,
+                                  mu_a=s.mu_a + shift, mu_m=s.mu_m)
+        for l in channels:
+            calls.clear()
+            atoms, _ = direct_grid_spectrum(shifted, p, g, l=l, n_modes=8)
+            assert calls == [ATOM]
+            ref, skipped = dense_reference(shifted, p, g, ATOM, l, 8)
+            assert [m.energy for m in atoms.modes] == [float(e.real) for e, _, _ in ref]
+            assert [m.energy_imag for m in atoms.modes] == [float(e.imag) for e, _, _ in ref]
+            assert [m.unstable for m in atoms.modes] == [
+                abs(e.imag) > 1e-9 * max(1.0, abs(e.real)) for e, _, _ in ref]
+            assert atoms.skipped == skipped
+
+
+def test_direct_grid_kohn_mode_and_second_order():
+    # interacting decoupled atoms: the l = 1 dipole mode sits at
+    # hbar*omega_a whatever the interaction (Kohn's theorem), and the
+    # lowest l = 0 and l = 1 modes converge as h^2
+    p = EQUIVALENCE_SETS["decoupled"]
+    energies = []
+    for n in (200, 400, 800, 1600):
+        g = build_grid(r_max=8.0, n_points=n)
+        s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+        breathing, _ = direct_grid_spectrum(s, p, g, l=0, n_modes=1)
+        dipole, _ = direct_grid_spectrum(s, p, g, l=1, n_modes=1)
+        energies.append([breathing.modes[0].energy, dipole.modes[0].energy])
+    energies = np.array(energies)
+    assert energies[-1, 1] == pytest.approx(1.0, abs=1e-4)
+    steps = np.diff(energies, axis=0)
+    orders = np.log2(steps[:-1] / steps[1:])
+    assert np.all((orders >= 1.8) & (orders <= 2.2)), orders

@@ -55,7 +55,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, SimulationError
-from .gpe import ATOM, MOLECULE, CondensateState, _one_body, _operator
+from .gpe import (
+    ATOM, MOLECULE, CondensateState, _one_body, _operator, _second_variation,
+)
 from .grid import RadialGrid, RadialOperator, harmonic_potential
 from .params import PhysicalParams
 
@@ -150,19 +152,15 @@ def oscillator_basis(
 
 
 def _background(species: str, state: CondensateState, params: PhysicalParams):
-    """Diagonal potential W(r) (beyond trap - mu) and off-diagonal Delta(r)."""
+    """Local part of L + Delta (beyond the one-body operator and -mu),
+    the off-diagonal Delta(r) and mu.  L + Delta is the diagonal block of
+    the ground-state solver's Jacobian, read from `gpe._second_variation`;
+    L itself carries W = (L + Delta) - Delta."""
     p = params
-    phi_a2 = state.phi_a**2
-    phi_m2 = state.phi_m**2
+    k_a, k_m, _ = _second_variation(p, state.phi_a, state.phi_m)
     if species == ATOM:
-        w = p.lambda_am * phi_m2 + 2.0 * p.lambda_a * phi_a2
-        delta = p.lambda_a * phi_a2 + 2.0 * p.alpha * state.phi_m
-        mu = state.mu_a
-    else:
-        w = p.lambda_am * phi_a2 + 2.0 * p.lambda_m * phi_m2
-        delta = p.lambda_m * phi_m2
-        mu = state.mu_m
-    return w, delta, mu
+        return k_a, p.lambda_a * state.phi_a**2 + 2.0 * p.alpha * state.phi_m, state.mu_a
+    return k_m, p.lambda_m * state.phi_m**2, state.mu_m
 
 
 def _projection(species, state, params, grid, j_max, convention):
@@ -171,8 +169,8 @@ def _projection(species, state, params, grid, j_max, convention):
     into W, and the density-normalized amplitude of each basis state."""
     levels = basis_levels(species, params, j_max, convention)
     _, chi = oscillator_basis(species, params, grid, j_max)
-    w, delta, mu = _background(species, state, params)
-    w = w + _one_body(species, params)[2]
+    plus, delta, mu = _background(species, state, params)
+    w = plus - delta + _one_body(species, params)[2]
     amp = chi / (grid.r[:, None] * math.sqrt(4.0 * np.pi * grid.h))
     return levels, chi, w, delta, mu, amp
 
@@ -319,8 +317,8 @@ def bdg_matrix(
     """Dense 2n x 2n block matrix [[L, -Delta], [Delta, -L]] for one
     angular channel, acting on stacked reduced functions (r*u, r*v)."""
     p = params
-    w, delta, mu = _background(species, state, p)
-    op = _operator(species, p, grid, w, l)
+    plus, delta, mu = _background(species, state, p)
+    op = _operator(species, p, grid, plus - delta, l)
     n = grid.n_points
     l_block = np.diag(op.diag - mu) + op.offdiag * (
         np.eye(n, k=1) + np.eye(n, k=-1)
@@ -355,9 +353,10 @@ def _dense_channel(mat, four_pi_h, n_modes):
     return vals[keep], vecs[:n, keep], vecs[n:, keep], skipped
 
 
-def _banded_channel(l_diag, offdiag, delta, n_modes, zero_e2):
+def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
     """Lowest modes from (L - D)(L + D) g = E^2 g, g = u - v, as
-    (energies, chi_u columns, chi_v columns, skipped).
+    (energies, chi_u columns, chi_v columns, skipped); plus_diag is the
+    diagonal of L + D.
 
     L + D = C C^T is a tridiagonal Cholesky (C lower bidiagonal), so
     K = C^T (L - D) C is symmetric pentadiagonal with K y = E^2 y,
@@ -367,14 +366,14 @@ def _banded_channel(l_diag, offdiag, delta, n_modes, zero_e2):
     pair.  None when L + D is not positive definite or some
     E^2 < -zero_e2 (unstable).
     """
-    n = len(l_diag)
+    n = len(plus_diag)
     try:
         c = scipy.linalg.cholesky_banded(
-            np.vstack([l_diag + delta, np.full(n, offdiag)]), lower=True)
+            np.vstack([plus_diag, np.full(n, offdiag)]), lower=True)
     except scipy.linalg.LinAlgError:
         return None
     a, b = c[0], c[1, :-1]
-    d = l_diag - delta
+    d = plus_diag - 2.0 * delta
     band = np.zeros((3, n))  # lower band storage of K
     band[0] = a * a * d
     band[0, :-1] += b * (2.0 * offdiag * a[:-1] + b * d[1:])
@@ -451,15 +450,15 @@ def direct_grid_spectrum(
     four_pi_h = 4.0 * np.pi * grid.h
     zero_e2 = ZERO_MODE_E2 * (params.hbar * params.omega_a) ** 2
     for species in (ATOM, MOLECULE):
-        w, delta, mu = _background(species, state, params)
-        op = _operator(species, params, grid, w, l)
-        l_diag = op.diag - mu
+        plus, delta, mu = _background(species, state, params)
+        op = _operator(species, params, grid, plus, l)
+        plus_diag = op.diag - mu
         if not delta.any():
             # no anomalous term: E = eigenvalues of L, v = 0, signs kept
-            energies, chi_u = RadialOperator(l_diag, op.offdiag).eigensolve(n_modes)
+            energies, chi_u = RadialOperator(plus_diag, op.offdiag).eigensolve(n_modes)
             found = energies, chi_u, np.zeros_like(chi_u), 0
         else:
-            found = _banded_channel(l_diag, op.offdiag, delta, n_modes, zero_e2)
+            found = _banded_channel(plus_diag, op.offdiag, delta, n_modes, zero_e2)
         if found is None:
             log.debug("%s l=%d: dense BdG eigensolve", species, l)
             found = _dense_channel(

@@ -11,35 +11,47 @@ are the constrained gradient of the mean-field energy functional at fixed
 norms integral(phi^2 d^3r) = N_a, N_m.  The factor-2 asymmetry between the
 conversion terms reflects pair conversion: two atoms per molecule.
 
-Solver: imaginary-time propagation, implicit in the kinetic + trap part
-(backward Euler, banded solve) and explicit in the nonlinear and
-conversion terms, with per-step renormalization and a chemical-potential
-estimate updated from the log-derivative of the norm decay.  When the
-explicit factor 1 - dt*(c - shift) could turn negative (the Gaussian
-start at large N*lambda is orders of magnitude denser than the final
-cloud), that step instead applies the exponential integrating factor
-exp(-dt*c), which damps but never flips signs; near the solution the
-additive form is stable and is used, and its fixed point is the exact
-discrete eigenstate, so residuals reach 1e-8 and below.  The mu shift
+Solver: two stages.  The start stage is imaginary-time propagation,
+implicit in the kinetic + trap part (backward Euler, banded solve) and
+explicit in the nonlinear and conversion terms, with per-step
+renormalization and a chemical-potential estimate updated from the
+log-derivative of the norm decay.  When the explicit factor
+1 - dt*(c - shift) could turn negative (the Gaussian start at large
+N*lambda is orders of magnitude denser than the final cloud), that step
+instead applies the exponential integrating factor exp(-dt*c), which
+damps but never flips signs; near the solution the additive form is
+used, and its fixed point is the exact discrete eigenstate.  The mu shift
 inside the implicit solve is clamped to keep the backward-Euler factors
-positive at any estimate.
+positive at any estimate.  The flow stops at the defect START_TOL; the
+second stage is Newton on the stationary equations with the two norms as
+borders of the Jacobian (unknowns chi_a, chi_m, mu_a, mu_m).  With the
+grid points of the two species interleaved the Jacobian is a symmetric
+band of two diagonals each side, so a step costs one banded solve with
+three right-hand sides and a 2x2 solve for the mu updates; chi is
+rescaled to the exact norms after every step.  Newton converges to
+whatever stationary state is near, so its result is kept only if its
+defect is below tol, no field has collapsed to the grid floor and its
+energy is no higher than the flow start's; otherwise the flow resumes
+alone.  A solve with tol >= START_TOL is the flow alone.
 
 Sign convention: fields are real.  For alpha > 0 the energy term
 2*alpha*phi_a^2*phi_m is minimized by phi_m <= 0 (phi_m >= 0 for
-alpha < 0).  The flow does not find that branch by itself: started with
-the wrong molecular sign it can stop on a higher stationary state.  The
-default start (`gaussian_ansatz`) therefore seeds phi_m with the sign
--sign(alpha); the solver then reports the natural sign rather than
-forcing phi_m >= 0.  (The gauge phi_m -> -phi_m, alpha -> -alpha is
+alpha < 0).  Neither stage finds that branch by itself: started with
+the wrong molecular sign the solver can stop on a higher stationary
+state.  The default start (`gaussian_ansatz`) therefore seeds phi_m with
+the sign -sign(alpha); the solver then reports the natural sign rather
+than forcing phi_m >= 0.  (The gauge phi_m -> -phi_m, alpha -> -alpha is
 physically equivalent.)
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     CollapseError, ConfigError, ConvergenceError, require_count, require_positive,
@@ -47,19 +59,29 @@ from .errors import (
 from .grid import RadialGrid, RadialOperator, harmonic_potential, solve_banded_shifted
 from .params import PhysicalParams
 
+log = logging.getLogger(__name__)
+
 ATOM = "atom"
 MOLECULE = "molecule"
+
+#: defect at which the flow hands the state to Newton
+START_TOL = 1e-2
+#: Newton steps tried before the flow takes over again
+NEWTON_STEPS = 20
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Imaginary-time iteration controls.
+    """Ground-state solver controls.
 
     tol            convergence threshold on the normalized defect
-    max_iters      hard iteration cap
-    dt             initial step, units of 1/omega_a; halved when the
+    max_iters      cap on flow iterations plus Newton steps, both counted
+                   in the state's `iterations`; a Newton polish the guard
+                   rejects (at most NEWTON_STEPS steps) is discarded
+                   uncounted and the flow resumes
+    dt             initial flow step, units of 1/omega_a; halved when the
                    energy rises between checks, never re-raised
-    check_every    steps between defect/energy/collapse checks
+    check_every    flow steps between defect/energy/collapse checks
     min_dt         floor for the back-off
     collapse_width RMS width below collapse_width*h triggers CollapseError
 
@@ -88,7 +110,8 @@ class CondensateState:
 
     phi_a, phi_m are real radial amplitudes with integral(phi^2 d^3r)
     equal to the particle numbers.  residual is the larger of the two
-    normalized stationarity defects (see `gpe_defect`).
+    normalized stationarity defects (see `gpe_defect`); iterations counts
+    flow iterations plus Newton steps.
     """
 
     grid: RadialGrid
@@ -128,6 +151,19 @@ def _mean_fields(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarray):
     c_a = p.lambda_a * phi_a2 + p.lambda_am * phi_m2 + 2.0 * p.alpha * phi_m
     c_m = p.lambda_m * phi_m2 + p.lambda_am * phi_a2
     return c_a, c_m
+
+
+def _second_variation(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarray):
+    """Local part of the stationary equations' Jacobian in chi = r*phi:
+    (k_a, k_m, k_am).  Species s has the diagonal block H_s + k_s - mu_s,
+    which is also the BdG L + Delta of that species, and k_am couples
+    chi_a and chi_m."""
+    p = params
+    c_a, c_m = _mean_fields(p, phi_a, phi_m)
+    k_a = c_a + 2.0 * p.lambda_a * phi_a * phi_a
+    k_m = c_m + 2.0 * p.lambda_m * phi_m * phi_m
+    k_am = 2.0 * (p.lambda_am * phi_m + p.alpha) * phi_a
+    return k_a, k_m, k_am
 
 
 def gaussian_ansatz(params: PhysicalParams, grid: RadialGrid) -> CondensateState:
@@ -195,6 +231,13 @@ def gpe_defect(
     the quadrature L2 norm; a species with zero norm contributes 0 (its
     field is fixed by constraint and its equation is dropped).
     """
+    return _defects(state, params, grid)[1]
+
+
+def _defects(state: CondensateState, params: PhysicalParams, grid: RadialGrid):
+    """((d_a, d_m), (defect_a, defect_m)): the left minus right sides of
+    the stationary equations acting on chi = r*phi, and their normalized
+    sizes as in `gpe_defect`."""
     p = params
     r = grid.r
     chi_a = r * state.phi_a
@@ -214,7 +257,7 @@ def gpe_defect(
         scale = max(abs(mu), p.hbar * omega) * math.sqrt(nrm2)
         return math.sqrt(four_pi_h * float(np.dot(d, d))) / scale
 
-    return (
+    return (d_a, d_m), (
         normalized(d_a, chi_a, p.omega_a, state.mu_a),
         normalized(d_m, chi_m, p.omega_m, state.mu_m),
     )
@@ -250,16 +293,72 @@ def solve_coupled_gpe(
     opts: SolverOptions | None = None,
     init: CondensateState | None = None,
 ) -> CondensateState:
-    """Imaginary-time relaxation to the coupled ground state.
+    """Ground state: imaginary-time flow down to START_TOL, then Newton.
+
+    The Newton result is kept only if its defect is below opts.tol, no
+    field's RMS width is at the grid floor and its energy is no higher
+    than the flow start's; otherwise the flow resumes where it stopped
+    and relaxes to opts.tol on its own.  With opts.tol >= START_TOL the
+    flow alone runs.
 
     Raises ConvergenceError if the defect stays above opts.tol after
     opts.max_iters steps, CollapseError if a field's RMS width falls to
     the grid floor (attractive collapse or unresolvable state).
     """
-    p = params
     opts = opts if opts is not None else SolverOptions()
-    start = init if init is not None else gaussian_ansatz(p, grid)
+    start = init if init is not None else gaussian_ansatz(params, grid)
+    flow = _flow(params, grid, opts, start)
+    if opts.tol >= START_TOL:
+        return _relax(flow, opts.tol, opts)
+    state = _relax(flow, START_TOL, opts)
+    if state.residual < opts.tol:
+        return state
+    steps = min(NEWTON_STEPS, opts.max_iters - state.iterations)
+    polished = _newton(params, grid, state, opts.tol, steps)
+    if (
+        polished is not None
+        and _narrowest(polished, params, grid) >= opts.collapse_width * grid.h
+        and polished.energy <= state.energy + _energy_slack(state.energy)
+    ):
+        return polished
+    log.debug("Newton polish rejected; relaxing by the flow alone")
+    return _relax(flow, opts.tol, opts, state)
 
+
+def _energy_slack(energy: float) -> float:
+    """Round-off allowance when comparing energies of nearby states."""
+    return 1e-10 * (1.0 + abs(energy))
+
+
+def _narrowest(state: CondensateState, params: PhysicalParams, grid: RadialGrid) -> float:
+    """Smallest RMS width among the populated species."""
+    widths = [grid.rms_width(phi)
+              for phi, n in ((state.phi_a, params.n_a), (state.phi_m, params.n_m)) if n > 0]
+    return min(widths, default=math.inf)
+
+
+def _relax(flow, tol, opts, state=None):
+    """Advance the flow until its defect is below tol.  A flow that ends at
+    opts.max_iters raises ConvergenceError with the caller's tolerance;
+    `state`, the flow's last yield, is what that error reports when the
+    flow is resumed already spent."""
+    for state in flow:
+        if state.residual < tol:
+            return state
+    raise ConvergenceError(
+        f"no convergence after {state.iterations} iterations "
+        f"(residual {state.residual:.3e}, tol {opts.tol:g})",
+        residual=state.residual, iterations=state.iterations,
+    )
+
+
+def _flow(params, grid, opts, start):
+    """Imaginary-time relaxation from `start` as a generator: every
+    opts.check_every steps and at opts.max_iters it checks the widths
+    (CollapseError at the grid floor), sets residual, energy and
+    iterations on one state object and yields it.  dt is halved when
+    the energy rises between checks."""
+    p = params
     r = grid.r
     four_pi_h = 4.0 * np.pi * grid.h
     op_a, op_m = (_operator(s, p, grid) for s in (ATOM, MOLECULE))
@@ -317,30 +416,91 @@ def solve_coupled_gpe(
             state.phi_m = chi_m / r
             state.mu_a = mu_a
             state.mu_m = mu_m
-            for phi, n in ((state.phi_a, p.n_a), (state.phi_m, p.n_m)):
-                if n > 0:
-                    width = grid.rms_width(phi)
-                    if width < width_floor:
-                        raise CollapseError(
-                            f"RMS width {width:.3e} fell below the grid floor "
-                            f"{width_floor:.3e}; attractive collapse or "
-                            f"unresolvable state",
-                            width=width, iterations=it,
-                        )
-            da, dm = gpe_defect(state, p, grid)
-            residual = max(da, dm)
+            width = _narrowest(state, p, grid)
+            if width < width_floor:
+                raise CollapseError(
+                    f"RMS width {width:.3e} fell below the grid floor "
+                    f"{width_floor:.3e}; attractive collapse or "
+                    f"unresolvable state",
+                    width=width, iterations=it,
+                )
+            residual = max(gpe_defect(state, p, grid))
             energy = energy_functional(state, p, grid)
-            if residual < opts.tol:
-                state.residual = residual
-                state.energy = energy
-                state.iterations = it
-                return state
-            if energy > prev_energy + 1e-10 * (1.0 + abs(prev_energy)):
+            state.residual = residual
+            state.energy = energy
+            state.iterations = it
+            yield state
+            if energy > prev_energy + _energy_slack(prev_energy):
                 dt = max(0.5 * dt, opts.min_dt)
             prev_energy = energy
 
-    raise ConvergenceError(
-        f"no convergence after {opts.max_iters} iterations "
-        f"(residual {residual:.3e}, tol {opts.tol:g})",
-        residual=residual, iterations=opts.max_iters,
-    )
+
+def _newton(params, grid, start, tol, steps):
+    """Newton on the stationary equations with the norms as constraints,
+    from `start` and for at most `steps` steps.
+
+    The unknowns are chi_a, chi_m (interleaved a_0, m_0, a_1, ... so the
+    symmetric Jacobian is a band with two diagonals each side) and mu_a,
+    mu_m.  Each step solves the band once for the defect and the two border
+    columns chi_a, chi_m, then a 2x2 Schur system for the mu updates
+    keeps chi_s . delta chi_s = 0; chi is then rescaled to the exact norm.
+    A species with zero norm keeps its field and mu.  Returns the state
+    once its defect is below tol, or None (singular or non-finite step,
+    or tol not reached).
+    """
+    p = params
+    n = grid.n_points
+    r = grid.r
+    four_pi_h = 4.0 * np.pi * grid.h
+    op_a, op_m = (_operator(s, p, grid) for s in (ATOM, MOLECULE))
+    active = np.array([p.n_a > 0, p.n_m > 0])
+    idx = np.flatnonzero(active)
+    norms = (p.n_a / four_pi_h, p.n_m / four_pi_h)
+    state = CondensateState(grid=grid, phi_a=start.phi_a, phi_m=start.phi_m,
+                            mu_a=start.mu_a, mu_m=start.mu_m)
+    ab = np.zeros((5, 2 * n))
+    ab[0, 2::2] = ab[4, :-2:2] = op_a.offdiag if active[0] else 0.0
+    ab[0, 3::2] = ab[4, 1:-2:2] = op_m.offdiag if active[1] else 0.0
+    rhs = np.zeros((2 * n, 3))
+    for k in range(steps + 1):
+        (d_a, d_m), defects = _defects(state, p, grid)
+        residual = max(defects)
+        if residual < tol:
+            state.residual = residual
+            state.energy = energy_functional(state, p, grid)
+            state.iterations = start.iterations + k
+            return state
+        if k == steps or not math.isfinite(residual):
+            return None
+        k_a, k_m, k_am = _second_variation(p, state.phi_a, state.phi_m)
+        chi = (r * state.phi_a, r * state.phi_m)
+        # an absent species' rows are the identity with zero right-hand side
+        ab[2, 0::2] = op_a.diag + k_a - state.mu_a if active[0] else 1.0
+        ab[2, 1::2] = op_m.diag + k_m - state.mu_m if active[1] else 1.0
+        ab[1, 1::2] = ab[3, 0::2] = k_am if active.all() else 0.0
+        rhs[0::2, 0] = -d_a if active[0] else 0.0
+        rhs[1::2, 0] = -d_m if active[1] else 0.0
+        rhs[0::2, 1] = chi[0]
+        rhs[1::2, 2] = chi[1]
+        try:
+            x = scipy.linalg.solve_banded((2, 2), ab, rhs)
+        except scipy.linalg.LinAlgError:
+            return None
+        x = (x[0::2], x[1::2])  # atom rows, molecule rows; columns -d, chi_a, chi_m
+        schur = np.array([[chi[s] @ x[s][:, 1 + t] for t in idx] for s in idx])
+        try:
+            dmu = np.zeros(2)
+            dmu[idx] = np.linalg.solve(schur, [-(chi[s] @ x[s][:, 0]) for s in idx])
+        except np.linalg.LinAlgError:
+            return None
+        new = []
+        for s in (0, 1):
+            c = chi[s]
+            if active[s]:
+                c = c + x[s] @ np.r_[1.0, dmu]
+                c = c * math.sqrt(norms[s] / float(np.dot(c, c)))
+            new.append(c / r)
+        state = CondensateState(grid=grid, phi_a=new[0], phi_m=new[1],
+                                mu_a=state.mu_a + float(dmu[0]),
+                                mu_m=state.mu_m + float(dmu[1]))
+    return None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hybridbec import CollapseError, ConvergenceError, PhysicalParams, build_grid
+from hybridbec import gpe
 from hybridbec.gpe import (
     CondensateState,
     SolverOptions,
@@ -212,3 +213,127 @@ def test_determinism_bitwise():
     assert np.array_equal(s1.phi_a, s2.phi_a)
     assert np.array_equal(s1.phi_m, s2.phi_m)
     assert s1.mu_a == s2.mu_a and s1.mu_m == s2.mu_m
+
+
+# the ROADMAP's item-2 set, the density_sweep config, decoupled repulsive
+# atoms and the free gas
+STAGE_SETS = {
+    "item2": (PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
+                             lambda_am=0.1, alpha=0.5, n_a=200.0, n_m=100.0),
+              build_grid(r_max=8.0, n_points=400)),
+    "density_sweep": (PhysicalParams(omega_a=1.0, omega_m=1.3, lambda_a=0.05,
+                                     lambda_m=0.04, lambda_am=0.02, alpha=0.1,
+                                     epsilon=0.4, n_a=50.0, n_m=20.0),
+                      build_grid(r_max=8.0, n_points=200)),
+    "decoupled": (PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1,
+                                 n_a=100.0, n_m=0.0),
+                  build_grid(r_max=8.0, n_points=400)),
+    "free": (params(), GRID),
+}
+
+
+def flow_only(p, g, opts):
+    return gpe._relax(gpe._flow(p, g, opts, gaussian_ansatz(p, g)), opts.tol, opts)
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_SETS))
+def test_newton_agrees_with_flow(name):
+    p, g = STAGE_SETS[name]
+    opts = SolverOptions()
+    s = solve_coupled_gpe(p, g, opts)
+    f = flow_only(p, g, opts)
+    # Newton polished the start: fewer steps, a smaller defect
+    assert s.iterations < f.iterations
+    # plain floats, as the flow reports them: CSV headers print their repr
+    assert all(type(v) is float for v in (s.mu_a, s.mu_m, s.residual, s.energy))
+    assert s.residual < 1e-8 and f.residual < 1e-8
+    assert s.energy == pytest.approx(f.energy, rel=1e-10)
+    assert s.mu_a == pytest.approx(f.mu_a, rel=1e-8)
+    assert s.mu_m == pytest.approx(f.mu_m, rel=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_SETS))
+def test_newton_keeps_exact_norms(name):
+    p, g = STAGE_SETS[name]
+    s = solve_coupled_gpe(p, g)
+    for phi, n in ((s.phi_a, p.n_a), (s.phi_m, p.n_m)):
+        if n > 0:
+            assert g.norm(phi) == pytest.approx(n, rel=1e-12)
+        else:
+            assert np.all(phi == 0.0)
+
+
+def test_free_limit_energy_is_n_mu():
+    # without interactions E = N_a mu_a + N_m mu_m exactly on the grid, so
+    # any norm drift of the Newton steps shows up here
+    for p in (params(), params(n_m=0.0)):
+        s = solve_coupled_gpe(p, GRID)
+        assert s.energy == pytest.approx(p.n_a * s.mu_a + p.n_m * s.mu_m, rel=1e-12)
+
+
+def test_ac3_set_converges_at_large_n():
+    # the flow alone stalls here at residual 3.8e-3 after 400,000 iterations
+    g = build_grid(r_max=8.0, n_points=300)
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_am=0.1,
+                       alpha=0.5, lambda_m=0.0, n_a=1e4, n_m=1e4)
+    s = solve_coupled_gpe(p, g)
+    assert s.residual < 1e-8
+    assert np.all(s.phi_m <= 0.0)
+    assert s.energy == pytest.approx(78865.2503, rel=1e-9)
+
+
+def test_start_stage_error_reports_caller_tolerance():
+    # 50 iterations end inside the start stage (defect 1e-2)
+    p = params(lambda_a=1e-3)
+    with pytest.raises(ConvergenceError) as err:
+        solve_coupled_gpe(p, GRID, SolverOptions(tol=1e-9, max_iters=50))
+    assert "tol 1e-09" in str(err.value)
+    assert "after 50 iterations" in str(err.value)
+    assert err.value.iterations == 50
+    assert err.value.residual > gpe.START_TOL
+
+
+def test_max_iters_caps_flow_plus_newton_steps():
+    # the free gas is below 1e-2 at the first check (25 flow iterations)
+    # and needs one Newton step
+    p = params()
+    s = solve_coupled_gpe(p, GRID, SolverOptions(max_iters=26))
+    assert s.iterations == 26 and s.residual < 1e-8
+    with pytest.raises(ConvergenceError) as err:
+        solve_coupled_gpe(p, GRID, SolverOptions(max_iters=25))
+    assert err.value.iterations == 25
+    assert 1e-8 < err.value.residual < gpe.START_TOL
+
+
+@pytest.mark.parametrize("reject", ["higher_energy", "no_result", "collapsed"])
+def test_guard_falls_back_to_flow(monkeypatch, reject):
+    p, g = STAGE_SETS["item2"]
+    opts = SolverOptions()
+    if reject == "higher_energy":
+        # a genuine stationary state above the ground state: the phi_m >= 0
+        # branch at E = 837.84
+        seed = gaussian_ansatz(p, g)
+        flipped = CondensateState(grid=g, phi_a=seed.phi_a, phi_m=-seed.phi_m,
+                                  mu_a=seed.mu_a, mu_m=seed.mu_m)
+        bad = solve_coupled_gpe(p, g, init=flipped)
+        assert bad.residual < opts.tol and bad.energy > 800.0
+    elif reject == "collapsed":
+        bad = replace(gaussian_ansatz(p, g), residual=0.0, energy=-np.inf)
+        bad.phi_a = np.zeros_like(bad.phi_a)
+        bad.phi_a[0] = np.sqrt(p.n_a / g.w[0])
+    else:
+        bad = None
+    calls = []
+
+    def fake_newton(*args):
+        calls.append(args)
+        return bad
+
+    monkeypatch.setattr(gpe, "_newton", fake_newton)
+    s = solve_coupled_gpe(p, g, opts)
+    f = flow_only(p, g, opts)
+    assert len(calls) == 1
+    assert s.iterations == f.iterations
+    assert np.array_equal(s.phi_a, f.phi_a) and np.array_equal(s.phi_m, f.phi_m)
+    assert s.mu_a == f.mu_a and s.mu_m == f.mu_m
+    assert s.energy == pytest.approx(368.7505269, rel=1e-9)

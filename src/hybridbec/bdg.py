@@ -69,6 +69,8 @@ NORM_FLOOR = 1e-10
 #: Goldstone mode of the banded grid route
 ZERO_MODE_E2 = 1e-6
 
+_GBTRF, _GBTRS = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
+
 
 @dataclass(eq=False)
 class Mode:
@@ -365,6 +367,13 @@ def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
     |E^2| <= zero_e2 are the Goldstone mode, counted as its skipped
     pair.  None when L + D is not positive definite or some
     E^2 < -zero_e2 (unstable).
+
+    Inverse iteration calls LAPACK directly: K - E^2 I is LU-factored
+    once by gbtrf and both steps reuse the factors through gbtrs.  This
+    is the arithmetic of solve_banded((2, 2), ...), which runs gbsv
+    (factor plus solve) on every call, without the second factorization
+    and the wrapper's checks around each of the 2 * count solves.  A
+    zero pivot (info > 0) also returns None.
     """
     n = len(plus_diag)
     try:
@@ -380,10 +389,11 @@ def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
     band[1, :-1] = a[1:] * (offdiag * a[:-1] + b * d[1:])
     band[1, :-2] += offdiag * b[1:] * b[:-1]
     band[2, :-2] = offdiag * a[2:] * b[:-1]
-    # K in the general band storage of solve_banded, for inverse iteration
-    full = np.zeros((5, n))
-    full[0, 2:], full[1, 1:] = band[2, :-2], band[1, :-1]
-    full[2:] = band
+    # K in gbtrf's general band storage (two extra rows for the fill-in
+    # of partial pivoting), for inverse iteration
+    full = np.zeros((7, n))
+    full[2, 2:], full[3, 1:] = band[2, :-2], band[1, :-1]
+    full[4:] = band
     count = min(n, n_modes + 2)
     while True:
         # eigenvalues alone cost O(n^2) where eig_banded's eigenvectors
@@ -395,14 +405,14 @@ def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
         y = np.empty((n, count))
         for k, shift in enumerate(e2):
             shifted = full.copy()
-            shifted[2] -= shift
-            x = np.ones(n)
-            try:
-                for _ in range(2):
-                    x = scipy.linalg.solve_banded((2, 2), shifted, x)
-                    x /= np.linalg.norm(x)
-            except scipy.linalg.LinAlgError:  # shift hit an exact pivot zero
+            shifted[4] -= shift
+            lu, piv, info = _GBTRF(shifted, 2, 2, overwrite_ab=1)
+            if info:  # shift hit an exact pivot zero
                 return None
+            x = np.ones(n)
+            for _ in range(2):
+                x, _ = _GBTRS(lu, 2, 2, x, piv)
+                x /= np.linalg.norm(x)
             y[:, k] = x
         # E^2 as the Rayleigh quotient y^T K y = z^T (L - D) z, z = C y,
         # taken in factored form: its round-off scales with ||L||, where

@@ -40,6 +40,15 @@ def provenance(config_hash: str, **flags) -> list[str]:
     return lines
 
 
+def _format_column(values) -> list[str]:
+    """format_value of every entry, in one pass: a float ndarray goes
+    through tolist(), which yields the Python floats format_value would
+    unwrap, so the type dispatch is paid once per column, not per cell."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return [repr(x) for x in values.tolist()]
+    return [format_value(x) for x in values]
+
+
 def write_csv(path, header_lines, columns: dict) -> Path:
     """Write named columns of equal length; returns the path."""
     path = Path(path)
@@ -48,12 +57,9 @@ def write_csv(path, header_lines, columns: dict) -> Path:
     length = len(series[0])
     if any(len(s) != length for s in series):
         raise ValueError("csv columns must have equal length")
-    out = []
-    for line in header_lines:
-        out.append(f"# {line}")
+    out = [f"# {line}" for line in header_lines]
     out.append(",".join(names))
-    for i in range(length):
-        out.append(",".join(format_value(s[i]) for s in series))
+    out.extend(map(",".join, zip(*map(_format_column, series))))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(out) + "\n")
     return path

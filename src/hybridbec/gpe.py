@@ -392,6 +392,7 @@ def _flow(params, grid, opts, start):
             rhs = rhs - pump
         chi = solve_banded_shifted(op, 1.0 / dt - shift, rhs)
         norm = four_pi_h * float(np.dot(chi, chi))
+        # the solve does not check finiteness: a non-finite step ends here
         if not math.isfinite(norm) or norm <= 0.0:
             raise ConvergenceError(
                 f"iteration diverged at step {it} (dt={dt:g})",

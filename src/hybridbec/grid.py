@@ -112,13 +112,25 @@ class RadialOperator:
         return vals, vecs * signs
 
 
+_GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=np.float64)
+
+
 def solve_banded_shifted(
     op: RadialOperator, shift: float, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve (op + shift*I) chi = rhs for the tridiagonal op."""
-    n = len(op.diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = op.offdiag
-    ab[1] = op.diag + shift
-    ab[2, :-1] = op.offdiag
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    """Solve (op + shift*I) chi = rhs for the tridiagonal op; rhs is kept.
+
+    Calls LAPACK gtsv directly, the routine solve_banded((1, 1), ...)
+    dispatches to, so the result is the same to the bit: this runs at
+    every flow step, where solve_banded's checks around the call cost
+    about three times the 400-point solve.  Without the finiteness check
+    a non-finite rhs gives a non-finite chi, for the caller's norm check
+    to catch.  Raises scipy.linalg.LinAlgError on an exactly zero pivot.
+    """
+    # gtsv overwrites dl, du and b only when told to; without the
+    # overwrite flags the wrapper copies them, so one array serves both
+    off = np.full(len(op.diag) - 1, op.offdiag)
+    _, _, _, chi, info = _GTSV(off, op.diag + shift, off, rhs)
+    if info > 0:
+        raise scipy.linalg.LinAlgError("singular matrix")
+    return chi

@@ -395,6 +395,38 @@ def test_direct_grid_dense_fallback(monkeypatch):
             assert atoms.skipped == skipped
 
 
+def test_direct_grid_zero_pivot_falls_back(monkeypatch):
+    # a zero pivot in the inverse iteration's LU factorization (gbtrf
+    # info > 0) sends the channel to the dense eigensolve, as a failed
+    # Cholesky does; the atom channel factors first
+    g = build_grid(r_max=8.0, n_points=200)
+    p = EQUIVALENCE_SETS["item2"]
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    calls, factored = [], []
+    real_gbtrf = bdg._GBTRF
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return bdg_matrix(*args, **kwargs)
+
+    def zero_pivot_first(ab, kl, ku, **kwargs):
+        lu, piv, info = real_gbtrf(ab, kl, ku, **kwargs)
+        if not factored:
+            info = 1
+        factored.append(info)
+        return lu, piv, info
+
+    monkeypatch.setattr(bdg, "bdg_matrix", counted)
+    monkeypatch.setattr(bdg, "_GBTRF", zero_pivot_first)
+    atoms, mols = direct_grid_spectrum(s, p, g, l=0, n_modes=8)
+    assert calls == [ATOM]
+    assert factored[0] == 1 and len(factored) > 1 and not any(factored[1:])
+    ref, skipped = dense_reference(s, p, g, ATOM, 0, 8)
+    assert [m.energy for m in atoms.modes] == [float(e.real) for e, _, _ in ref]
+    assert atoms.skipped == skipped
+    assert len(mols.modes) == 8
+
+
 def test_direct_grid_kohn_mode_and_second_order():
     # interacting decoupled atoms: the l = 1 dipole mode sits at
     # hbar*omega_a whatever the interaction (Kohn's theorem), and the

@@ -1,0 +1,46 @@
+import numpy as np
+import pytest
+
+from hybridbec.csvio import format_value, write_csv
+
+SPECIALS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1]
+
+
+def reference_text(header_lines, columns):
+    # the cell-by-cell formatting that write_csv's column path replaces
+    names = list(columns)
+    rows = [f"# {line}" for line in header_lines] + [",".join(names)]
+    length = len(columns[names[0]])
+    for i in range(length):
+        rows.append(",".join(format_value(columns[k][i]) for k in names))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("columns", [
+    {"x": np.array(SPECIALS), "y": np.array(SPECIALS[::-1])},
+    {"x": np.array(SPECIALS, dtype=np.float32), "y": np.arange(7, dtype=np.float32) / 3},
+    {"i": np.arange(-3, 4), "u": np.arange(7, dtype=np.uint8), "b": [True, False] * 3 + [True]},
+    {"f": [np.float64(v) for v in SPECIALS], "g": [float(v) for v in SPECIALS],
+     "k": list(range(7))},
+    {"species": ["atom", "molecule", "atom"], "e": [1.5, np.float64(2.1), 3],
+     "mixed": ["x", 0.25, np.float32(0.1)]},
+    {"empty": np.array([]), "also": []},
+], ids=["float64", "float32", "int-bool", "scalars", "mixed", "empty"])
+def test_column_path_matches_format_value_per_cell(tmp_path, columns):
+    header = ["tool: test", "config: abc"]
+    path = write_csv(tmp_path / "out.csv", header, columns)
+    assert path.read_text() == reference_text(header, columns)
+
+
+def test_specials_are_round_trip_reprs(tmp_path):
+    path = write_csv(tmp_path / "s.csv", [], {"x": np.array(SPECIALS)})
+    assert path.read_text().splitlines()[1:] == [
+        "-0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "0.1"]
+
+
+def test_unequal_columns_raise(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", [], {"a": np.zeros(3), "b": np.zeros(4)})
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", [], {"a": [1, 2], "b": np.zeros(3)})
+    assert not (tmp_path / "bad.csv").exists()

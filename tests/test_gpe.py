@@ -199,6 +199,22 @@ def test_nonconvergence_reports_residual():
     assert err.value.residual is not None and err.value.residual > 1e-8
 
 
+def test_nonfinite_step_raises_convergence_error(monkeypatch):
+    # a NaN mean field makes the first step's solution NaN; the flow's
+    # norm check turns that into "iteration diverged" (exit 3)
+    p = params(lambda_a=1e-3, alpha=0.1)
+    start = gaussian_ansatz(p, GRID)
+
+    def nan_fields(params, phi_a, phi_m):
+        return np.full_like(phi_a, np.nan), np.full_like(phi_m, np.nan)
+
+    monkeypatch.setattr(gpe, "_mean_fields", nan_fields)
+    with pytest.raises(ConvergenceError) as err:
+        solve_coupled_gpe(p, GRID, init=start)
+    assert "iteration diverged at step 1" in str(err.value)
+    assert err.value.iterations == 1
+
+
 def test_molecules_absent_keeps_field_zero():
     p = params(lambda_a=1e-3, alpha=0.1, n_m=0.0)
     s = solve_coupled_gpe(p, GRID)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hybridbec import ConfigError, build_grid
 from hybridbec.grid import RadialGrid, RadialOperator, harmonic_potential, solve_banded_shifted
@@ -94,6 +95,29 @@ def test_solve_banded_shifted_inverts_apply():
     for shift in (0.0, 0.7, 5.0):
         chi = solve_banded_shifted(op, shift, rhs)
         assert np.allclose(op.apply(chi) + shift * chi, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [16, 400, 1600])
+def test_solve_banded_shifted_bit_identical_to_solve_banded(n):
+    # the direct gtsv call must reproduce solve_banded((1, 1)) bit for bit
+    rng = np.random.default_rng(n)
+    op = RadialOperator(diag=rng.uniform(0.5, 4.0, n), offdiag=float(rng.uniform(-1.0, -0.1)))
+    rhs = rng.standard_normal(n)
+    kept = rhs.copy()
+    for shift in (0.0, 0.7, 250.0):
+        ab = np.zeros((3, n))
+        ab[0, 1:] = op.offdiag
+        ab[1] = op.diag + shift
+        ab[2, :-1] = op.offdiag
+        ref = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        assert np.array_equal(solve_banded_shifted(op, shift, rhs), ref)
+        assert np.array_equal(rhs, kept)
+
+
+def test_solve_banded_shifted_singular_raises():
+    n = 32
+    with pytest.raises(scipy.linalg.LinAlgError):
+        solve_banded_shifted(RadialOperator(diag=np.zeros(n), offdiag=0.0), 0.0, np.ones(n))
 
 
 def test_frozen_grid_rejects_mutation():

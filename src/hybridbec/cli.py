@@ -30,7 +30,7 @@ from .bdg import (
     direct_grid_spectrum,
     paper_literal_spectrum,
 )
-from .config import RunConfig, load_config
+from .config import BDG_METHODS, RunConfig, load_config
 from .csvio import provenance, write_csv
 from .errors import (
     CollapseError,
@@ -126,14 +126,9 @@ def _nearest(value, pool):
 def cmd_spectrum(cfg: RunConfig, outdir: Path, method: str | None = None,
                  compare: bool = False) -> list[Path]:
     grid, state = _solve_ground(cfg)
-    chosen = method or cfg.bdg["method"]
     paths = []
-    if compare:
-        methods = ["paper", "block", "grid"]
-    else:
-        methods = [chosen]
     results = {}
-    for name in methods:
+    for name in BDG_METHODS if compare else [method or cfg.bdg["method"]]:
         sets = _spectrum_by_method(name, cfg, state, grid)
         results[name] = sets
         head = provenance(
@@ -280,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=None, help="artifact directory")
     ap.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; no effect, sweeps run in-process")
-    ap.add_argument("--method", choices=["paper", "block", "grid"], default=None,
+    ap.add_argument("--method", choices=BDG_METHODS, default=None,
                     help="spectrum method override")
     ap.add_argument("--compare", action="store_true",
                     help="spectrum: run all three methods plus a deviation table")

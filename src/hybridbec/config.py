@@ -26,7 +26,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, require_count
 from .gpe import SolverOptions
 from .grid import RadialGrid, build_grid
 from .params import PhysicalParams
@@ -81,6 +81,13 @@ class RunConfig:
         variational = _section(data, "variational", {
             "v_max": 5.0, "omega_lo": 0.2, "omega_hi": 5.0, "coarse": 64,
         })
+        # checked, not rewritten: a stored 16.0 keeps its config hash
+        for name, value, minimum in (
+            ("bdg.j_max", bdg["j_max"], 1), ("bdg.l_max", bdg["l_max"], 0),
+            ("thermal.j_max", thermal["j_max"], 1),
+            ("variational.coarse", variational["coarse"], 2),
+        ):
+            require_count(name, value, minimum)
         uniform = _section(data, "uniform", {
             "density": None, "r0": None, "density_estimate": "paper",
         })

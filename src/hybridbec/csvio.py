@@ -20,10 +20,11 @@ UNITS_NOTE = "natural units: hbar = M = omega_a = 1"
 
 def format_value(x) -> str:
     # repr of Python floats is the shortest round-trip form; numpy
-    # scalars are unwrapped so rows stay plain numbers
+    # scalars are unwrapped so rows stay plain numbers, and booleans of
+    # either kind write as 0/1
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer, np.bool_)):
         return str(int(x))
     return str(x)
 

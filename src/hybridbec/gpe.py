@@ -11,28 +11,31 @@ are the constrained gradient of the mean-field energy functional at fixed
 norms integral(phi^2 d^3r) = N_a, N_m.  The factor-2 asymmetry between the
 conversion terms reflects pair conversion: two atoms per molecule.
 
-Solver: two stages.  The start stage is imaginary-time propagation,
-implicit in the kinetic + trap part (backward Euler, banded solve) and
-explicit in the nonlinear and conversion terms, with per-step
-renormalization and a chemical-potential estimate updated from the
-log-derivative of the norm decay.  When the explicit factor
-1 - dt*(c - shift) could turn negative (the Gaussian start at large
-N*lambda is orders of magnitude denser than the final cloud), that step
-instead applies the exponential integrating factor exp(-dt*c), which
-damps but never flips signs; near the solution the additive form is
-used, and its fixed point is the exact discrete eigenstate.  The mu shift
-inside the implicit solve is clamped to keep the backward-Euler factors
-positive at any estimate.  The flow stops at the defect START_TOL; the
-second stage is Newton on the stationary equations with the two norms as
-borders of the Jacobian (unknowns chi_a, chi_m, mu_a, mu_m).  With the
-grid points of the two species interleaved the Jacobian is a symmetric
-band of two diagonals each side, so a step costs one banded solve with
-three right-hand sides and a 2x2 solve for the mu updates; chi is
-rescaled to the exact norms after every step.  Newton converges to
-whatever stationary state is near, so its result is kept only if its
-defect is below tol, no field has collapsed to the grid floor and its
-energy is no higher than the flow start's; otherwise the flow resumes
-alone.  A solve with tol >= START_TOL is the flow alone.
+Solver: one loop over an imaginary-time flow (the normalized gradient
+flow of Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) with one Newton
+polish.  The flow is implicit in the kinetic + trap part (backward
+Euler, banded solve) and explicit in the nonlinear and conversion terms,
+with per-step renormalization and a mu estimate from the log-derivative
+of the norm decay.  Where dt*(max c - shift) > 1/2 the explicit factor
+1 - dt*(c - shift) could turn negative, so the step applies exp(-dt*c)
+instead, which damps but never flips signs.  Only the additive form has
+the exact discrete eigenstate as its fixed point, and a dense cloud keeps
+max c - mu large even at the solution (about 850 for the resonant set at
+N_a = N_m = 1e4, lambda_a = 0.1, so every step is exponential for dt
+above about 6e-4): there the flow alone stalls short of the eigenstate.
+The mu shift of the implicit solve is clamped to 0.4/dt to keep the
+backward-Euler factors positive at any estimate.  At the first check
+whose defect is below START_TOL (and not below tol) Newton is tried on
+the stationary equations bordered by the two norms (unknowns chi_a,
+chi_m, mu_a, mu_m).  With the grid points of the two species interleaved
+the Jacobian is a symmetric band of two diagonals each side, so a step
+costs one banded solve with three right-hand sides and a 2x2 solve for
+the mu updates; chi is rescaled to the exact norms after every step.
+Newton converges to whatever stationary state is near, so its result is
+kept only if its defect is below tol, no field has collapsed to the grid
+floor and its energy is no higher than the flow start's; otherwise the
+flow goes on alone.  With tol >= START_TOL the flow returns before
+Newton is tried.
 
 Sign convention: fields are real.  For alpha > 0 the energy term
 2*alpha*phi_a^2*phi_m is minimized by phi_m <= 0 (phi_m >= 0 for
@@ -68,6 +71,12 @@ MOLECULE = "molecule"
 START_TOL = 1e-2
 #: Newton steps tried before the flow takes over again
 NEWTON_STEPS = 20
+#: flow steps between defect/energy/collapse checks
+CHECK_EVERY = 25
+#: floor for the flow's dt back-off
+MIN_DT = 1e-6
+#: an RMS width below COLLAPSE_WIDTH*h raises CollapseError
+COLLAPSE_WIDTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -79,29 +88,24 @@ class SolverOptions:
                    in the state's `iterations`; a Newton polish the guard
                    rejects (at most NEWTON_STEPS steps) is discarded
                    uncounted and the flow resumes
-    dt             initial flow step, units of 1/omega_a; halved when the
-                   energy rises between checks, never re-raised
-    check_every    flow steps between defect/energy/collapse checks
-    min_dt         floor for the back-off
-    collapse_width RMS width below collapse_width*h triggers CollapseError
+    dt             initial flow step, units of 1/omega_a; halved (down to
+                   MIN_DT) when the energy rises between checks, never
+                   re-raised
 
-    tol, dt and min_dt must be positive numbers and max_iters, check_every
-    integers >= 1; anything else raises ConfigError.
+    tol and dt must be positive numbers and max_iters an integer >= 1;
+    anything else raises ConfigError.  The check interval, the dt floor
+    and the collapse floor are the module constants CHECK_EVERY, MIN_DT
+    and COLLAPSE_WIDTH.
     """
 
     tol: float = 1e-8
     max_iters: int = 20000
     dt: float = 1e-3
-    check_every: int = 25
-    min_dt: float = 1e-6
-    collapse_width: float = 4.0
 
     def __post_init__(self):
-        for name in ("tol", "dt", "min_dt"):
+        for name in ("tol", "dt"):
             require_positive(name, getattr(self, name))
-        for name in ("max_iters", "check_every"):
-            count = require_count(name, getattr(self, name), 1)
-            object.__setattr__(self, name, count)
+        object.__setattr__(self, "max_iters", require_count("max_iters", self.max_iters, 1))
 
 
 @dataclass(eq=False)
@@ -293,13 +297,13 @@ def solve_coupled_gpe(
     opts: SolverOptions | None = None,
     init: CondensateState | None = None,
 ) -> CondensateState:
-    """Ground state: imaginary-time flow down to START_TOL, then Newton.
+    """Ground state: the imaginary-time flow, polished once by Newton at
+    its first check below START_TOL.
 
-    The Newton result is kept only if its defect is below opts.tol, no
-    field's RMS width is at the grid floor and its energy is no higher
-    than the flow start's; otherwise the flow resumes where it stopped
-    and relaxes to opts.tol on its own.  With opts.tol >= START_TOL the
-    flow alone runs.
+    The polish is kept only if its defect is below opts.tol, no field's
+    RMS width is at the grid floor and its energy is no higher than the
+    flow start's; otherwise the flow goes on, and its first state below
+    opts.tol is returned.
 
     Raises ConvergenceError if the defect stays above opts.tol after
     opts.max_iters steps, CollapseError if a field's RMS width falls to
@@ -307,22 +311,26 @@ def solve_coupled_gpe(
     """
     opts = opts if opts is not None else SolverOptions()
     start = init if init is not None else gaussian_ansatz(params, grid)
-    flow = _flow(params, grid, opts, start)
-    if opts.tol >= START_TOL:
-        return _relax(flow, opts.tol, opts)
-    state = _relax(flow, START_TOL, opts)
-    if state.residual < opts.tol:
-        return state
-    steps = min(NEWTON_STEPS, opts.max_iters - state.iterations)
-    polished = _newton(params, grid, state, opts.tol, steps)
-    if (
-        polished is not None
-        and _narrowest(polished, params, grid) >= opts.collapse_width * grid.h
-        and polished.energy <= state.energy + _energy_slack(state.energy)
-    ):
-        return polished
-    log.debug("Newton polish rejected; relaxing by the flow alone")
-    return _relax(flow, opts.tol, opts, state)
+    newton_tried = False
+    for state in _flow(params, grid, opts, start):
+        if state.residual < opts.tol:
+            return state
+        if state.residual < START_TOL and not newton_tried:
+            newton_tried = True
+            steps = min(NEWTON_STEPS, opts.max_iters - state.iterations)
+            polished = _newton(params, grid, state, opts.tol, steps)
+            if (
+                polished is not None
+                and _narrowest(polished, params, grid) >= COLLAPSE_WIDTH * grid.h
+                and polished.energy <= state.energy + _energy_slack(state.energy)
+            ):
+                return polished
+            log.debug("Newton polish rejected; relaxing by the flow alone")
+    raise ConvergenceError(
+        f"no convergence after {state.iterations} iterations "
+        f"(residual {state.residual:.3e}, tol {opts.tol:g})",
+        residual=state.residual, iterations=state.iterations,
+    )
 
 
 def _energy_slack(energy: float) -> float:
@@ -337,24 +345,9 @@ def _narrowest(state: CondensateState, params: PhysicalParams, grid: RadialGrid)
     return min(widths, default=math.inf)
 
 
-def _relax(flow, tol, opts, state=None):
-    """Advance the flow until its defect is below tol.  A flow that ends at
-    opts.max_iters raises ConvergenceError with the caller's tolerance;
-    `state`, the flow's last yield, is what that error reports when the
-    flow is resumed already spent."""
-    for state in flow:
-        if state.residual < tol:
-            return state
-    raise ConvergenceError(
-        f"no convergence after {state.iterations} iterations "
-        f"(residual {state.residual:.3e}, tol {opts.tol:g})",
-        residual=state.residual, iterations=state.iterations,
-    )
-
-
 def _flow(params, grid, opts, start):
     """Imaginary-time relaxation from `start` as a generator: every
-    opts.check_every steps and at opts.max_iters it checks the widths
+    CHECK_EVERY steps and at opts.max_iters it checks the widths
     (CollapseError at the grid floor), sets residual, energy and
     iterations on one state object and yields it.  dt is halved when
     the energy rises between checks."""
@@ -375,7 +368,7 @@ def _flow(params, grid, opts, start):
     )
     prev_energy = math.inf
     residual = math.inf
-    width_floor = opts.collapse_width * grid.h
+    width_floor = COLLAPSE_WIDTH * grid.h
 
     def step(op, chi, mu, pump, c, n):
         # shift clamp keeps every backward-Euler factor 1 + dt*(E - shift)
@@ -412,7 +405,7 @@ def _flow(params, grid, opts, start):
         if p.n_m > 0:
             chi_m, mu_m = step(op_m, chi_m, mu_m, pump_m, c_m, p.n_m)
 
-        if it % opts.check_every == 0 or it == opts.max_iters:
+        if it % CHECK_EVERY == 0 or it == opts.max_iters:
             state.phi_a = chi_a / r
             state.phi_m = chi_m / r
             state.mu_a = mu_a
@@ -432,7 +425,7 @@ def _flow(params, grid, opts, start):
             state.iterations = it
             yield state
             if energy > prev_energy + _energy_slack(prev_energy):
-                dt = max(0.5 * dt, opts.min_dt)
+                dt = max(0.5 * dt, MIN_DT)
             prev_energy = energy
 
 

@@ -116,10 +116,16 @@ def test_invalid_inputs_exit_config_code(tmp_path, capsys):
     ("solver", "tol", "1e-8"),
     ("solver", "dt", -4e-3),
     ("solver", "max_iters", 0),
+    ("bdg", "l_max", -1),
+    ("bdg", "j_max", 3.5),
+    ("bdg", "j_max", True),
+    ("thermal", "j_max", "16"),
+    ("variational", "coarse", 1),
 ])
 def test_invalid_grid_and_solver_exit_config_code(tmp_path, capsys, section, key, value):
-    # a fractional grid size, a string tolerance, a negative step and a zero
-    # iteration cap are config errors, not runs or solver failures
+    # a fractional grid size, a string tolerance, a negative step, a zero
+    # iteration cap and bad mode counts are config errors, not runs,
+    # truncations or solver failures
     bad = write_config(tmp_path, "bad.json", {
         "params": {"omega_a": 1.0, "omega_m": 1.4, "n_a": 100.0},
         section: {key: value},

@@ -38,6 +38,16 @@ def test_specials_are_round_trip_reprs(tmp_path):
         "-0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "0.1"]
 
 
+def test_booleans_write_as_integers(tmp_path):
+    # a boolean column reads the same whether built as a list or an array
+    flags = [True, False, True]
+    columns = {"list": flags, "array": np.array(flags),
+               "scalars": [np.bool_(v) for v in flags]}
+    path = write_csv(tmp_path / "b.csv", [], columns)
+    assert path.read_text().splitlines()[1:] == ["1,1,1", "0,0,0", "1,1,1"]
+    assert format_value(np.bool_(False)) == format_value(False) == "0"
+
+
 def test_unequal_columns_raise(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", [], {"a": np.zeros(3), "b": np.zeros(4)})

@@ -135,7 +135,7 @@ def test_energy_nonincreasing_along_flow():
     p = params(lambda_a=2e-3, lambda_m=1e-3, lambda_am=1e-3, alpha=0.02)
     state = gaussian_ansatz(p, GRID)
     energies = [energy_functional(state, p, GRID)]
-    opts = SolverOptions(tol=np.inf, check_every=25)
+    opts = SolverOptions(tol=np.inf)
     for _ in range(40):
         state = solve_coupled_gpe(p, GRID, opts, init=state)
         energies.append(energy_functional(state, p, GRID))
@@ -249,7 +249,8 @@ STAGE_SETS = {
 
 
 def flow_only(p, g, opts):
-    return gpe._relax(gpe._flow(p, g, opts, gaussian_ansatz(p, g)), opts.tol, opts)
+    flow = gpe._flow(p, g, opts, gaussian_ansatz(p, g))
+    return next(s for s in flow if s.residual < opts.tol)
 
 
 @pytest.mark.parametrize("name", sorted(STAGE_SETS))
@@ -353,3 +354,21 @@ def test_guard_falls_back_to_flow(monkeypatch, reject):
     assert np.array_equal(s.phi_a, f.phi_a) and np.array_equal(s.phi_m, f.phi_m)
     assert s.mu_a == f.mu_a and s.mu_m == f.mu_m
     assert s.energy == pytest.approx(368.7505269, rel=1e-9)
+
+
+@pytest.mark.parametrize("tol", [gpe.START_TOL, 0.05])
+def test_newton_never_tried_at_or_above_start_tol(monkeypatch, tol):
+    # the first check below tol returns before the defect can fall below
+    # START_TOL without also being below tol
+    p, g = STAGE_SETS["item2"]
+    opts = SolverOptions(tol=tol)
+    f = flow_only(p, g, opts)
+
+    def no_newton(*args):
+        raise AssertionError("Newton tried with tol >= START_TOL")
+
+    monkeypatch.setattr(gpe, "_newton", no_newton)
+    s = solve_coupled_gpe(p, g, opts)
+    assert np.array_equal(s.phi_a, f.phi_a) and np.array_equal(s.phi_m, f.phi_m)
+    assert s.mu_a == f.mu_a and s.mu_m == f.mu_m
+    assert s.iterations == f.iterations

@@ -171,7 +171,7 @@ def cmd_density(cfg: RunConfig, outdir: Path) -> list[Path]:
     atoms, mols = block_2x2_spectrum(
         state, cfg.params, grid, j_max=j_max, convention=cfg.bdg["convention"])
     half = block_2x2_spectrum(
-        state, cfg.params, grid, j_max=max(1, j_max // 2),
+        state, cfg.params, grid, j_max=j_max // 2,
         convention=cfg.bdg["convention"])
     include = bool(cfg.thermal["include_quantum_depletion"])
 

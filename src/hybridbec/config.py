@@ -84,7 +84,7 @@ class RunConfig:
         # checked, not rewritten: a stored 16.0 keeps its config hash
         for name, value, minimum in (
             ("bdg.j_max", bdg["j_max"], 1), ("bdg.l_max", bdg["l_max"], 0),
-            ("thermal.j_max", thermal["j_max"], 1),
+            ("thermal.j_max", thermal["j_max"], 2),  # density compares j_max // 2
             ("variational.coarse", variational["coarse"], 2),
         ):
             require_count(name, value, minimum)

@@ -30,16 +30,23 @@ Minimization is a dense coarse scan over a fixed box followed by a
 bounded Nelder-Mead polish; v = 0 is a legitimate symmetry point (the
 couplings-zero minimum), but a minimizer pinned to the omega edges or
 to v_max means the box failed to bracket and raises instead of
-returning a truncated answer.
+returning a truncated answer.  Each call builds its mode's energy once
+with the parameter constants hoisted; the scan evaluates it on numpy
+arrays and the polish on Python floats.  The polish is a two-variable
+port of scipy's bounded Nelder-Mead with identical iterates, so its
+minima are scipy's to the last bit without scipy's per-step array
+overhead on a 3x2 simplex.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
-from scipy.optimize import minimize
+# unused; perfbench/run.py --trace 1 needs its -X importtime line (ROADMAP item 8)
+import scipy.optimize  # noqa: F401
 
 from .errors import BoundaryMinimumError, ConfigError, DomainError
 from .params import PhysicalParams
@@ -60,13 +67,14 @@ def shape_factor(x, y):
     return s**1.5 * (1.5 + s * (-3.0 + 2.5 * s))
 
 
-def _common_terms(v, omega, p: PhysicalParams):
-    if (np.asarray(omega) <= 0.0).any():
-        raise DomainError("trial frequency must be positive")
+def _mode_energy(mode: str, p: PhysicalParams):
+    """E(v, omega, sqrt) of one mode with its parameter constants hoisted.
+
+    The same operation order serves numpy arrays (coarse scan, with
+    sqrt = np.sqrt) and Python floats (polish, with math.sqrt).  No
+    omega > 0 check: callers pass omega inside a positive box or check.
+    """
     hb, m = p.hbar, p.mass
-    quad = 1.0 + 2.0 * v * v
-    mix = v * np.sqrt(1.0 + v * v)
-    osc = hb * omega + hb * p.omega_a**2 / omega
     # mode-shape-independent coupling strengths
     c_lam = p.lambda_am * p.n_m * p.omega_m**1.5 * (2.0 * m / (math.pi * hb)) ** 1.5
     c_lama = p.n_a * p.omega_a**1.5 * (m / (math.pi * hb)) ** 1.5
@@ -74,35 +82,105 @@ def _common_terms(v, omega, p: PhysicalParams):
         4.0 * p.alpha * math.sqrt(p.n_m) * p.omega_m**0.75
         * (2.0 * m / (math.pi * hb)) ** 0.75
     )
-    return quad, mix, osc, c_lam, c_lama, c_alpha
+    hb_wa2, two_lam_a = hb * p.omega_a**2, 2.0 * p.lambda_a
+    w_lam, w_lama, w_alpha = 2.0 * p.omega_m, p.omega_a, p.omega_m
+    if mode == MODE_SURFACE:
+        pre, shape = 1.25, lambda x, y: (x / (x + y)) ** 2.5
+    else:
+        pre, shape = 1.75, shape_factor
+
+    def energy(v, omega, sqrt=math.sqrt):
+        quad = 1.0 + 2.0 * v * v
+        mix = v * sqrt(1.0 + v * v)
+        osc = hb * omega + hb_wa2 / omega
+        return (
+            quad * pre * osc
+            + c_lam * quad * shape(omega, w_lam)
+            + two_lam_a * (quad - mix) * c_lama * shape(omega, w_lama)
+            - c_alpha * mix * shape(omega, w_alpha)
+        )
+
+    return energy
+
+
+def _checked_energy(mode: str, v, omega, params: PhysicalParams):
+    if (np.asarray(omega) <= 0.0).any():
+        raise DomainError("trial frequency must be positive")
+    return _mode_energy(mode, params)(v, omega, np.sqrt)
 
 
 def energy_010(v, omega, params: PhysicalParams):
     """Trial energy of the (0,1,0) surface mode; array-friendly in (v, omega)."""
-    quad, mix, osc, c_lam, c_lama, c_alpha = _common_terms(v, omega, params)
-    b_lam = (omega / (omega + 2.0 * params.omega_m)) ** 2.5
-    b_lama = (omega / (omega + params.omega_a)) ** 2.5
-    b_alpha = (omega / (omega + params.omega_m)) ** 2.5
-    return (
-        quad * 1.25 * osc
-        + c_lam * quad * b_lam
-        + 2.0 * params.lambda_a * (quad - mix) * c_lama * b_lama
-        - c_alpha * mix * b_alpha
-    )
+    return _checked_energy(MODE_SURFACE, v, omega, params)
 
 
 def energy_100(v, omega, params: PhysicalParams):
     """Trial energy of the (1,0,0) breathing mode; array-friendly in (v, omega)."""
-    quad, mix, osc, c_lam, c_lama, c_alpha = _common_terms(v, omega, params)
-    return (
-        quad * 1.75 * osc
-        + c_lam * quad * shape_factor(omega, 2.0 * params.omega_m)
-        + 2.0 * params.lambda_a * (quad - mix) * c_lama * shape_factor(omega, params.omega_a)
-        - c_alpha * mix * shape_factor(omega, params.omega_m)
-    )
+    return _checked_energy(MODE_BREATHING, v, omega, params)
 
 
-_ENERGY = {MODE_SURFACE: energy_010, MODE_BREATHING: energy_100}
+def _clip(t: float, lo: float, hi: float) -> float:
+    # np.clip on one float: a tie takes the bound, NaN passes through
+    t = lo if t <= lo else t
+    return hi if t >= hi else t
+
+
+def _nelder_mead(f, v, w, lo, hi, xatol=1e-10, fatol=1e-12, maxiter=4000):
+    """Bounded Nelder-Mead minimum (v, w, f) of f(v, w) over lo <= (v, w) <= hi.
+
+    A two-variable port of scipy.optimize.minimize(method="Nelder-Mead",
+    bounds=...) on Python floats, step for step: coefficients rho, chi,
+    psi, sigma = 1, 2, 1/2, 1/2 (written out as literals below), a start
+    simplex of +5% per coordinate (0.00025 for a zero one) with vertices
+    past an upper bound reflected back, every trial point clipped, a
+    stable vertex sort and the same xatol/fatol test.  It visits the same
+    points as scipy and returns the same floats.
+    """
+    (vl, wl), (vh, wh) = lo, hi
+
+    def clip(v, w):
+        return _clip(v, vl, vh), _clip(w, wl, wh)
+
+    v, w = clip(v, w)
+    sim = []
+    for pv, pw in ((v, w), ((1 + 0.05) * v if v != 0 else 0.00025, w),
+                   (v, (1 + 0.05) * w if w != 0 else 0.00025)):
+        pv, pw = clip(2 * vh - pv if pv > vh else pv, 2 * wh - pw if pw > wh else pw)
+        sim.append((f(pv, pw), pv, pw))
+    sim.sort(key=itemgetter(0))
+    for _ in range(maxiter - 1):
+        (f0, v0, w0), (f1, v1, w1), (f2, v2, w2) = sim
+        if (abs(v1 - v0) <= xatol and abs(w1 - w0) <= xatol
+                and abs(v2 - v0) <= xatol and abs(w2 - w0) <= xatol
+                and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol):
+            break
+        vb, wb = (v0 + v1) / 2, (w0 + w1) / 2
+        vr, wr = clip(2 * vb - v2, 2 * wb - w2)
+        fr = f(vr, wr)
+        if fr < f0:  # expand
+            ve, we = clip(3 * vb - 2 * v2, 3 * wb - 2 * w2)
+            fe = f(ve, we)
+            sim[2] = (fe, ve, we) if fe < fr else (fr, vr, wr)
+        elif fr < f1:  # reflect
+            sim[2] = (fr, vr, wr)
+        else:
+            if fr < f2:  # contract outside
+                vc, wc = clip(1.5 * vb - 0.5 * v2, 1.5 * wb - 0.5 * w2)
+                fc = f(vc, wc)
+                keep = fc <= fr
+            else:  # contract inside
+                vc, wc = clip(0.5 * vb + 0.5 * v2, 0.5 * wb + 0.5 * w2)
+                fc = f(vc, wc)
+                keep = fc < f2
+            if keep:
+                sim[2] = (fc, vc, wc)
+            else:  # shrink towards the best vertex
+                for k in (1, 2):
+                    vk, wk = clip(v0 + 0.5 * (sim[k][1] - v0), w0 + 0.5 * (sim[k][2] - w0))
+                    sim[k] = (f(vk, wk), vk, wk)
+        sim.sort(key=itemgetter(0))
+    f0, v0, w0 = sim[0]
+    return v0, w0, f0
 
 
 @dataclass(frozen=True)
@@ -115,6 +193,8 @@ class SearchBox:
     coarse: int = 64
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.v_max, self.omega_lo, self.omega_hi))):
+            raise ConfigError("need finite v_max, omega_lo and omega_hi")
         if not (0.0 < self.omega_lo < self.omega_hi):
             raise ConfigError("need 0 < omega_lo < omega_hi")
         if self.v_max <= 0.0 or self.coarse < 2:
@@ -145,8 +225,7 @@ def minimize_mode(
     minimizer pinned against omega_lo, omega_hi or v_max raises
     BoundaryMinimumError carrying the pinned point (v = 0 is allowed).
     """
-    fn = _ENERGY.get(mode)
-    if fn is None:
+    if mode not in (MODE_SURFACE, MODE_BREATHING):
         raise ConfigError(f"unknown mode '{mode}'; expected '010' or '100'")
     if n_atoms <= 0:
         raise ConfigError("n_atoms must be positive")
@@ -159,18 +238,13 @@ def minimize_mode(
         np.linspace(box.omega_lo, box.omega_hi, box.coarse),
         indexing="ij",
     )
-    coarse = fn(vv, ww, p)
+    energy_of = _mode_energy(mode, p)
+    coarse = energy_of(vv, ww, np.sqrt)
     i, j = np.unravel_index(int(np.argmin(coarse)), coarse.shape)
-
-    res = minimize(
-        lambda x: fn(x[0], x[1], p),
-        x0=[vv[i, j], ww[i, j]],
-        method="Nelder-Mead",
-        bounds=[(0.0, box.v_max), (box.omega_lo, box.omega_hi)],
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
+    v_opt, w_opt, energy = _nelder_mead(
+        energy_of, float(vv[i, j]), float(ww[i, j]),
+        (0.0, float(box.omega_lo)), (float(box.v_max), float(box.omega_hi)),
     )
-    v_opt, w_opt = float(res.x[0]), float(res.x[1])
-    energy = float(res.fun)
 
     pinned = (
         v_opt > box.v_max * (1.0 - EDGE_TOL)

@@ -109,6 +109,20 @@ def test_invalid_inputs_exit_config_code(tmp_path, capsys):
         main(["spectrum", "--config", bad, "--method", "shooting"])
     rc = main(["ground", "--config", str(tmp_path / "missing.json")])
     assert rc == 2
+    # an infinite search box (JSON 1e400) is rejected, not run to NaN
+    # minima or a BoundaryMinimumError at v = nan
+    for key in ("omega_hi", "v_max"):
+        inf_box = write_config(tmp_path, f"inf_{key}.json", {
+            "params": {"omega_a": 1.0, "omega_m": 1.4, "alpha": 0.5},
+            "variational": {key: 1e400},
+            "sweep": {"variable": "N", "values": [100.0, 1000.0]},
+        })
+        capsys.readouterr()
+        rc = main(["variational", "--config", inf_box, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert not (tmp_path / "variational.csv").exists()
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -120,6 +134,7 @@ def test_invalid_inputs_exit_config_code(tmp_path, capsys):
     ("bdg", "j_max", 3.5),
     ("bdg", "j_max", True),
     ("thermal", "j_max", "16"),
+    ("thermal", "j_max", 1),
     ("variational", "coarse", 1),
 ])
 def test_invalid_grid_and_solver_exit_config_code(tmp_path, capsys, section, key, value):

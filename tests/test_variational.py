@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from hybridbec import ConfigError, DomainError, PhysicalParams
 from hybridbec.errors import BoundaryMinimumError
@@ -172,3 +175,58 @@ def test_bad_mode_and_population_rejected():
         minimize_mode("010", ZERO, 0.0)
     with pytest.raises(ConfigError):
         SearchBox(omega_lo=-1.0)
+
+
+def _scipy_polish(mode, params, n_atoms, box):
+    """The polish as scipy ran it: bounded Nelder-Mead from the coarse minimum."""
+    p = replace(params, n_a=float(n_atoms), n_m=params.n_m if params.n_m > 0 else float(n_atoms))
+    fn = energy_010 if mode == "010" else energy_100
+    vv, ww = np.meshgrid(
+        np.linspace(0.0, box.v_max, box.coarse),
+        np.linspace(box.omega_lo, box.omega_hi, box.coarse), indexing="ij",
+    )
+    i, j = np.unravel_index(int(np.argmin(fn(vv, ww, p))), vv.shape)
+    res = minimize(
+        lambda x: fn(x[0], x[1], p), x0=[vv[i, j], ww[i, j]], method="Nelder-Mead",
+        bounds=[(0.0, box.v_max), (box.omega_lo, box.omega_hi)],
+        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
+    )
+    return float(res.x[0]), float(res.x[1]), float(res.fun)
+
+
+def _parity_cases():
+    rng = np.random.default_rng(20)
+    wide = SearchBox(omega_lo=0.005)
+    # v_max = 1e200 overflows 1 + 2v^2: the polish follows scipy through NaN energies
+    cases = [("010", ZERO, 10.0, SearchBox()), ("100", ZERO, 1e4, wide),
+             ("010", STRONG, 1e6, SearchBox()), ("100", STRONG, 1e6, SearchBox()),
+             ("010", WEAK, 1e4, SearchBox(v_max=1e200, omega_lo=0.005))]
+    for k in range(46):
+        params = PhysicalParams(
+            omega_a=1.0, omega_m=float(rng.uniform(0.8, 2.0)),
+            lambda_a=float(rng.uniform(0.0, 0.2)), lambda_am=float(rng.uniform(0.0, 0.2)),
+            alpha=float(rng.uniform(0.0, 1.0)),
+            n_m=float(rng.choice([0.0, 100.0])),
+        )
+        n = float(10.0 ** rng.uniform(1.0, 6.0))
+        cases.append(("010" if k % 2 else "100", params, n, wide if k % 3 else SearchBox()))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_polish_matches_scipy_nelder_mead_bit_for_bit():
+    # the float port of the bounded Nelder-Mead must return scipy's
+    # minimizer and minimum to the last bit, pinned minima included
+    outcomes = {"free": 0, "pinned": 0, "interior": 0}
+    for mode, params, n, box in _parity_cases():
+        try:
+            r = minimize_mode(mode, params, n, box)
+            got = (r.v_opt, r.omega_opt, r.energy)
+        except BoundaryMinimumError as exc:
+            got = (exc.v, exc.omega, exc.energy)
+            outcomes["pinned"] += 1
+        else:
+            outcomes["free" if r.v_opt == 0.0 else "interior"] += 1
+        want = _scipy_polish(mode, params, n, box)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (mode, params, n, box)
+    assert min(outcomes.values()) > 0, outcomes

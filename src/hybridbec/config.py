@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -99,7 +100,10 @@ class RunConfig:
             values = sweep["values"]
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError("sweep.values must be a nonempty list")
-            sweep = {"variable": sweep["variable"], "values": [float(v) for v in values]}
+            values = [float(v) for v in values]
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"sweep.values must be finite, got {values}")
+            sweep = {"variable": sweep["variable"], "values": values}
         output_dir = data.pop("output_dir", None)
         if data:
             raise ConfigError(f"unknown top-level key(s): {sorted(data)}")
@@ -123,7 +127,7 @@ class RunConfig:
         v = self.variational
         return SearchBox(
             v_max=v["v_max"], omega_lo=v["omega_lo"],
-            omega_hi=v["omega_hi"], coarse=int(v["coarse"]),
+            omega_hi=v["omega_hi"], coarse=v["coarse"],
         )
 
     def canonical_dict(self) -> dict:

@@ -30,25 +30,29 @@ Minimization is a dense coarse scan over a fixed box followed by a
 bounded Nelder-Mead polish; v = 0 is a legitimate symmetry point (the
 couplings-zero minimum), but a minimizer pinned to the omega edges or
 to v_max means the box failed to bracket and raises instead of
-returning a truncated answer.  Each call builds its mode's energy once
-with the parameter constants hoisted; the scan evaluates it on numpy
-arrays and the polish on Python floats.  The polish is a two-variable
-port of scipy's bounded Nelder-Mead with identical iterates, so its
-minima are scipy's to the last bit without scipy's per-step array
-overhead on a 3x2 simplex.
+returning a truncated answer, as does a functional that overflows in
+the box.  Each call builds its mode's energy once with the parameter
+constants hoisted; the scan evaluates it on numpy arrays and the polish
+on Python floats.  Every factor of the energy depends on v alone or on
+omega alone, so the scan passes open grids (a column of v, a row of
+omega): the v and omega factors run on `coarse` values each and only
+the final products and sums fill the coarse x coarse table, through the
+same IEEE operations per cell as on a full meshgrid.  The polish is a
+two-variable port of scipy's bounded Nelder-Mead with identical
+iterates, so its minima are scipy's to the last bit without scipy's
+per-step array overhead on a 3x2 simplex.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import itemgetter
 
 import numpy as np
 # unused; perfbench/run.py --trace 1 needs its -X importtime line (ROADMAP item 8)
 import scipy.optimize  # noqa: F401
 
-from .errors import BoundaryMinimumError, ConfigError, DomainError
+from .errors import BoundaryMinimumError, ConfigError, DomainError, require_count
 from .params import PhysicalParams
 
 MODE_SURFACE = "010"
@@ -121,8 +125,13 @@ def energy_100(v, omega, params: PhysicalParams):
 
 def _clip(t: float, lo: float, hi: float) -> float:
     # np.clip on one float: a tie takes the bound, NaN passes through
-    t = lo if t <= lo else t
-    return hi if t >= hi else t
+    return lo if t <= lo else hi if t >= hi else t
+
+
+def _nan_last(vertex):
+    # np.argsort's order of f: ascending, NaN last; sorted() keeps ties stable
+    f = vertex[0]
+    return f != f, f
 
 
 def _nelder_mead(f, v, w, lo, hi, xatol=1e-10, fatol=1e-12, maxiter=4000):
@@ -132,55 +141,77 @@ def _nelder_mead(f, v, w, lo, hi, xatol=1e-10, fatol=1e-12, maxiter=4000):
     bounds=...) on Python floats, step for step: coefficients rho, chi,
     psi, sigma = 1, 2, 1/2, 1/2 (written out as literals below), a start
     simplex of +5% per coordinate (0.00025 for a zero one) with vertices
-    past an upper bound reflected back, every trial point clipped, a
-    stable vertex sort and the same xatol/fatol test.  It visits the same
-    points as scipy and returns the same floats.
+    past an upper bound reflected back, every trial point clipped and
+    the same xatol/fatol test.  It visits the same points as scipy and
+    returns the same floats, NaN energies included.
+
+    The vertices (f0, v0, w0) .. (f2, v2, w2) are locals kept in the
+    order of scipy's np.argsort of f, which is stable on three values:
+    ascending, NaN last, and a new vertex (always written to the last
+    slot) after any vertex of equal f.  A step that replaces the worst
+    vertex places the new one with at most two comparisons: an expansion
+    or a kept reflection beats f0 and f1 respectively by its own branch
+    test, and a kept contraction is finite with finite f0 and f1.  Only
+    the shrink, which replaces two vertices, sorts.  Like scipy's
+    np.min(fsim), the returned f is NaN if any vertex's f is.
     """
     (vl, wl), (vh, wh) = lo, hi
-
-    def clip(v, w):
-        return _clip(v, vl, vh), _clip(w, wl, wh)
-
-    v, w = clip(v, w)
-    sim = []
+    v, w = _clip(v, vl, vh), _clip(w, wl, wh)
+    start = []
     for pv, pw in ((v, w), ((1 + 0.05) * v if v != 0 else 0.00025, w),
                    (v, (1 + 0.05) * w if w != 0 else 0.00025)):
-        pv, pw = clip(2 * vh - pv if pv > vh else pv, 2 * wh - pw if pw > wh else pw)
-        sim.append((f(pv, pw), pv, pw))
-    sim.sort(key=itemgetter(0))
+        pv = _clip(2 * vh - pv if pv > vh else pv, vl, vh)
+        pw = _clip(2 * wh - pw if pw > wh else pw, wl, wh)
+        start.append((f(pv, pw), pv, pw))
+    (f0, v0, w0), (f1, v1, w1), (f2, v2, w2) = sorted(start, key=_nan_last)
     for _ in range(maxiter - 1):
-        (f0, v0, w0), (f1, v1, w1), (f2, v2, w2) = sim
         if (abs(v1 - v0) <= xatol and abs(w1 - w0) <= xatol
                 and abs(v2 - v0) <= xatol and abs(w2 - w0) <= xatol
                 and abs(f0 - f1) <= fatol and abs(f0 - f2) <= fatol):
             break
         vb, wb = (v0 + v1) / 2, (w0 + w1) / 2
-        vr, wr = clip(2 * vb - v2, 2 * wb - w2)
+        vr, wr = 2 * vb - v2, 2 * wb - w2
+        vr = vl if vr <= vl else vh if vr >= vh else vr
+        wr = wl if wr <= wl else wh if wr >= wh else wr
         fr = f(vr, wr)
-        if fr < f0:  # expand
-            ve, we = clip(3 * vb - 2 * v2, 3 * wb - 2 * w2)
+        if fr < f0:  # expand; the new vertex goes first
+            ve, we = 3 * vb - 2 * v2, 3 * wb - 2 * w2
+            ve = vl if ve <= vl else vh if ve >= vh else ve
+            we = wl if we <= wl else wh if we >= wh else we
             fe = f(ve, we)
-            sim[2] = (fe, ve, we) if fe < fr else (fr, vr, wr)
-        elif fr < f1:  # reflect
-            sim[2] = (fr, vr, wr)
+            if fe < fr:
+                fr, vr, wr = fe, ve, we
+            f0, v0, w0, f1, v1, w1, f2, v2, w2 = fr, vr, wr, f0, v0, w0, f1, v1, w1
+            continue
+        if fr < f1:  # reflect; f0 <= fr < f1
+            f1, v1, w1, f2, v2, w2 = fr, vr, wr, f1, v1, w1
+            continue
+        if fr < f2:  # contract outside
+            vc, wc = 1.5 * vb - 0.5 * v2, 1.5 * wb - 0.5 * w2
+            vc = vl if vc <= vl else vh if vc >= vh else vc
+            wc = wl if wc <= wl else wh if wc >= wh else wc
+            fc = f(vc, wc)
+            keep = fc <= fr
+        else:  # contract inside
+            vc, wc = 0.5 * vb + 0.5 * v2, 0.5 * wb + 0.5 * w2
+            vc = vl if vc <= vl else vh if vc >= vh else vc
+            wc = wl if wc <= wl else wh if wc >= wh else wc
+            fc = f(vc, wc)
+            keep = fc < f2
+        if not keep:  # shrink towards the best vertex
+            v1, w1 = _clip(v0 + 0.5 * (v1 - v0), vl, vh), _clip(w0 + 0.5 * (w1 - w0), wl, wh)
+            f1 = f(v1, w1)
+            v2, w2 = _clip(v0 + 0.5 * (v2 - v0), vl, vh), _clip(w0 + 0.5 * (w2 - w0), wl, wh)
+            f2 = f(v2, w2)
+            (f0, v0, w0), (f1, v1, w1), (f2, v2, w2) = sorted(
+                ((f0, v0, w0), (f1, v1, w1), (f2, v2, w2)), key=_nan_last)
+        elif fc < f0:
+            f0, v0, w0, f1, v1, w1, f2, v2, w2 = fc, vc, wc, f0, v0, w0, f1, v1, w1
+        elif fc < f1:
+            f1, v1, w1, f2, v2, w2 = fc, vc, wc, f1, v1, w1
         else:
-            if fr < f2:  # contract outside
-                vc, wc = clip(1.5 * vb - 0.5 * v2, 1.5 * wb - 0.5 * w2)
-                fc = f(vc, wc)
-                keep = fc <= fr
-            else:  # contract inside
-                vc, wc = clip(0.5 * vb + 0.5 * v2, 0.5 * wb + 0.5 * w2)
-                fc = f(vc, wc)
-                keep = fc < f2
-            if keep:
-                sim[2] = (fc, vc, wc)
-            else:  # shrink towards the best vertex
-                for k in (1, 2):
-                    vk, wk = clip(v0 + 0.5 * (sim[k][1] - v0), w0 + 0.5 * (sim[k][2] - w0))
-                    sim[k] = (f(vk, wk), vk, wk)
-        sim.sort(key=itemgetter(0))
-    f0, v0, w0 = sim[0]
-    return v0, w0, f0
+            f2, v2, w2 = fc, vc, wc
+    return v0, w0, (f0 if f2 == f2 else f2)
 
 
 @dataclass(frozen=True)
@@ -197,8 +228,10 @@ class SearchBox:
             raise ConfigError("need finite v_max, omega_lo and omega_hi")
         if not (0.0 < self.omega_lo < self.omega_hi):
             raise ConfigError("need 0 < omega_lo < omega_hi")
-        if self.v_max <= 0.0 or self.coarse < 2:
-            raise ConfigError("need v_max > 0 and coarse >= 2")
+        if self.v_max <= 0.0:
+            raise ConfigError("need v_max > 0")
+        # an integral float (64.0) is kept as the int np.linspace needs
+        object.__setattr__(self, "coarse", require_count("coarse", self.coarse, 2))
 
 
 @dataclass(frozen=True)
@@ -222,30 +255,34 @@ def minimize_mode(
     n_atoms replaces N_a; N_m follows it unless the configuration fixes
     a molecule number of its own (n_m > 0).  Coarse scan picks the basin,
     a bounded simplex polish finds the minimizer; deterministic.  A
-    minimizer pinned against omega_lo, omega_hi or v_max raises
-    BoundaryMinimumError carrying the pinned point (v = 0 is allowed).
+    minimizer pinned against omega_lo, omega_hi or v_max, or a minimum
+    that is not finite (the functional overflowed in the box), raises
+    BoundaryMinimumError carrying the point (v = 0 is allowed).
     """
     if mode not in (MODE_SURFACE, MODE_BREATHING):
         raise ConfigError(f"unknown mode '{mode}'; expected '010' or '100'")
-    if n_atoms <= 0:
-        raise ConfigError("n_atoms must be positive")
+    if not (math.isfinite(n_atoms) and n_atoms > 0):
+        raise ConfigError(f"n_atoms must be positive and finite, got {n_atoms!r}")
     box = box if box is not None else SearchBox()
     n_m = params.n_m if params.n_m > 0 else float(n_atoms)
     p = replace(params, n_a=float(n_atoms), n_m=n_m)
 
-    vv, ww = np.meshgrid(
-        np.linspace(0.0, box.v_max, box.coarse),
-        np.linspace(box.omega_lo, box.omega_hi, box.coarse),
-        indexing="ij",
-    )
+    vs = np.linspace(0.0, box.v_max, box.coarse)
+    ws = np.linspace(box.omega_lo, box.omega_hi, box.coarse)
     energy_of = _mode_energy(mode, p)
-    coarse = energy_of(vv, ww, np.sqrt)
-    i, j = np.unravel_index(int(np.argmin(coarse)), coarse.shape)
+    coarse = energy_of(vs[:, None], ws, np.sqrt)  # open grids: see module docstring
+    i, j = divmod(int(np.argmin(coarse)), box.coarse)
     v_opt, w_opt, energy = _nelder_mead(
-        energy_of, float(vv[i, j]), float(ww[i, j]),
+        energy_of, float(vs[i]), float(ws[j]),
         (0.0, float(box.omega_lo)), (float(box.v_max), float(box.omega_hi)),
     )
 
+    if not math.isfinite(energy):
+        raise BoundaryMinimumError(
+            f"mode {mode} energy functional overflowed in the search box at "
+            f"(v, omega) = ({v_opt:.6g}, {w_opt:.6g}); shrink the box",
+            v=v_opt, omega=w_opt, energy=energy,
+        )
     pinned = (
         v_opt > box.v_max * (1.0 - EDGE_TOL)
         or w_opt < box.omega_lo * (1.0 + EDGE_TOL)

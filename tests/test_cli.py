@@ -123,6 +123,23 @@ def test_invalid_inputs_exit_config_code(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ConfigError"
         assert not (tmp_path / "variational.csv").exists()
+    # so is a JSON NaN / Infinity in a sweep, not a pinned minimum, a
+    # ZeroDivisionError or a row of nan written with exit 0
+    for command, config, value in (
+        ("variational", "variational_sweep.json", float("nan")),
+        ("density", "density_sweep.json", float("nan")),
+        ("density", "density_sweep.json", float("inf")),
+        ("fig3", "fig3.json", float("nan")),
+    ):
+        data = json.loads((CONFIGS / config).read_text())
+        data["sweep"]["values"] = data["sweep"]["values"][:1] + [value]
+        nonfinite = write_config(tmp_path, "nonfinite.json", data)
+        out = tmp_path / f"nonfinite_{command}_{value}"
+        capsys.readouterr()
+        assert main([command, "--config", nonfinite, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and "sweep.values" in err["message"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,8 @@ from hybridbec import ConfigError, DomainError, PhysicalParams
 from hybridbec.errors import BoundaryMinimumError
 from hybridbec.variational import (
     SearchBox,
+    _mode_energy,
+    _nelder_mead,
     energy_010,
     energy_100,
     minimize_mode,
@@ -171,10 +174,30 @@ def test_strong_quartic_coupling_raises_both_modes():
 def test_bad_mode_and_population_rejected():
     with pytest.raises(ConfigError):
         minimize_mode("011", ZERO, 10.0)
-    with pytest.raises(ConfigError):
-        minimize_mode("010", ZERO, 0.0)
+    for n in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            minimize_mode("010", ZERO, n)
     with pytest.raises(ConfigError):
         SearchBox(omega_lo=-1.0)
+    for coarse in (1, 2.5, True, "64"):
+        with pytest.raises(ConfigError):
+            SearchBox(coarse=coarse)
+    # an integral float is a count, as in the config file
+    assert SearchBox(coarse=64.0) == SearchBox()
+    assert minimize_mode("010", ZERO, 10.0, SearchBox(coarse=64.0)) == minimize_mode("010", ZERO, 10.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_box_is_reported_as_overflow():
+    # 1 + 2v^2 overflows for v_max above about 1.3e154: the minimum is
+    # NaN, and the message names the overflow rather than asking for a
+    # wider box
+    with pytest.raises(BoundaryMinimumError) as info:
+        minimize_mode("010", WEAK, 1e4, SearchBox(v_max=1e200, omega_lo=0.005))
+    assert "overflowed" in str(info.value) and "widen" not in str(info.value)
+    assert math.isnan(info.value.energy)
+    r = minimize_mode("010", WEAK, 1e4, SearchBox(v_max=1e100, omega_lo=0.005))
+    assert math.isfinite(r.energy) and r.v_opt < 5.0
 
 
 def _scipy_polish(mode, params, n_atoms, box):
@@ -230,3 +253,55 @@ def test_polish_matches_scipy_nelder_mead_bit_for_bit():
         want = _scipy_polish(mode, params, n, box)
         assert [x.hex() for x in got] == [x.hex() for x in want], (mode, params, n, box)
     assert min(outcomes.values()) > 0, outcomes
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_open_grid_scan_equals_meshgrid():
+    # the scan's column-of-v times row-of-omega evaluation is the full
+    # meshgrid evaluation, bit for bit (NaN cells of the overflow case too)
+    for mode, params, n, box in _parity_cases():
+        p = replace(params, n_a=n, n_m=params.n_m if params.n_m > 0 else n)
+        vs = np.linspace(0.0, box.v_max, box.coarse)
+        ws = np.linspace(box.omega_lo, box.omega_hi, box.coarse)
+        vv, ww = np.meshgrid(vs, ws, indexing="ij")
+        mesh = (energy_010 if mode == "010" else energy_100)(vv, ww, p)
+        open_grid = _mode_energy(mode, p)(vs[:, None], ws, np.sqrt)
+        assert open_grid.shape == mesh.shape
+        assert open_grid.tobytes() == mesh.tobytes(), (mode, params, n, box)
+
+
+def _awkward_objectives():
+    """Bowls with a NaN wall or hole next to the start, and a stepped bowl."""
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        v0, w0 = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+        cv, cw = rng.uniform(0.0, 2.0), rng.uniform(0.3, 3.0)
+        wall = v0 * rng.uniform(1.01, 1.04)  # between the start and its +5% vertex
+        hole, radius = 1.05 * v0, 0.01 * v0  # around the +5% vertex
+
+        def bowl(v, w, cv=cv, cw=cw):
+            return (v - cv) ** 2 + 2.0 * (w - cw) ** 2 + 1.0
+
+        yield "wall", lambda v, w, b=bowl, c=wall: b(v, w) if v <= c else math.nan, v0, w0
+        yield "hole", (lambda v, w, b=bowl, h=hole, r=radius, w0=w0:
+                       math.nan if (v - h) ** 2 + (w - w0) ** 2 < r * r else b(v, w)), v0, w0
+        yield "plateau", lambda v, w, b=bowl: math.floor(4.0 * b(v, w)) / 4.0, v0, w0
+
+
+def test_nelder_mead_matches_scipy_on_nan_and_plateau_objectives():
+    # NaN energies sort last, as in np.argsort, and a NaN vertex left at
+    # maxiter makes the minimum NaN, as np.min does; plateau ties keep
+    # scipy's stable order
+    nan_minima = 0
+    for maxiter in (1, 25, 400):
+        for kind, f, v0, w0 in _awkward_objectives():
+            res = minimize(
+                lambda x: f(x[0], x[1]), x0=[v0, w0], method="Nelder-Mead",
+                bounds=[(0.0, 2.0), (0.3, 3.0)],
+                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": maxiter},
+            )
+            want = [float(x).hex() for x in (res.x[0], res.x[1], res.fun)]
+            got = _nelder_mead(f, v0, w0, (0.0, 0.3), (2.0, 3.0), maxiter=maxiter)
+            assert [x.hex() for x in got] == want, (kind, maxiter, v0, w0)
+            nan_minima += math.isnan(res.fun)
+    assert nan_minima > 0

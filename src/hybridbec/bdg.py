@@ -66,7 +66,7 @@ log = logging.getLogger(__name__)
 #: modes with |integral(u^2 - v^2)| below this are non-normalizable and skipped
 NORM_FLOOR = 1e-10
 #: |E^2| at or below this, in units of (hbar*omega_a)^2, marks the
-#: Goldstone mode of the banded grid route
+#: Goldstone mode of the grid routes
 ZERO_MODE_E2 = 1e-6
 
 _GBTRF, _GBTRS = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
@@ -331,10 +331,13 @@ def bdg_matrix(
     return np.vstack([top, bot])
 
 
-def _dense_channel(mat, four_pi_h, n_modes):
+def _dense_channel(mat, four_pi_h, n_modes, zero_e2):
     """Lowest positive-norm eigenpairs of the dense 2n x 2n BdG matrix:
-    (energies, chi_u columns, chi_v columns, skipped).  Near-zero-norm
-    pairs met on the way (Goldstone remnants) are counted as skipped."""
+    (energies, chi_u columns, chi_v columns, skipped).  Eigenvalues met
+    on the way with a near-zero norm or with |E|^2 <= zero_e2 are
+    counted as skipped: the latter is the banded route's Goldstone rule
+    (this route is reached only where Delta != 0), and round-off leaves
+    that pair either imaginary or real with a small nonzero norm."""
     try:
         vals, vecs = scipy.linalg.eig(mat)
     except scipy.linalg.LinAlgError as exc:
@@ -344,7 +347,7 @@ def _dense_channel(mat, four_pi_h, n_modes):
     skipped = 0
     for k in np.argsort(vals.real):
         s = four_pi_h * float((np.abs(vecs[:n, k]) ** 2 - np.abs(vecs[n:, k]) ** 2).sum())
-        if abs(s) <= NORM_FLOOR:
+        if abs(vals[k]) ** 2 <= zero_e2 or abs(s) <= NORM_FLOOR:
             skipped += 1
         elif s > 0.0:
             # negative norms are mirror partners (E -> -E, u <-> v); the
@@ -451,8 +454,9 @@ def direct_grid_spectrum(
     (L - Delta)(L + Delta) g = E^2 g otherwise, and the dense 2n x 2n
     eigensolve when L + Delta is not positive definite or a mode is
     unstable.  Modes are normalized to integral(u^2 - v^2) = 1 with the
-    largest |u| entry positive.  The Goldstone pair (E^2 ~ 0, or norm
-    ~ 0 on the dense route) is counted in ModeSet.skipped.  Complex
+    largest |u| entry positive.  The Goldstone pair (|E|^2 at most
+    ZERO_MODE_E2 * (hbar*omega_a)^2 on either route, or norm ~ 0 on the
+    dense route) is counted in ModeSet.skipped.  Complex
     eigenvalues of the dense route are kept only if their norm is
     meaningful, flagged unstable.
     """
@@ -472,7 +476,7 @@ def direct_grid_spectrum(
         if found is None:
             log.debug("%s l=%d: dense BdG eigensolve", species, l)
             found = _dense_channel(
-                bdg_matrix(state, params, grid, species, l), four_pi_h, n_modes)
+                bdg_matrix(state, params, grid, species, l), four_pi_h, n_modes, zero_e2)
         energies, chi_u, chi_v, skipped = found
         modes = []
         for k, e in enumerate(energies):

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, require_count
+from .errors import ConfigError, require_count, require_finite
 from .gpe import SolverOptions
 from .grid import RadialGrid, build_grid
 from .params import PhysicalParams
@@ -100,9 +99,7 @@ class RunConfig:
             values = sweep["values"]
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError("sweep.values must be a nonempty list")
-            values = [float(v) for v in values]
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(f"sweep.values must be finite, got {values}")
+            values = [require_finite(f"sweep.values[{i}]", v) for i, v in enumerate(values)]
             sweep = {"variable": sweep["variable"], "values": values}
         output_dir = data.pop("output_dir", None)
         if data:

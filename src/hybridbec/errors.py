@@ -6,6 +6,7 @@ non-convergence -> 3, physical instability (collapse) -> 4, anything
 else -> 5.
 """
 
+import math
 import numbers
 
 
@@ -76,3 +77,15 @@ def require_count(name: str, value, minimum: int) -> int:
             or not float(value).is_integer() or value < minimum):
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def require_finite(name: str, value) -> float:
+    """float(value) if value is a finite real number, else ConfigError."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")

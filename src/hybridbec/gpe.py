@@ -11,31 +11,19 @@ are the constrained gradient of the mean-field energy functional at fixed
 norms integral(phi^2 d^3r) = N_a, N_m.  The factor-2 asymmetry between the
 conversion terms reflects pair conversion: two atoms per molecule.
 
-Solver: one loop over an imaginary-time flow (the normalized gradient
-flow of Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) with one Newton
-polish.  The flow is implicit in the kinetic + trap part (backward
-Euler, banded solve) and explicit in the nonlinear and conversion terms,
-with per-step renormalization and a mu estimate from the log-derivative
-of the norm decay.  Where dt*(max c - shift) > 1/2 the explicit factor
-1 - dt*(c - shift) could turn negative, so the step applies exp(-dt*c)
-instead, which damps but never flips signs.  Only the additive form has
-the exact discrete eigenstate as its fixed point, and a dense cloud keeps
-max c - mu large even at the solution (about 850 for the resonant set at
-N_a = N_m = 1e4, lambda_a = 0.1, so every step is exponential for dt
-above about 6e-4): there the flow alone stalls short of the eigenstate.
-The mu shift of the implicit solve is clamped to 0.4/dt to keep the
-backward-Euler factors positive at any estimate.  At the first check
-whose defect is below START_TOL (and not below tol) Newton is tried on
-the stationary equations bordered by the two norms (unknowns chi_a,
-chi_m, mu_a, mu_m).  With the grid points of the two species interleaved
-the Jacobian is a symmetric band of two diagonals each side, so a step
-costs one banded solve with three right-hand sides and a 2x2 solve for
-the mu updates; chi is rescaled to the exact norms after every step.
-Newton converges to whatever stationary state is near, so its result is
-kept only if its defect is below tol, no field has collapsed to the grid
-floor and its energy is no higher than the flow start's; otherwise the
-flow goes on alone.  With tol >= START_TOL the flow returns before
-Newton is tried.
+Solver: one loop of energy descent with one Newton polish.  The descent
+is preconditioned Riemannian conjugate gradient on the energy at fixed
+norms (Antoine, Levitt & Tang, J. Comput. Phys. 343, 92 (2017)): one
+tridiagonal solve per species and step and an Armijo line search, with
+no time step to tune; it replaced an imaginary-time flow (Bao & Du, SIAM
+J. Sci. Comput. 25, 1674 (2004)) that stalled on dense clouds.  At the
+first check whose defect is below START_TOL (and not below tol) Newton
+is tried on the stationary equations bordered by the two norms.  It
+converges to whatever stationary state is near, so its result is kept
+only if its defect is below tol, no field has collapsed to the grid
+floor and its energy is no higher than the descent state's; otherwise
+the descent goes on alone.  With tol >= START_TOL the descent returns
+before Newton is tried.
 
 Sign convention: fields are real.  For alpha > 0 the energy term
 2*alpha*phi_a^2*phi_m is minimized by phi_m <= 0 (phi_m >= 0 for
@@ -67,14 +55,14 @@ log = logging.getLogger(__name__)
 ATOM = "atom"
 MOLECULE = "molecule"
 
-#: defect at which the flow hands the state to Newton
+#: defect at which the descent hands the state to Newton
 START_TOL = 1e-2
-#: Newton steps tried before the flow takes over again
+#: Newton steps tried before the descent takes over again
 NEWTON_STEPS = 20
-#: flow steps between defect/energy/collapse checks
-CHECK_EVERY = 25
-#: floor for the flow's dt back-off
-MIN_DT = 1e-6
+#: descent steps between defect/energy/collapse checks
+CHECK_EVERY = 5
+#: share of the first-order energy decrease a descent step must achieve
+ARMIJO = 1e-4
 #: an RMS width below COLLAPSE_WIDTH*h raises CollapseError
 COLLAPSE_WIDTH = 4.0
 
@@ -84,18 +72,17 @@ class SolverOptions:
     """Ground-state solver controls.
 
     tol            convergence threshold on the normalized defect
-    max_iters      cap on flow iterations plus Newton steps, both counted
+    max_iters      cap on descent steps plus Newton steps, both counted
                    in the state's `iterations`; a Newton polish the guard
                    rejects (at most NEWTON_STEPS steps) is discarded
-                   uncounted and the flow resumes
-    dt             initial flow step, units of 1/omega_a; halved (down to
-                   MIN_DT) when the energy rises between checks, never
-                   re-raised
+                   uncounted and the descent resumes
+    dt             accepted for compatibility and has no effect: the
+                   descent takes its steps from a line search
 
     tol and dt must be positive numbers and max_iters an integer >= 1;
-    anything else raises ConfigError.  The check interval, the dt floor
-    and the collapse floor are the module constants CHECK_EVERY, MIN_DT
-    and COLLAPSE_WIDTH.
+    anything else raises ConfigError.  The check interval and the
+    collapse floor are the module constants CHECK_EVERY and
+    COLLAPSE_WIDTH.
     """
 
     tol: float = 1e-8
@@ -115,7 +102,7 @@ class CondensateState:
     phi_a, phi_m are real radial amplitudes with integral(phi^2 d^3r)
     equal to the particle numbers.  residual is the larger of the two
     normalized stationarity defects (see `gpe_defect`); iterations counts
-    flow iterations plus Newton steps.
+    descent steps plus Newton steps.
     """
 
     grid: RadialGrid
@@ -176,7 +163,7 @@ def gaussian_ansatz(params: PhysicalParams, grid: RadialGrid) -> CondensateState
     Widths are the noninteracting values alpha_a^2 = M*omega_a/hbar and
     alpha_m^2 = 2M*omega_m/hbar.  The molecular Gaussian carries the sign
     -sign(alpha) (positive for alpha = 0), which makes the conversion
-    energy 2*alpha*phi_a^2*phi_m negative and starts the flow on the
+    energy 2*alpha*phi_a^2*phi_m negative and starts the descent on the
     lowest-energy branch.  Chemical potentials come from a single
     Rayleigh-quotient evaluation of the stationary equations, done in
     closed form (all integrals of Gaussians are analytic), so the
@@ -220,8 +207,7 @@ def gaussian_ansatz(params: PhysicalParams, grid: RadialGrid) -> CondensateState
         mu_m += p.alpha * p.n_a / root_m * pump(aa2, am2)
 
     state = CondensateState(grid=grid, phi_a=phi_a, phi_m=phi_m, mu_a=mu_a, mu_m=mu_m)
-    da, dm = gpe_defect(state, params, grid)
-    state.residual = max(da, dm)
+    state.residual = max(gpe_defect(state, params, grid))
     state.energy = energy_functional(state, params, grid)
     return state
 
@@ -243,50 +229,58 @@ def _defects(state: CondensateState, params: PhysicalParams, grid: RadialGrid):
     the stationary equations acting on chi = r*phi, and their normalized
     sizes as in `gpe_defect`."""
     p = params
-    r = grid.r
-    chi_a = r * state.phi_a
-    chi_m = r * state.phi_m
-    op_a, op_m = (_operator(s, p, grid) for s in (ATOM, MOLECULE))
-    c_a, c_m = _mean_fields(p, state.phi_a, state.phi_m)
-
-    d_a = op_a.apply(chi_a) + (c_a - state.mu_a) * chi_a
-    d_m = op_m.apply(chi_m) + (c_m - state.mu_m) * chi_m + p.alpha * state.phi_a * chi_a
-
-    four_pi_h = 4.0 * np.pi * grid.h
-
-    def normalized(d, chi, omega, mu):
-        nrm2 = four_pi_h * float(np.dot(chi, chi))
-        if nrm2 <= 0.0:
-            return 0.0
-        scale = max(abs(mu), p.hbar * omega) * math.sqrt(nrm2)
-        return math.sqrt(four_pi_h * float(np.dot(d, d))) / scale
-
+    phi = (state.phi_a, state.phi_m)
+    chi_a, chi_m = chi = (grid.r * phi[0], grid.r * phi[1])
+    (g_a, g_m), _ = _gradients(p, [_operator(s, p, grid) for s in (ATOM, MOLECULE)], phi, chi)
+    d_a, d_m = g_a - state.mu_a * chi_a, g_m - state.mu_m * chi_m
     return (d_a, d_m), (
-        normalized(d_a, chi_a, p.omega_a, state.mu_a),
-        normalized(d_m, chi_m, p.omega_m, state.mu_m),
+        _defect_size(d_a, chi_a, state.mu_a, p.hbar * p.omega_a),
+        _defect_size(d_m, chi_m, state.mu_m, p.hbar * p.omega_m),
     )
+
+
+def _gradients(params, ops, phi, chi):
+    """((g_a, g_m), (c_a, c_m)): half the energy gradients in chi = r*phi,
+    (H_s + c_s) chi_s plus the source alpha*phi_a*chi_a, and c_s."""
+    c_a, c_m = _mean_fields(params, phi[0], phi[1])
+    g_a = ops[0].apply(chi[0]) + c_a * chi[0]
+    g_m = ops[1].apply(chi[1]) + c_m * chi[1] + params.alpha * phi[0] * chi[0]
+    return (g_a, g_m), (c_a, c_m)
+
+
+def _defect_size(d, chi, mu, scale):
+    """||d|| / (max(|mu|, scale) * ||chi||), 0 for chi = 0."""
+    nrm2 = float(np.dot(chi, chi))
+    if nrm2 <= 0.0:
+        return 0.0
+    return math.sqrt(float(np.dot(d, d)) / nrm2) / max(abs(mu), scale)
 
 
 def energy_functional(
     state: CondensateState, params: PhysicalParams, grid: RadialGrid
 ) -> float:
     """Mean-field energy whose constrained gradient is the stationary
-    system; non-increasing along the imaginary-time flow.  The one-body
-    part (kinetic + trap + offset) is 4*pi*h * chi.(H chi) per species."""
+    system; no descent step raises it by more than `_energy_slack`."""
+    ops = [_operator(s, params, grid) for s in (ATOM, MOLECULE)]
+    phi = (state.phi_a, state.phi_m)
+    return _energy(params, grid, ops, phi, [grid.r * f for f in phi])
+
+
+def _energy(params, grid, ops, phi, chi):
+    """`energy_functional` of phi = (phi_a, phi_m) and chi = r*phi; the
+    one-body part (kinetic + trap + offset) is 4*pi*h * chi.(H chi)."""
     p = params
     four_pi_h = 4.0 * np.pi * grid.h
     one_body = 0.0
-    for species, phi in ((ATOM, state.phi_a), (MOLECULE, state.phi_m)):
-        chi = grid.r * phi
-        h_chi = _operator(species, p, grid).apply(chi)
-        one_body += four_pi_h * float(np.dot(chi, h_chi))
-    phi_a2 = state.phi_a**2
-    phi_m2 = state.phi_m**2
+    for op, c in zip(ops, chi):
+        one_body += four_pi_h * float(np.dot(c, op.apply(c)))
+    phi_a2 = phi[0]**2
+    phi_m2 = phi[1]**2
     dens = (
         0.5 * p.lambda_a * phi_a2**2
         + 0.5 * p.lambda_m * phi_m2**2
         + p.lambda_am * phi_a2 * phi_m2
-        + 2.0 * p.alpha * phi_a2 * state.phi_m
+        + 2.0 * p.alpha * phi_a2 * phi[1]
     )
     return one_body + grid.integrate(dens)
 
@@ -297,13 +291,11 @@ def solve_coupled_gpe(
     opts: SolverOptions | None = None,
     init: CondensateState | None = None,
 ) -> CondensateState:
-    """Ground state: the imaginary-time flow, polished once by Newton at
-    its first check below START_TOL.
-
-    The polish is kept only if its defect is below opts.tol, no field's
-    RMS width is at the grid floor and its energy is no higher than the
-    flow start's; otherwise the flow goes on, and its first state below
-    opts.tol is returned.
+    """Ground state: the energy descent, polished once by Newton at its
+    first check below START_TOL.  The polish is kept only if its defect
+    is below opts.tol, no field's RMS width is at the grid floor and its
+    energy is no higher than the descent state's it started from;
+    otherwise the descent's first state below opts.tol is returned.
 
     Raises ConvergenceError if the defect stays above opts.tol after
     opts.max_iters steps, CollapseError if a field's RMS width falls to
@@ -312,7 +304,7 @@ def solve_coupled_gpe(
     opts = opts if opts is not None else SolverOptions()
     start = init if init is not None else gaussian_ansatz(params, grid)
     newton_tried = False
-    for state in _flow(params, grid, opts, start):
+    for state in _descent(params, grid, opts, start):
         if state.residual < opts.tol:
             return state
         if state.residual < START_TOL and not newton_tried:
@@ -325,7 +317,7 @@ def solve_coupled_gpe(
                 and polished.energy <= state.energy + _energy_slack(state.energy)
             ):
                 return polished
-            log.debug("Newton polish rejected; relaxing by the flow alone")
+            log.debug("Newton polish rejected; going on with the descent alone")
     raise ConvergenceError(
         f"no convergence after {state.iterations} iterations "
         f"(residual {state.residual:.3e}, tol {opts.tol:g})",
@@ -345,88 +337,95 @@ def _narrowest(state: CondensateState, params: PhysicalParams, grid: RadialGrid)
     return min(widths, default=math.inf)
 
 
-def _flow(params, grid, opts, start):
-    """Imaginary-time relaxation from `start` as a generator: every
+def _descent(params, grid, opts, start):
+    """Energy descent at fixed norms from `start`, as a generator: every
     CHECK_EVERY steps and at opts.max_iters it checks the widths
-    (CollapseError at the grid floor), sets residual, energy and
-    iterations on one state object and yields it.  dt is halved when
-    the energy rises between checks."""
+    (CollapseError at the grid floor) and yields the state.
+
+    A populated species has the residual r = g - mu chi (g from
+    `_gradients`, mu its Rayleigh quotient) and the preconditioner
+    P = (H - e + max(c, 0) + max(|mu - e|, hbar*omega))^-1, positive
+    definite for any mu (e the one-body offset).  z = P r - (chi.P r /
+    chi.P chi) P chi is tangent to the norm; the direction is -z plus a
+    Polak-Ribiere+ share of the previous one, or -z alone when that does
+    not descend.  The step halves from min(1, 2*previous step) until the
+    renormalized trial meets the Armijo condition or is within
+    `_energy_slack` of the energy, which keeps the descent going once
+    energy differences reach round-off.  A species with zero norm keeps
+    its field and mu.
+    """
     p = params
     r = grid.r
     four_pi_h = 4.0 * np.pi * grid.h
-    op_a, op_m = (_operator(s, p, grid) for s in (ATOM, MOLECULE))
+    ops = [_operator(s, p, grid) for s in (ATOM, MOLECULE)]
+    offsets = [_one_body(s, p)[2] for s in (ATOM, MOLECULE)]
+    scales = (p.hbar * p.omega_a, p.hbar * p.omega_m)
+    norms = (p.n_a / four_pi_h, p.n_m / four_pi_h)
+    active = [s for s in (0, 1) if norms[s] > 0.0]
 
-    chi_a = r * start.phi_a
-    chi_m = r * start.phi_m
-    mu_a = float(start.mu_a)
-    mu_m = float(start.mu_m)
-    dt = opts.dt
+    phi = [start.phi_a, start.phi_m]
+    chi = [r * phi[0], r * phi[1]]
+    mu = [float(start.mu_a), float(start.mu_m)]
+    energy = _energy(p, grid, ops, phi, chi)
+    residual, width_floor = math.inf, COLLAPSE_WIDTH * grid.h
+    res, z, d, z_prev, rz_prev, tau = {}, {}, None, None, 0.0, 0.5
 
-    state = CondensateState(
-        grid=grid, phi_a=start.phi_a.copy(), phi_m=start.phi_m.copy(),
-        mu_a=mu_a, mu_m=mu_m,
-    )
-    prev_energy = math.inf
-    residual = math.inf
-    width_floor = COLLAPSE_WIDTH * grid.h
+    for it in range(opts.max_iters + 1):
+        g, c = _gradients(p, ops, phi, chi)
+        for s in active:
+            mu[s] = float(np.dot(chi[s], g[s]) / np.dot(chi[s], chi[s]))
+            res[s] = g[s] - mu[s] * chi[s]
+            precond = RadialOperator(ops[s].diag + np.maximum(c[s], 0.0), ops[s].offdiag)
+            shift = max(abs(mu[s] - offsets[s]), scales[s]) - offsets[s]
+            x = solve_banded_shifted(precond, shift, np.column_stack((res[s], chi[s])))
+            z[s] = x[:, 0] - (np.dot(chi[s], x[:, 0]) / np.dot(chi[s], x[:, 1])) * x[:, 1]
 
-    def step(op, chi, mu, pump, c, n):
-        # shift clamp keeps every backward-Euler factor 1 + dt*(E - shift)
-        # positive even when the mu estimate is far above the spectrum
-        shift = min(mu, 0.4 / dt)
-        if dt * (float(np.max(c)) - shift) > 0.5:
-            # additive explicit factor would turn negative somewhere:
-            # exponential form damps but never flips signs
-            rhs = np.exp(-np.clip(dt * c, -50.0, 50.0)) * chi / dt
-        else:
-            # fixed point of this form is the exact discrete eigenstate
-            rhs = chi / dt - c * chi
-        if pump is not None:
-            rhs = rhs - pump
-        chi = solve_banded_shifted(op, 1.0 / dt - shift, rhs)
-        norm = four_pi_h * float(np.dot(chi, chi))
-        # the solve does not check finiteness: a non-finite step ends here
-        if not math.isfinite(norm) or norm <= 0.0:
-            raise ConvergenceError(
-                f"iteration diverged at step {it} (dt={dt:g})",
-                residual=residual, iterations=it,
-            )
-        mu = shift + math.log(n / norm) / (2.0 * dt)
-        return chi * math.sqrt(n / norm), mu
-
-    for it in range(1, opts.max_iters + 1):
-        phi_a = chi_a / r
-        phi_m = chi_m / r
-        c_a, c_m = _mean_fields(p, phi_a, phi_m)
-        pump_m = p.alpha * phi_a * chi_a if p.alpha != 0.0 else None
-
-        if p.n_a > 0:
-            chi_a, mu_a = step(op_a, chi_a, mu_a, None, c_a, p.n_a)
-        if p.n_m > 0:
-            chi_m, mu_m = step(op_m, chi_m, mu_m, pump_m, c_m, p.n_m)
-
-        if it % CHECK_EVERY == 0 or it == opts.max_iters:
-            state.phi_a = chi_a / r
-            state.phi_m = chi_m / r
-            state.mu_a = mu_a
-            state.mu_m = mu_m
+        if it and (it % CHECK_EVERY == 0 or it == opts.max_iters):
+            residual = max([_defect_size(res[s], chi[s], mu[s], scales[s]) for s in active],
+                           default=0.0)
+            state = CondensateState(grid=grid, phi_a=phi[0], phi_m=phi[1], mu_a=mu[0],
+                                    mu_m=mu[1], residual=residual, energy=energy, iterations=it)
             width = _narrowest(state, p, grid)
             if width < width_floor:
-                raise CollapseError(
-                    f"RMS width {width:.3e} fell below the grid floor "
-                    f"{width_floor:.3e}; attractive collapse or "
-                    f"unresolvable state",
-                    width=width, iterations=it,
-                )
-            residual = max(gpe_defect(state, p, grid))
-            energy = energy_functional(state, p, grid)
-            state.residual = residual
-            state.energy = energy
-            state.iterations = it
+                raise CollapseError(f"RMS width {width:.3e} fell below the grid floor "
+                                    f"{width_floor:.3e}; attractive collapse or "
+                                    f"unresolvable state", width=width, iterations=it)
             yield state
-            if energy > prev_energy + _energy_slack(prev_energy):
-                dt = max(0.5 * dt, MIN_DT)
-            prev_energy = energy
+        if it == opts.max_iters:
+            return
+
+        rz = sum(float(np.dot(res[s], z[s])) for s in active)
+        beta = 0.0 if rz_prev <= 0.0 else max(
+            0.0, (rz - sum(float(np.dot(res[s], z_prev[s])) for s in active)) / rz_prev)
+        if beta:
+            # the previous direction, moved to the new tangent space
+            d = {s: beta * (d[s] - (np.dot(chi[s], d[s]) / np.dot(chi[s], chi[s])) * chi[s])
+                    - z[s] for s in active}
+            slope = 2.0 * four_pi_h * sum(float(np.dot(res[s], d[s])) for s in active)
+        if not beta or not slope < 0.0:
+            d = {s: -z[s] for s in active}
+            slope = -2.0 * four_pi_h * rz
+        z_prev, rz_prev = dict(z), rz
+
+        slack = _energy_slack(energy)
+        tau = min(1.0, 2.0 * tau)
+        for _ in range(64 if math.isfinite(slope) else 0):
+            trial_chi = list(chi)
+            for s in active:
+                t = chi[s] + tau * d[s]
+                trial_chi[s] = t * math.sqrt(norms[s] / float(np.dot(t, t)))
+            trial_phi = [t / r for t in trial_chi]
+            trial = _energy(p, grid, ops, trial_phi, trial_chi)
+            if trial <= energy + ARMIJO * tau * slope + slack:
+                break
+            tau *= 0.5
+        else:
+            # the solves do not check finiteness: non-finite steps end here
+            raise ConvergenceError(
+                f"iteration diverged at step {it + 1}",
+                residual=residual, iterations=it + 1,
+            )
+        chi, phi, energy = trial_chi, trial_phi, trial
 
 
 def _newton(params, grid, start, tol, steps):

@@ -118,14 +118,15 @@ _GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=np.float64)
 def solve_banded_shifted(
     op: RadialOperator, shift: float, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve (op + shift*I) chi = rhs for the tridiagonal op; rhs is kept.
+    """Solve (op + shift*I) chi = rhs for the tridiagonal op; rhs (one
+    vector or one column per right-hand side) is kept.
 
     Calls LAPACK gtsv directly, the routine solve_banded((1, 1), ...)
     dispatches to, so the result is the same to the bit: this runs at
-    every flow step, where solve_banded's checks around the call cost
+    every descent step, where solve_banded's checks around the call cost
     about three times the 400-point solve.  Without the finiteness check
-    a non-finite rhs gives a non-finite chi, for the caller's norm check
-    to catch.  Raises scipy.linalg.LinAlgError on an exactly zero pivot.
+    a non-finite rhs gives a non-finite chi, for the caller's check to
+    catch.  Raises scipy.linalg.LinAlgError on an exactly zero pivot.
     """
     # gtsv overwrites dl, du and b only when told to; without the
     # overwrite flags the wrapper copies them, so one array serves both

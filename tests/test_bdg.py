@@ -7,6 +7,7 @@ from hybridbec.bdg import (
     ATOM,
     MOLECULE,
     NORM_FLOOR,
+    ZERO_MODE_E2,
     basis_levels,
     bdg_matrix,
     block_2x2_spectrum,
@@ -295,15 +296,19 @@ EQUIVALENCE_SETS = {
 
 def dense_reference(state, p, g, species, l, n_modes):
     # the full 2n x 2n eigensolve: positive-norm modes in ascending real
-    # part, near-zero norms counted as skipped, normalized with the
-    # largest |u| entry real and positive
+    # part, near-zero norms counted as skipped, and so is |E|^2 <=
+    # ZERO_MODE_E2 (hbar*omega_a)^2 where Delta != 0 (the Goldstone pair;
+    # without an anomalous term there is none, and a level near mu is a
+    # mode); normalized with the largest |u| entry real and positive
     n = g.n_points
-    vals, vecs = scipy.linalg.eig(bdg_matrix(state, p, g, species, l))
+    mat = bdg_matrix(state, p, g, species, l)
+    vals, vecs = scipy.linalg.eig(mat)
+    zero_e2 = ZERO_MODE_E2 * (p.hbar * p.omega_a) ** 2 if mat[:n, n:].any() else -1.0
     modes, skipped = [], 0
     for k in np.argsort(vals.real):
         cu, cv = vecs[:n, k], vecs[n:, k]
         norm = 4.0 * np.pi * g.h * float((np.abs(cu) ** 2 - np.abs(cv) ** 2).sum())
-        if abs(norm) <= NORM_FLOOR:
+        if abs(vals[k]) ** 2 <= zero_e2 or abs(norm) <= NORM_FLOOR:
             skipped += 1
         elif norm > 0.0:
             phase = np.exp(-1j * np.angle(cu[np.argmax(np.abs(cu))])) / np.sqrt(norm)
@@ -346,6 +351,24 @@ def test_direct_grid_matches_dense_eigensolve(name, equivalence_states, monkeypa
                 assert np.max(np.abs(m.v - v)) <= 1e-7 * np.max(np.abs(v))
         if name == "decoupled" and l == 0:
             assert got[0].skipped == 2  # the Goldstone pair
+
+
+@pytest.mark.parametrize("mu_shift", [0.0, -1e-13, -1e-12, -1e-10])
+def test_dense_route_skips_goldstone_pair(equivalence_states, mu_shift):
+    # decoupled atoms, l = 0: round-off leaves the Goldstone pair of the
+    # dense eigensolve imaginary (zero norm) or real with a small norm
+    # (E = 2.1e-7 at a mu_a 1e-13 low); either way the dense route skips
+    # the pair, as the banded route does, and starts at the breathing mode
+    g, states = equivalence_states
+    p, s = EQUIVALENCE_SETS["decoupled"], states["decoupled"]
+    shifted = CondensateState(grid=g, phi_a=s.phi_a, phi_m=s.phi_m,
+                              mu_a=s.mu_a + mu_shift, mu_m=s.mu_m)
+    found = bdg._dense_channel(bdg_matrix(shifted, p, g, ATOM, 0), 4.0 * np.pi * g.h, 8,
+                               ZERO_MODE_E2 * (p.hbar * p.omega_a) ** 2)
+    banded, _ = direct_grid_spectrum(shifted, p, g, l=0, n_modes=8)
+    assert found[3] == banded.skipped == 2
+    assert found[0][0].real == pytest.approx(2.08288, abs=1e-5)
+    assert found[0][0].real == pytest.approx(banded.modes[0].energy, rel=1e-8)
 
 
 def test_direct_grid_keeps_sign_without_anomalous_term():

@@ -142,6 +142,23 @@ def test_invalid_inputs_exit_config_code(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("values", [["abc"], [True, 2], [10**400]],
+                         ids=["string", "boolean", "integer-overflow"])
+def test_non_numeric_sweep_values_exit_config_code(tmp_path, capsys, values):
+    # each entry is checked like any numeric field: a string used to exit 5
+    # with a ValueError, true ran as N = 1, and a JSON integer beyond the
+    # float range exited 5 with an OverflowError
+    data = json.loads((CONFIGS / "variational_sweep.json").read_text())
+    data["sweep"]["values"] = values
+    cfg = write_config(tmp_path, "sweep.json", data)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["variational", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "sweep.values[0]" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("grid", "n_points", 400.5),
     ("solver", "tol", "1e-8"),

@@ -89,9 +89,8 @@ def test_solve_strong_coupling_regression():
 
 def test_default_start_reaches_lowest_energy_branch():
     # alpha > 0: a phi_m >= 0 start stops on a stationary state at
-    # E = 837.84 after 23,575 iterations, past the default cap; the
-    # default start, signed against alpha, reaches the phi_m <= 0 ground
-    # state with default options
+    # E = 837.84; the default start, signed against alpha, reaches the
+    # phi_m <= 0 ground state with default options
     g = build_grid(r_max=8.0, n_points=400)
     p = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
                        lambda_am=0.1, alpha=0.5, n_a=200.0, n_m=100.0)
@@ -131,7 +130,7 @@ def test_defect_increases_under_perturbation():
 
 
 def test_energy_nonincreasing_along_flow():
-    # run the flow in short segments via tol=inf (returns at first check)
+    # run the descent in short segments via tol=inf (returns at first check)
     p = params(lambda_a=2e-3, lambda_m=1e-3, lambda_am=1e-3, alpha=0.02)
     state = gaussian_ansatz(p, GRID)
     energies = [energy_functional(state, p, GRID)]
@@ -192,16 +191,18 @@ def test_attractive_supercritical_collapses():
 
 
 def test_nonconvergence_reports_residual():
+    # the solve needs 10 descent steps and 2 Newton steps; at the cap of 8
+    # the defect is below START_TOL with no Newton step left
     p = params(lambda_a=1e-3)
     with pytest.raises(ConvergenceError) as err:
-        solve_coupled_gpe(p, GRID, SolverOptions(max_iters=50))
-    assert err.value.iterations == 50
+        solve_coupled_gpe(p, GRID, SolverOptions(max_iters=8))
+    assert err.value.iterations == 8
     assert err.value.residual is not None and err.value.residual > 1e-8
 
 
 def test_nonfinite_step_raises_convergence_error(monkeypatch):
-    # a NaN mean field makes the first step's solution NaN; the flow's
-    # norm check turns that into "iteration diverged" (exit 3)
+    # a NaN mean field makes the first step's direction NaN; the
+    # descent's slope check turns that into "iteration diverged" (exit 3)
     p = params(lambda_a=1e-3, alpha=0.1)
     start = gaussian_ansatz(p, GRID)
 
@@ -231,8 +232,9 @@ def test_determinism_bitwise():
     assert s1.mu_a == s2.mu_a and s1.mu_m == s2.mu_m
 
 
-# the ROADMAP's item-2 set, the density_sweep config, decoupled repulsive
-# atoms and the free gas
+# the ROADMAP's item-2 set, the density_sweep config, the same with the
+# molecular level 5 hbar*omega_a below the atoms' (mu_m < 0), decoupled
+# repulsive atoms and the free gas
 STAGE_SETS = {
     "item2": (PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
                              lambda_am=0.1, alpha=0.5, n_a=200.0, n_m=100.0),
@@ -241,6 +243,9 @@ STAGE_SETS = {
                                      lambda_m=0.04, lambda_am=0.02, alpha=0.1,
                                      epsilon=0.4, n_a=50.0, n_m=20.0),
                       build_grid(r_max=8.0, n_points=200)),
+    "bound": (PhysicalParams(omega_a=1.0, omega_m=1.3, lambda_a=0.05, lambda_m=0.04,
+                             lambda_am=0.02, alpha=0.1, epsilon=-5.0, n_a=50.0, n_m=20.0),
+              build_grid(r_max=8.0, n_points=200)),
     "decoupled": (PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1,
                                  n_a=100.0, n_m=0.0),
                   build_grid(r_max=8.0, n_points=400)),
@@ -248,9 +253,11 @@ STAGE_SETS = {
 }
 
 
-def flow_only(p, g, opts):
-    flow = gpe._flow(p, g, opts, gaussian_ansatz(p, g))
-    return next(s for s in flow if s.residual < opts.tol)
+# test names ending in "flow" name the start stage, now the energy
+# descent that replaced the imaginary-time flow
+def descent_only(p, g, opts):
+    descent = gpe._descent(p, g, opts, gaussian_ansatz(p, g))
+    return next(s for s in descent if s.residual < opts.tol)
 
 
 @pytest.mark.parametrize("name", sorted(STAGE_SETS))
@@ -258,10 +265,10 @@ def test_newton_agrees_with_flow(name):
     p, g = STAGE_SETS[name]
     opts = SolverOptions()
     s = solve_coupled_gpe(p, g, opts)
-    f = flow_only(p, g, opts)
+    f = descent_only(p, g, opts)
     # Newton polished the start: fewer steps, a smaller defect
     assert s.iterations < f.iterations
-    # plain floats, as the flow reports them: CSV headers print their repr
+    # plain floats, as the descent reports them: CSV headers print their repr
     assert all(type(v) is float for v in (s.mu_a, s.mu_m, s.residual, s.energy))
     assert s.residual < 1e-8 and f.residual < 1e-8
     assert s.energy == pytest.approx(f.energy, rel=1e-10)
@@ -289,7 +296,8 @@ def test_free_limit_energy_is_n_mu():
 
 
 def test_ac3_set_converges_at_large_n():
-    # the flow alone stalls here at residual 3.8e-3 after 400,000 iterations
+    # an imaginary-time flow alone stalled here at residual 3.8e-3 after
+    # 400,000 iterations
     g = build_grid(r_max=8.0, n_points=300)
     p = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_am=0.1,
                        alpha=0.5, lambda_m=0.0, n_a=1e4, n_m=1e4)
@@ -299,26 +307,49 @@ def test_ac3_set_converges_at_large_n():
     assert s.energy == pytest.approx(78865.2503, rel=1e-9)
 
 
+def test_ac3_set_converges_at_any_dt():
+    # dt 5e-3 left the imaginary-time flow at residual 2.08e-2 after
+    # 20,000 iterations, above the Newton hand-over; the descent has no
+    # time step and reaches the same ground state
+    g = build_grid(r_max=8.0, n_points=300)
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_am=0.1,
+                       alpha=0.5, lambda_m=0.0, n_a=1e4, n_m=1e4)
+    ref = solve_coupled_gpe(p, g, SolverOptions(dt=1e-3))
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    assert s.residual < 1e-8
+    assert np.all(s.phi_m <= 0.0)
+    assert s.energy == pytest.approx(ref.energy, rel=1e-12)
+
+
+def test_item2_set_converges_in_few_steps():
+    # the imaginary-time flow with Newton took 852 iterations here
+    p, g = STAGE_SETS["item2"]
+    s = solve_coupled_gpe(p, g)
+    assert s.residual < 1e-8
+    assert s.iterations <= 50
+
+
 def test_start_stage_error_reports_caller_tolerance():
-    # 50 iterations end inside the start stage (defect 1e-2)
+    # 3 steps end inside the start stage (defect above 1e-2)
     p = params(lambda_a=1e-3)
     with pytest.raises(ConvergenceError) as err:
-        solve_coupled_gpe(p, GRID, SolverOptions(tol=1e-9, max_iters=50))
+        solve_coupled_gpe(p, GRID, SolverOptions(tol=1e-9, max_iters=3))
     assert "tol 1e-09" in str(err.value)
-    assert "after 50 iterations" in str(err.value)
-    assert err.value.iterations == 50
+    assert "after 3 iterations" in str(err.value)
+    assert err.value.iterations == 3
     assert err.value.residual > gpe.START_TOL
 
 
 def test_max_iters_caps_flow_plus_newton_steps():
-    # the free gas is below 1e-2 at the first check (25 flow iterations)
-    # and needs one Newton step
+    # the free gas is below 1e-2 at the first check (CHECK_EVERY descent
+    # steps) and needs one Newton step
     p = params()
-    s = solve_coupled_gpe(p, GRID, SolverOptions(max_iters=26))
-    assert s.iterations == 26 and s.residual < 1e-8
+    n = gpe.CHECK_EVERY
+    s = solve_coupled_gpe(p, GRID, SolverOptions(max_iters=n + 1))
+    assert s.iterations == n + 1 and s.residual < 1e-8
     with pytest.raises(ConvergenceError) as err:
-        solve_coupled_gpe(p, GRID, SolverOptions(max_iters=25))
-    assert err.value.iterations == 25
+        solve_coupled_gpe(p, GRID, SolverOptions(max_iters=n))
+    assert err.value.iterations == n
     assert 1e-8 < err.value.residual < gpe.START_TOL
 
 
@@ -348,7 +379,7 @@ def test_guard_falls_back_to_flow(monkeypatch, reject):
 
     monkeypatch.setattr(gpe, "_newton", fake_newton)
     s = solve_coupled_gpe(p, g, opts)
-    f = flow_only(p, g, opts)
+    f = descent_only(p, g, opts)
     assert len(calls) == 1
     assert s.iterations == f.iterations
     assert np.array_equal(s.phi_a, f.phi_a) and np.array_equal(s.phi_m, f.phi_m)
@@ -362,7 +393,7 @@ def test_newton_never_tried_at_or_above_start_tol(monkeypatch, tol):
     # START_TOL without also being below tol
     p, g = STAGE_SETS["item2"]
     opts = SolverOptions(tol=tol)
-    f = flow_only(p, g, opts)
+    f = descent_only(p, g, opts)
 
     def no_newton(*args):
         raise AssertionError("Newton tried with tol >= START_TOL")

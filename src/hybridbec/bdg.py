@@ -10,14 +10,18 @@ with, for the atom sector,
 and for the molecule sector (mass 2M, trap V_m, detuning eps)
     L = -hbar^2 grad^2/4M + V_m + eps + lambda*phi_a^2 + 2*lambda_m*phi_m^2 - mu_m
     Delta(r) = lambda_m*phi_m^2.
-The sectors decouple at this order; the conversion amplitude enters only
-through the atom off-diagonal term.
+This is the sector-decoupled approximation, and all three methods solve
+it: the a-m blocks, which couple atom and molecule fluctuations through
+lambda*phi_a*phi_m and the conversion amplitude alpha*phi_a, are
+dropped, so alpha enters only through the atom off-diagonal term.  The
+energy that `gpe` minimises does couple the sectors at this order; the
+coupled problem is ROADMAP item 2.
 
 Methods:
 
 * ``direct_grid_spectrum``: the grid BdG problem per angular channel,
-  with no further approximation; this is the oracle the other two are
-  judged against.  With g = u - v and f = u + v it reads
+  with no approximation beyond the sector decoupling; this is the oracle
+  the other two are judged against.  With g = u - v and f = u + v it reads
   (L - Delta)(L + Delta) g = E^2 g.  The tridiagonal L + Delta is
   factored as C C^T (C bidiagonal), and the lowest eigenpairs of the
   symmetric pentadiagonal C^T (L - Delta) C give E^2, g = C^-T y and
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,6 +137,10 @@ def basis_levels(
     raise ConfigError(f"unknown basis convention '{convention}'")
 
 
+#: bases built on each grid, kept for as long as the grid object lives
+_BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def oscillator_basis(
     species: str, params: PhysicalParams, grid: RadialGrid, j_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -140,17 +149,27 @@ def oscillator_basis(
     Returns (levels, chi) where chi columns are reduced radial functions
     with sum(chi^2) = 1, so <j|f(r)|j> is just sum(f * chi[:, j]**2); the
     corresponding density-normalized amplitude is chi/(r*sqrt(4*pi*h)).
+
+    The arrays are read-only: each basis is built once per grid object
+    and (mass, omega, hbar, j_max), and handed out again for as long as
+    that grid lives, so `spectrum --compare` solves it once for both
+    basis methods.
     """
     mass, omega, _ = _one_body(species, params)
-    op = RadialOperator.build(
-        grid, mass, harmonic_potential(grid, mass, omega), hbar=params.hbar
-    )
-    vals, vecs = op.eigensolve(j_max)
-    if len(vals) < j_max:
-        raise ConfigError(
-            f"grid supports only {len(vals)} basis states, j_max={j_max}"
+    key = (mass, omega, params.hbar, j_max)
+    bases = _BASES.setdefault(grid, {})
+    if key not in bases:
+        op = RadialOperator.build(
+            grid, mass, harmonic_potential(grid, mass, omega), hbar=params.hbar
         )
-    return vals, vecs
+        vals, vecs = op.eigensolve(j_max)
+        if len(vals) < j_max:
+            raise ConfigError(
+                f"grid supports only {len(vals)} basis states, j_max={j_max}"
+            )
+        vals.flags.writeable = vecs.flags.writeable = False
+        bases[key] = vals, vecs
+    return bases[key]
 
 
 def _background(species: str, state: CondensateState, params: PhysicalParams):
@@ -227,13 +246,13 @@ def paper_literal_spectrum(
         if float(np.sum(weights)) <= 0.0:
             weights = grid.w
 
+        d_bar = _weighted_average(delta, weights)
         modes = []
         for j in range(j_max):
             h_of_r = levels[j] - mu + w
+            h_bar = _weighted_average(h_of_r, weights)
             for sgn, branch in ((1.0, "+"), (-1.0, "-")):
                 e_avg = _weighted_average(sgn * (delta - h_of_r), weights)
-                h_bar = _weighted_average(h_of_r, weights)
-                d_bar = _weighted_average(delta, weights)
                 mode = Mode(j=j, branch=branch, energy=e_avg)
                 denom = h_bar - e_avg**2
                 f = d_bar / denom if denom != 0.0 else math.inf

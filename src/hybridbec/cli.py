@@ -107,9 +107,12 @@ def _mode_rows(modesets):
             cols["species"].append(ms.species)
             cols["j"].append(m.j)
             cols["branch"].append(m.branch)
-            cols["energy_re"].append(float(m.energy))
-            cols["energy_im"].append(float(m.energy_imag))
-            cols["norm"].append(float(m.norm) if math.isfinite(m.norm) else math.nan)
+            cols["energy_re"].append(m.energy)
+            cols["energy_im"].append(m.energy_imag)
+            cols["norm"].append(m.norm if math.isfinite(m.norm) else math.nan)
+    # float64 arrays take write_csv's whole-column formatting
+    for name in ("energy_re", "energy_im", "norm"):
+        cols[name] = np.array(cols[name], dtype=float)
     return cols
 
 
@@ -126,13 +129,14 @@ def _nearest(value, pool):
 def cmd_spectrum(cfg: RunConfig, outdir: Path, method: str | None = None,
                  compare: bool = False) -> list[Path]:
     grid, state = _solve_ground(cfg)
+    config_hash = cfg.config_hash()
     paths = []
     results = {}
     for name in BDG_METHODS if compare else [method or cfg.bdg["method"]]:
         sets = _spectrum_by_method(name, cfg, state, grid)
         results[name] = sets
         head = provenance(
-            cfg.config_hash(), method=name, j_max=cfg.bdg["j_max"],
+            config_hash, method=name, j_max=cfg.bdg["j_max"],
             convention=cfg.bdg["convention"], averaging=cfg.bdg["averaging"],
             l_max=cfg.bdg["l_max"],
         )
@@ -156,7 +160,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path, method: str | None = None,
                 cols["dev_block"].append(abs(eb - e) / e)
                 cols["e_paper"].append(ep)
                 cols["dev_paper"].append(abs(ep - e) / e)
-        head = provenance(cfg.config_hash(), compare="grid vs block vs paper")
+        head = provenance(config_hash, compare="grid vs block vs paper")
         paths.append(write_csv(outdir / "spectrum_deviation.csv", head, cols))
     return paths
 
@@ -175,23 +179,28 @@ def cmd_density(cfg: RunConfig, outdir: Path) -> list[Path]:
         convention=cfg.bdg["convention"])
     include = bool(cfg.thermal["include_quantum_depletion"])
 
-    # truncation sensitivity at the hottest requested point
+    # truncation sensitivity at the hottest requested point, whose
+    # profile the sweep below reuses
     t_ref = max(t_values)
     p_ref = replace(cfg.params, temperature=t_ref)
-    full = total_numbers(
-        density_profile(state, atoms, mols, p_ref, grid, include), grid)
+    prof_ref = density_profile(state, atoms, mols, p_ref, grid, include)
+    full = total_numbers(prof_ref, grid)
     part = total_numbers(
         density_profile(state, half[0], half[1], p_ref, grid, include), grid)
     denom = max(abs(full["n_atom_equivalent"]), 1e-300)
     trunc = abs(full["n_atom_equivalent"] - part["n_atom_equivalent"]) / denom
 
+    config_hash = cfg.config_hash()
     paths = []
     for i, t in enumerate(t_values):
-        p_t = replace(cfg.params, temperature=float(t))
-        prof = density_profile(state, atoms, mols, p_t, grid, include)
-        totals = total_numbers(prof, grid)
+        if t == t_ref:
+            prof, totals = prof_ref, full
+        else:
+            p_t = replace(cfg.params, temperature=float(t))
+            prof = density_profile(state, atoms, mols, p_t, grid, include)
+            totals = total_numbers(prof, grid)
         head = provenance(
-            cfg.config_hash(), temperature=repr(float(t)), j_max=j_max,
+            config_hash, temperature=repr(float(t)), j_max=j_max,
             include_quantum_depletion=include,
             truncation_delta_rel=repr(trunc),
             n_a_total=repr(totals["n_a_total"]),

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -51,6 +54,75 @@ def test_oscillator_basis_orthonormal():
     assert levels == pytest.approx(1.4 * (2.0 * np.arange(5) + 1.5), rel=2e-3)
     gram = chi.T @ chi
     assert np.allclose(gram, np.eye(5), atol=1e-10)
+
+
+def test_oscillator_basis_reused_read_only():
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4)
+    g = build_grid(r_max=8.0, n_points=200)
+    levels, chi = oscillator_basis(ATOM, p, g, 6)
+    again = oscillator_basis(ATOM, p, g, 6)
+    assert again[0] is levels and again[1] is chi
+    for arr in (levels, chi):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_oscillator_basis_one_per_species_trap_size_and_grid():
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4)
+    g = build_grid(r_max=8.0, n_points=200)
+    _, chi = oscillator_basis(ATOM, p, g, 6)
+    others = [
+        oscillator_basis(MOLECULE, p, g, 6)[1],
+        oscillator_basis(ATOM, PhysicalParams(omega_a=1.2, omega_m=1.4), g, 6)[1],
+        oscillator_basis(ATOM, p, g, 5)[1],
+        oscillator_basis(ATOM, p, build_grid(r_max=8.0, n_points=200), 6)[1],
+    ]
+    assert all(other is not chi for other in others)
+    assert len({id(other) for other in others}) == len(others)
+    assert others[3].tobytes() == chi.tobytes()  # same mesh, rebuilt basis
+    assert not np.array_equal(others[0], chi)
+    assert not np.array_equal(others[1], chi)
+    assert others[2].shape == (200, 5)
+
+
+def test_oscillator_basis_released_with_its_grid():
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4)
+    g = build_grid(r_max=8.0, n_points=200)
+    gc.collect()
+    kept = len(bdg._BASES)
+    _, chi = oscillator_basis(ATOM, p, g, 6)
+    assert g in bdg._BASES and len(bdg._BASES) == kept + 1
+    chi_ref, grid_ref = weakref.ref(chi), weakref.ref(g)
+    del g, chi
+    gc.collect()
+    assert grid_ref() is None and chi_ref() is None
+    assert len(bdg._BASES) == kept
+
+
+def test_basis_spectra_on_reused_grid_match_fresh_grid():
+    # block first so every later call on g projects onto stored bases
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
+                       lambda_am=0.1, alpha=0.5, n_a=200.0, n_m=100.0)
+    g = build_grid(r_max=8.0, n_points=200)
+    s = gaussian_ansatz(p, g)
+
+    def digest(modesets):
+        return [(m.j, m.branch, np.float64(m.energy).tobytes(),
+                 None if m.u is None else m.u.tobytes(),
+                 None if m.v is None else m.v.tobytes())
+                for ms in modesets for m in ms.modes]
+
+    calls = [(block_2x2_spectrum, {"j_max": 12}),
+             (paper_literal_spectrum, {"j_max": 12}),
+             (paper_literal_spectrum, {"j_max": 12, "strict_literal": True}),
+             (paper_literal_spectrum, {"j_max": 12, "averaging": "volume"}),
+             (block_2x2_spectrum, {"j_max": 12, "convention": "oscillator3d"})]
+    for fn, kw in calls:
+        reused = digest(fn(s, p, g, **kw))
+        fresh = digest(fn(s, p, build_grid(r_max=8.0, n_points=200), **kw))
+        assert reused == fresh
+    assert len(bdg._BASES[g]) == 2  # one basis per species for all five calls
 
 
 def test_paper_literal_zero_coupling_sign_structure():

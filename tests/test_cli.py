@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hybridbec import ConfigError
 from hybridbec.cli import main
 from hybridbec.config import RunConfig, load_config
+from hybridbec.grid import RadialOperator
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -211,6 +213,39 @@ def test_spectrum_compare_table_weak_coupling(tmp_path):
         assert (tmp_path / f"spectrum_{name}.csv").exists()
     dev = read_csv(tmp_path / "spectrum_deviation.csv")
     assert np.max(dev["dev_block"]) < 0.05
+
+
+def test_spectrum_compare_matches_single_method_runs(tmp_path):
+    cfg = str(CONFIGS / "spectrum_weak.json")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "all"),
+                 "--compare"]) == 0
+    for name in ("paper", "block", "grid"):
+        out = tmp_path / name
+        assert main(["spectrum", "--config", cfg, "--out", str(out),
+                     "--method", name]) == 0
+        csv = f"spectrum_{name}.csv"
+        assert (out / csv).read_bytes() == (tmp_path / "all" / csv).read_bytes()
+
+
+@pytest.mark.parametrize("flags, solves", [
+    (["--compare"], 2),           # paper and block share one basis per species
+    (["--method", "block"], 2),
+    (["--method", "paper"], 2),
+    (["--method", "grid"], 0),
+], ids=["compare", "block", "paper", "grid"])
+def test_spectrum_basis_eigensolves_per_run(tmp_path, monkeypatch, flags, solves):
+    calls = []
+    solve = RadialOperator.eigensolve
+
+    def counting(op, n_modes):
+        if sys._getframe(1).f_code.co_name == "oscillator_basis":
+            calls.append(n_modes)
+        return solve(op, n_modes)
+
+    monkeypatch.setattr(RadialOperator, "eigensolve", counting)
+    assert main(["spectrum", "--config", str(CONFIGS / "spectrum_weak.json"),
+                 "--out", str(tmp_path)] + flags) == 0
+    assert calls == [16] * solves
 
 
 def test_density_sweep_files_and_t0(tmp_path):

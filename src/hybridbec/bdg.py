@@ -352,35 +352,38 @@ def bdg_matrix(
 
 def _dense_channel(mat, four_pi_h, n_modes, zero_e2):
     """Lowest positive-norm eigenpairs of the dense 2n x 2n BdG matrix:
-    (energies, chi_u columns, chi_v columns, skipped).  Eigenvalues met
-    on the way with a near-zero norm or with |E|^2 <= zero_e2 are
-    counted as skipped: the latter is the banded route's Goldstone rule
-    (this route is reached only where Delta != 0), and round-off leaves
-    that pair either imaginary or real with a small nonzero norm."""
+    (energies, chi_u columns, chi_v columns, goldstone, nonnormalizable).
+    Eigenvalues met on the way with |E|^2 <= zero_e2 are counted as
+    goldstone, the banded route's Goldstone rule (this route is reached
+    only where Delta != 0; round-off leaves that pair either imaginary or
+    real with a small nonzero norm), and the others with a near-zero
+    norm as nonnormalizable.  Neither kind is returned."""
     try:
         vals, vecs = scipy.linalg.eig(mat)
     except scipy.linalg.LinAlgError as exc:
         raise SimulationError(f"BdG eigensolver failed: {exc}") from exc
     n = mat.shape[0] // 2
     keep = []
-    skipped = 0
+    goldstone = nonnormalizable = 0
     for k in np.argsort(vals.real):
         s = four_pi_h * float((np.abs(vecs[:n, k]) ** 2 - np.abs(vecs[n:, k]) ** 2).sum())
-        if abs(vals[k]) ** 2 <= zero_e2 or abs(s) <= NORM_FLOOR:
-            skipped += 1
+        if abs(vals[k]) ** 2 <= zero_e2:
+            goldstone += 1
+        elif abs(s) <= NORM_FLOOR:
+            nonnormalizable += 1
         elif s > 0.0:
             # negative norms are mirror partners (E -> -E, u <-> v); the
             # positive-norm family carries the same information
             keep.append(k)
             if len(keep) >= n_modes:
                 break
-    return vals[keep], vecs[:n, keep], vecs[n:, keep], skipped
+    return vals[keep], vecs[:n, keep], vecs[n:, keep], goldstone, nonnormalizable
 
 
 def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
     """Lowest modes from (L - D)(L + D) g = E^2 g, g = u - v, as
-    (energies, chi_u columns, chi_v columns, skipped); plus_diag is the
-    diagonal of L + D.
+    (energies, chi_u columns, chi_v columns, goldstone, 0); plus_diag is
+    the diagonal of L + D.
 
     L + D = C C^T is a tridiagonal Cholesky (C lower bidiagonal), so
     K = C^T (L - D) C is symmetric pentadiagonal with K y = E^2 y,
@@ -455,7 +458,7 @@ def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
     y = y[:, ~zero][:, :n_modes]
     g = scipy.linalg.solve_banded((0, 1), np.vstack([np.r_[0.0, b], a]), y)
     f = z[:, ~zero][:, :n_modes] / energies
-    return energies, (f + g) / 2.0, (f - g) / 2.0, 2 * int(zero.sum())
+    return energies, (f + g) / 2.0, (f - g) / 2.0, 2 * int(zero.sum()), 0
 
 
 def direct_grid_spectrum(
@@ -474,8 +477,9 @@ def direct_grid_spectrum(
     eigensolve when L + Delta is not positive definite or a mode is
     unstable.  Modes are normalized to integral(u^2 - v^2) = 1 with the
     largest |u| entry positive.  The Goldstone pair (|E|^2 at most
-    ZERO_MODE_E2 * (hbar*omega_a)^2 on either route, or norm ~ 0 on the
-    dense route) is counted in ModeSet.skipped.  Complex
+    ZERO_MODE_E2 * (hbar*omega_a)^2 on either route) and modes of the
+    dense route with norm ~ 0 are counted in ModeSet.skipped; the former
+    is expected and logged at DEBUG, the latter at WARNING.  Complex
     eigenvalues of the dense route are kept only if their norm is
     meaningful, flagged unstable.
     """
@@ -489,14 +493,14 @@ def direct_grid_spectrum(
         if not delta.any():
             # no anomalous term: E = eigenvalues of L, v = 0, signs kept
             energies, chi_u = RadialOperator(plus_diag, op.offdiag).eigensolve(n_modes)
-            found = energies, chi_u, np.zeros_like(chi_u), 0
+            found = energies, chi_u, np.zeros_like(chi_u), 0, 0
         else:
             found = _banded_channel(plus_diag, op.offdiag, delta, n_modes, zero_e2)
         if found is None:
             log.debug("%s l=%d: dense BdG eigensolve", species, l)
             found = _dense_channel(
                 bdg_matrix(state, params, grid, species, l), four_pi_h, n_modes, zero_e2)
-        energies, chi_u, chi_v, skipped = found
+        energies, chi_u, chi_v, goldstone, nonnormalizable = found
         modes = []
         for k, e in enumerate(energies):
             cu, cv = chi_u[:, k], chi_v[:, k]
@@ -515,13 +519,16 @@ def direct_grid_spectrum(
                     degeneracy=2 * l + 1, norm=1.0, unstable=unstable,
                 )
             )
-        if skipped:
+        if goldstone:
+            log.debug("%s l=%d: skipped the Goldstone pair (%d modes)",
+                      species, l, goldstone)
+        if nonnormalizable:
             log.warning(
                 "%s l=%d: skipped %d non-normalizable BdG modes",
-                species, l, skipped,
+                species, l, nonnormalizable,
             )
         out.append(
             ModeSet(species=species, method="direct-grid", modes=modes,
-                    skipped=skipped)
+                    skipped=goldstone + nonnormalizable)
         )
     return out[0], out[1]

@@ -174,9 +174,10 @@ def cmd_density(cfg: RunConfig, outdir: Path) -> list[Path]:
     j_max = int(cfg.thermal["j_max"])
     atoms, mols = block_2x2_spectrum(
         state, cfg.params, grid, j_max=j_max, convention=cfg.bdg["convention"])
-    half = block_2x2_spectrum(
-        state, cfg.params, grid, j_max=j_max // 2,
-        convention=cfg.bdg["convention"])
+    # the per-level reduction makes the modes of the leading j_max // 2
+    # basis columns the half-size spectrum, so it is sliced, not re-solved
+    half = [replace(ms, modes=[m for m in ms.modes if m.j < j_max // 2])
+            for ms in (atoms, mols)]
     include = bool(cfg.thermal["include_quantum_depletion"])
 
     # truncation sensitivity at the hottest requested point, whose
@@ -226,12 +227,14 @@ def cmd_variational(cfg: RunConfig, outdir: Path) -> list[Path]:
         raise ConfigError("sweep.values must be strictly ascending for N")
     box = cfg.search_box()
     bare = replace(cfg.params, alpha=0.0, lambda_am=0.0)
+    # a decoupled set is its own bare counterpart: solve it once
+    decoupled = bare == cfg.params
     cols = {"n_atoms": [], "mode": [], "resonant": [], "v_opt": [],
             "omega_opt": [], "energy": []}
     for mode in ("010", "100"):
         for n in n_list:
-            for params in (cfg.params, bare):
-                r = minimize_mode(mode, params, n, box)
+            res = minimize_mode(mode, cfg.params, n, box)
+            for r in (res, res if decoupled else minimize_mode(mode, bare, n, box)):
                 cols["n_atoms"].append(r.n_atoms)
                 cols["mode"].append(r.mode)
                 cols["resonant"].append(int(r.resonant))

@@ -10,12 +10,14 @@ analogous.  The "+1" attached to |v|^2 is the quantum depletion, present
 at T = 0; it can be switched off to isolate the thermal cloud.  Each
 mode enters weighted by its angular degeneracy.
 
-Only positive-energy modes with unit norm enter the sums.  Modes at or
-below zero energy (Goldstone remnants, mirror branches, instability
-flags) and modes whose amplitudes are undefined (failed coefficient
-discriminants of the closed-form method) are excluded and counted; a
-mode that carries amplitudes with |norm - 1| > 1e-4 is a hard error
-rather than an exclusion, since it signals a bug upstream.
+Only positive-energy modes with |norm| = 1 enter the sums; that admits
+a norm -1 mode of positive energy too, such as the block method's j = 0
+"-" mirror mode on the "paper" ladder (a known defect, ROADMAP item 8).
+Modes at or below zero energy (Goldstone remnants, mirror branches,
+instability flags) and modes whose amplitudes are undefined (failed
+coefficient discriminants of the closed-form method) are excluded and
+counted; a mode that carries amplitudes with ||norm| - 1| > 1e-4 is a
+hard error rather than an exclusion, since it signals a bug upstream.
 
 No outer self-consistency loop: the thermal cloud is not fed back into
 the condensate equations.
@@ -76,9 +78,13 @@ class DensityProfile:
 def _thermal_sum(
     modeset: ModeSet, beta: float, include_quantum_depletion: bool, n: int
 ) -> tuple[np.ndarray, int, int]:
-    """Kahan-compensated mode sum; order-independent to ~1e-12."""
-    total = np.zeros(n)
-    comp = np.zeros(n)
+    """Kahan-compensated mode sum; order-independent to ~1e-12.
+
+    The admitted modes' terms are built as one (modes x n) array, then
+    added row by row in mode order: the same operations per element as
+    a per-mode loop, so the sum is bit-identical to one.
+    """
+    admitted = []
     excluded_nonpos = 0
     excluded_undef = 0
     for mode in modeset.modes:
@@ -93,12 +99,18 @@ def _thermal_sum(
                 f"{modeset.species} mode j={mode.j} branch {mode.branch} has "
                 f"norm {mode.norm}; |norm - 1| exceeds {NORM_TOL}"
             )
-        occ = bose_occupation(mode.energy, beta)
-        if include_quantum_depletion:
-            term = mode.u**2 * occ + mode.v**2 * (1.0 + occ)
-        else:
-            term = (mode.u**2 + mode.v**2) * occ
-        term = mode.degeneracy * term
+        admitted.append(mode)
+    u2 = np.array([m.u for m in admitted]) ** 2
+    v2 = np.array([m.v for m in admitted]) ** 2
+    occ = np.array([bose_occupation(m.energy, beta) for m in admitted])[:, None]
+    deg = np.array([m.degeneracy for m in admitted], dtype=float)[:, None]
+    if include_quantum_depletion:
+        terms = deg * (u2 * occ + v2 * (1.0 + occ))
+    else:
+        terms = deg * ((u2 + v2) * occ)
+    total = np.zeros(n)
+    comp = np.zeros(n)
+    for term in terms:
         # Kahan update
         y = term - comp
         t = total + y
@@ -118,9 +130,9 @@ def density_profile(
     """Condensate, noncondensate and atom-equivalent total densities.
 
     The thermal block is Sum[|u|^2 F + |v|^2 (1+F)] over positive-energy
-    unit-norm modes of each set; with include_quantum_depletion False the
-    "+1" is dropped so the noncondensate part vanishes identically at
-    T = 0.
+    modes with |norm| = 1 of each set; with include_quantum_depletion
+    False the "+1" is dropped so the noncondensate part vanishes
+    identically at T = 0.
     """
     beta = params.beta
     n = grid.n_points

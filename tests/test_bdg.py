@@ -1,4 +1,5 @@
 import gc
+import logging
 import weakref
 
 import numpy as np
@@ -438,7 +439,8 @@ def test_dense_route_skips_goldstone_pair(equivalence_states, mu_shift):
     found = bdg._dense_channel(bdg_matrix(shifted, p, g, ATOM, 0), 4.0 * np.pi * g.h, 8,
                                ZERO_MODE_E2 * (p.hbar * p.omega_a) ** 2)
     banded, _ = direct_grid_spectrum(shifted, p, g, l=0, n_modes=8)
-    assert found[3] == banded.skipped == 2
+    assert found[3:] == (2, 0)  # counted as the Goldstone pair, not for its norm
+    assert banded.skipped == 2
     assert found[0][0].real == pytest.approx(2.08288, abs=1e-5)
     assert found[0][0].real == pytest.approx(banded.modes[0].energy, rel=1e-8)
 
@@ -458,13 +460,14 @@ def test_direct_grid_keeps_sign_without_anomalous_term():
     assert all(np.all(m.v == 0.0) for m in mol.modes)
 
 
-def test_direct_grid_dense_fallback(monkeypatch):
+def test_direct_grid_dense_fallback(monkeypatch, caplog):
     # raising mu_a by 3 hbar*omega_a on the item-2 set makes L + Delta
     # indefinite; raising it by 0.1 on the decoupled set keeps L + Delta
     # positive definite but gives E^2 < 0.  Either way the atom channel
     # falls back to the dense eigensolve and returns exactly its
     # energies, growth rates, flags and skipped count (the imaginary
-    # pairs have zero norm and land in skipped)
+    # pairs have zero norm and land in skipped, with a warning, since
+    # none of them is a Goldstone pair)
     g = build_grid(r_max=8.0, n_points=200)
     calls = []
 
@@ -480,8 +483,13 @@ def test_direct_grid_dense_fallback(monkeypatch):
                                   mu_a=s.mu_a + shift, mu_m=s.mu_m)
         for l in channels:
             calls.clear()
-            atoms, _ = direct_grid_spectrum(shifted, p, g, l=l, n_modes=8)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hybridbec.bdg"):
+                atoms, _ = direct_grid_spectrum(shifted, p, g, l=l, n_modes=8)
             assert calls == [ATOM]
+            assert [r.getMessage() for r in caplog.records] == (
+                [f"atom l={l}: skipped {atoms.skipped} non-normalizable BdG modes"]
+                if atoms.skipped else [])
             ref, skipped = dense_reference(shifted, p, g, ATOM, l, 8)
             assert [m.energy for m in atoms.modes] == [float(e.real) for e, _, _ in ref]
             assert [m.energy_imag for m in atoms.modes] == [float(e.imag) for e, _, _ in ref]

@@ -1,14 +1,19 @@
 import json
+import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hybridbec.cli as cli
 from hybridbec import ConfigError
-from hybridbec.cli import main
+from hybridbec.bdg import block_2x2_spectrum
+from hybridbec.cli import _solve_ground, main
 from hybridbec.config import RunConfig, load_config
 from hybridbec.grid import RadialOperator
+from hybridbec.thermal import density_profile, total_numbers
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -227,25 +232,36 @@ def test_spectrum_compare_matches_single_method_runs(tmp_path):
         assert (out / csv).read_bytes() == (tmp_path / "all" / csv).read_bytes()
 
 
-@pytest.mark.parametrize("flags, solves", [
-    (["--compare"], 2),           # paper and block share one basis per species
-    (["--method", "block"], 2),
-    (["--method", "paper"], 2),
-    (["--method", "grid"], 0),
-], ids=["compare", "block", "paper", "grid"])
-def test_spectrum_basis_eigensolves_per_run(tmp_path, monkeypatch, flags, solves):
-    calls = []
+@pytest.mark.parametrize("argv, calls", [
+    (["spectrum", "--compare"], [16] * 2),  # paper and block share one basis per species
+    (["spectrum", "--method", "block"], [16] * 2),
+    (["spectrum", "--method", "paper"], [16] * 2),
+    (["spectrum", "--method", "grid"], []),
+    (["density"], [32] * 2),  # the j_max // 2 estimate reuses the leading levels
+], ids=["compare", "block", "paper", "grid", "density"])
+def test_spectrum_basis_eigensolves_per_run(tmp_path, monkeypatch, argv, calls):
+    solved = []
     solve = RadialOperator.eigensolve
 
     def counting(op, n_modes):
         if sys._getframe(1).f_code.co_name == "oscillator_basis":
-            calls.append(n_modes)
+            solved.append(n_modes)
         return solve(op, n_modes)
 
     monkeypatch.setattr(RadialOperator, "eigensolve", counting)
-    assert main(["spectrum", "--config", str(CONFIGS / "spectrum_weak.json"),
-                 "--out", str(tmp_path)] + flags) == 0
-    assert calls == [16] * solves
+    assert main(argv[:1] + ["--config", str(CONFIGS / "spectrum_weak.json"),
+                            "--out", str(tmp_path)] + argv[1:]) == 0
+    assert solved == calls
+
+
+def test_spectrum_logs_goldstone_pair_below_warning(tmp_path, caplog):
+    # the decoupled atoms' Goldstone pair is expected: DEBUG, not WARNING
+    with caplog.at_level(logging.DEBUG, logger="hybridbec.bdg"):
+        assert main(["spectrum", "--config", str(CONFIGS / "spectrum_weak.json"),
+                     "--out", str(tmp_path), "--compare"]) == 0
+    bdg_records = [r for r in caplog.records if r.name == "hybridbec.bdg"]
+    assert not [r for r in bdg_records if r.levelno >= logging.WARNING]
+    assert any("Goldstone" in r.getMessage() for r in bdg_records)
 
 
 def test_density_sweep_files_and_t0(tmp_path):
@@ -266,6 +282,56 @@ def test_density_sweep_files_and_t0(tmp_path):
     assert np.all(cold["rho_m_thermal"] == 0.0)
     assert cold["rho_total"] == pytest.approx(
         cold["rho_a_cond"] + 2.0 * cold["rho_m_cond"], rel=1e-14)
+
+
+def test_density_truncation_header_from_leading_levels(tmp_path):
+    # the estimate compares the j_max spectrum with its j < j_max // 2
+    # modes at the hottest temperature of the sweep
+    path = CONFIGS / "density_sweep.json"
+    assert main(["density", "--config", str(path), "--out", str(tmp_path)]) == 0
+    cfg = load_config(str(path))
+    grid, state = _solve_ground(cfg)
+    j_max = int(cfg.thermal["j_max"])
+    full_sets = block_2x2_spectrum(state, cfg.params, grid, j_max=j_max,
+                                   convention=cfg.bdg["convention"])
+    part_sets = [replace(ms, modes=[m for m in ms.modes if m.j < j_max // 2])
+                 for ms in full_sets]
+    hot = replace(cfg.params, temperature=max(cfg.sweep["values"]))
+    full, part = (total_numbers(density_profile(state, *sets, hot, grid), grid)
+                  ["n_atom_equivalent"] for sets in (full_sets, part_sets))
+    expect = abs(full - part) / full
+    assert 0.0 < expect < 1e-5
+    for f in sorted(tmp_path.glob("density_*.csv")):
+        head = [l for l in f.read_text().splitlines()
+                if l.startswith("# truncation_delta_rel: ")]
+        assert head == [f"# truncation_delta_rel: {expect!r}"]
+
+
+@pytest.mark.parametrize("params, per_point", [
+    ({"omega_a": 1.0, "omega_m": 1.4, "lambda_a": 0.05}, 2),
+    ({"omega_a": 1.0, "omega_m": 1.4, "lambda_a": 0.05, "lambda_am": 0.02,
+      "alpha": 0.2}, 4),
+], ids=["decoupled", "resonant"])
+def test_variational_solves_decoupled_points_once(tmp_path, monkeypatch, params, per_point):
+    # a decoupled set is its own alpha = lambda = 0 counterpart, so each
+    # (mode, N) point is minimized once and written as both rows
+    calls = []
+    real = cli.minimize_mode
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "minimize_mode", counting)
+    n_list = [50.0, 100.0, 200.0]
+    cfg = write_config(tmp_path, "var.json", {
+        "params": params, "sweep": {"variable": "N", "values": n_list}})
+    assert main(["variational", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == per_point * len(n_list)
+    rows = read_csv(tmp_path / "variational.csv")
+    assert len(rows["energy"]) == 4 * len(n_list)
+    same = rows["energy"][0::2] == rows["energy"][1::2]
+    assert same.all() if per_point == 2 else not same.any()
 
 
 def test_variational_rows_and_limits(tmp_path):

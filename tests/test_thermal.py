@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from hybridbec import DomainError, PhysicalParams, build_grid
-from hybridbec.bdg import Mode, ModeSet, block_2x2_spectrum
+from hybridbec.bdg import Mode, ModeSet, block_2x2_spectrum, direct_grid_spectrum
 from hybridbec.gpe import SolverOptions, solve_coupled_gpe
-from hybridbec.thermal import bose_occupation, density_profile, total_numbers
+from hybridbec.thermal import (
+    NORM_TOL, _thermal_sum, bose_occupation, density_profile, total_numbers,
+)
 
 GRID = build_grid(r_max=8.0, n_points=200)
 
@@ -150,3 +152,62 @@ def test_exclusion_counts_and_norm_failure():
     ])
     with pytest.raises(DomainError):
         density_profile(s, bad, empty, p, GRID)
+
+
+def reference_thermal_sum(modeset, beta, include_quantum_depletion, n):
+    """The mode sum one mode at a time: exclusions, then a Kahan update."""
+    total = np.zeros(n)
+    comp = np.zeros(n)
+    excluded_nonpos = excluded_undef = 0
+    for mode in modeset.modes:
+        if mode.energy <= 0.0 or mode.unstable:
+            excluded_nonpos += 1
+            continue
+        if mode.u is None or mode.v is None:
+            excluded_undef += 1
+            continue
+        if abs(abs(mode.norm) - 1.0) > NORM_TOL:
+            raise DomainError(f"mode j={mode.j} has norm {mode.norm}")
+        occ = bose_occupation(mode.energy, beta)
+        if include_quantum_depletion:
+            term = mode.u**2 * occ + mode.v**2 * (1.0 + occ)
+        else:
+            term = (mode.u**2 + mode.v**2) * occ
+        term = mode.degeneracy * term
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total, excluded_nonpos, excluded_undef
+
+
+@pytest.mark.parametrize("include", [True, False], ids=["depletion", "thermal-only"])
+@pytest.mark.parametrize("temperature", [0.0, 0.7], ids=["T0", "T0.7"])
+def test_mode_sum_matches_per_mode_kahan_loop(include, temperature):
+    # block modes (norm +1 and -1, degeneracy 1), grid modes at l = 1
+    # (degeneracy 3), and modes that are excluded: the stacked sum must
+    # be the per-mode loop bit for bit, with the same exclusion counts
+    p, s, atoms, _ = weak_setup()
+    grid_atoms, _ = direct_grid_spectrum(s, p, GRID, l=1, n_modes=6)
+    assert {m.degeneracy for m in grid_atoms.modes} == {3}
+    u = atoms.modes[-1].u
+    mixed = ModeSet(species="atom", method="mixed", modes=[
+        Mode(j=0, branch="+", energy=1.5, unstable=True, u=u, v=u, norm=1.0),
+        *atoms.modes[:5], *grid_atoms.modes,
+        Mode(j=1, branch="+", energy=2.0),  # no amplitudes
+        Mode(j=2, branch="-", energy=-1.0, u=u, v=u, norm=-1.0),
+        *atoms.modes[5:],
+    ])
+    beta = replace(p, temperature=temperature).beta
+    got = _thermal_sum(mixed, beta, include, GRID.n_points)
+    ref = reference_thermal_sum(mixed, beta, include, GRID.n_points)
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1:] == ref[1:]
+    assert got[1] == 2 + sum(m.energy <= 0.0 or m.unstable for m in atoms.modes)
+    assert got[2] == 1
+    # a bad norm after admitted modes is still an error for the whole sum
+    bad = ModeSet(species="atom", method="mixed", modes=[
+        *atoms.modes, Mode(j=9, branch="+", energy=1.0, u=u, v=u, norm=0.9)])
+    for fn in (_thermal_sum, reference_thermal_sum):
+        with pytest.raises(DomainError):
+            fn(bad, beta, include, GRID.n_points)

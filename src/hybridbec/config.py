@@ -26,7 +26,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, require_count, require_finite
+from .errors import ConfigError, require_count, require_finite, require_positive
 from .gpe import SolverOptions
 from .grid import RadialGrid, build_grid
 from .params import PhysicalParams
@@ -91,6 +91,10 @@ class RunConfig:
         uniform = _section(data, "uniform", {
             "density": None, "r0": None, "density_estimate": "paper",
         })
+        for key in ("density", "r0"):
+            if uniform[key] is not None:
+                name = f"uniform.{key}"
+                require_positive(name, require_finite(name, uniform[key]))
         sweep = data.pop("sweep", None)
         if sweep is not None:
             sweep = _section({"sweep": sweep}, "sweep", {"variable": None, "values": None})

@@ -81,6 +81,8 @@ def require_count(name: str, value, minimum: int) -> int:
 
 def require_finite(name: str, value) -> float:
     """float(value) if value is a finite real number, else ConfigError."""
+    if type(value) is float and math.isfinite(value):  # skips the slow ABC check
+        return value
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
             x = float(value)

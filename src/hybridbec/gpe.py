@@ -11,24 +11,22 @@ are the constrained gradient of the mean-field energy functional at fixed
 norms integral(phi^2 d^3r) = N_a, N_m.  The factor-2 asymmetry between the
 conversion terms reflects pair conversion: two atoms per molecule.
 
-Solver: one loop of energy descent with one Newton polish.  The descent
-is preconditioned Riemannian conjugate gradient on the energy at fixed
-norms (Antoine, Levitt & Tang, J. Comput. Phys. 343, 92 (2017)): one
-tridiagonal solve per species and step and an Armijo line search, with
-no time step to tune; it replaced an imaginary-time flow (Bao & Du, SIAM
-J. Sci. Comput. 25, 1674 (2004)) that stalled on dense clouds.  At the
-first check whose defect is below START_TOL (and not below tol) Newton
-is tried on the stationary equations bordered by the two norms.  It
-converges to whatever stationary state is near, so its result is kept
-only if its defect is below tol, no field has collapsed to the grid
-floor and its energy is no higher than the descent state's; otherwise
-the descent goes on alone.  With tol >= START_TOL the descent returns
-before Newton is tried.
+Solver: energy descent, preconditioned Riemannian conjugate gradient on
+the energy at fixed norms (Antoine, Levitt & Tang, J. Comput. Phys. 343,
+92 (2017)): one tridiagonal solve per species and step and an Armijo
+line search, with no time step to tune; it replaced an imaginary-time
+flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) that stalled on
+dense clouds.  Once a check finds the defect below START_TOL, each step
+first tries the Newton step of the stationary equations bordered by the
+two norms as its search direction.  Newton alone converges to whatever
+stationary state is near; here the line search shortens a Newton step
+until it lowers the energy, and every step of that phase is checked for
+collapse.
 
 Sign convention: fields are real.  For alpha > 0 the energy term
 2*alpha*phi_a^2*phi_m is minimized by phi_m <= 0 (phi_m >= 0 for
-alpha < 0).  Neither stage finds that branch by itself: started with
-the wrong molecular sign the solver can stop on a higher stationary
+alpha < 0).  The descent does not find that branch by itself: started
+with the wrong molecular sign it can stop on a higher stationary
 state.  The default start (`gaussian_ansatz`) therefore seeds phi_m with
 the sign -sign(alpha); the solver then reports the natural sign rather
 than forcing phi_m >= 0.  (The gauge phi_m -> -phi_m, alpha -> -alpha is
@@ -37,7 +35,6 @@ physically equivalent.)
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -50,16 +47,12 @@ from .errors import (
 from .grid import RadialGrid, RadialOperator, harmonic_potential, solve_banded_shifted
 from .params import PhysicalParams
 
-log = logging.getLogger(__name__)
-
 ATOM = "atom"
 MOLECULE = "molecule"
 
-#: defect at which the descent hands the state to Newton
+#: defect below which the descent tries Newton steps and checks every step
 START_TOL = 1e-2
-#: Newton steps tried before the descent takes over again
-NEWTON_STEPS = 20
-#: descent steps between defect/energy/collapse checks
+#: descent steps between defect/energy/collapse checks above START_TOL
 CHECK_EVERY = 5
 #: share of the first-order energy decrease a descent step must achieve
 ARMIJO = 1e-4
@@ -72,10 +65,8 @@ class SolverOptions:
     """Ground-state solver controls.
 
     tol            convergence threshold on the normalized defect
-    max_iters      cap on descent steps plus Newton steps, both counted
-                   in the state's `iterations`; a Newton polish the guard
-                   rejects (at most NEWTON_STEPS steps) is discarded
-                   uncounted and the descent resumes
+    max_iters      cap on descent steps, Newton steps included, all
+                   counted in the state's `iterations`
     dt             accepted for compatibility and has no effect: the
                    descent takes its steps from a line search
 
@@ -102,7 +93,7 @@ class CondensateState:
     phi_a, phi_m are real radial amplitudes with integral(phi^2 d^3r)
     equal to the particle numbers.  residual is the larger of the two
     normalized stationarity defects (see `gpe_defect`); iterations counts
-    descent steps plus Newton steps.
+    descent steps, Newton steps included.
     """
 
     grid: RadialGrid
@@ -221,21 +212,13 @@ def gpe_defect(
     the quadrature L2 norm; a species with zero norm contributes 0 (its
     field is fixed by constraint and its equation is dropped).
     """
-    return _defects(state, params, grid)[1]
-
-
-def _defects(state: CondensateState, params: PhysicalParams, grid: RadialGrid):
-    """((d_a, d_m), (defect_a, defect_m)): the left minus right sides of
-    the stationary equations acting on chi = r*phi, and their normalized
-    sizes as in `gpe_defect`."""
     p = params
     phi = (state.phi_a, state.phi_m)
-    chi_a, chi_m = chi = (grid.r * phi[0], grid.r * phi[1])
-    (g_a, g_m), _ = _gradients(p, [_operator(s, p, grid) for s in (ATOM, MOLECULE)], phi, chi)
-    d_a, d_m = g_a - state.mu_a * chi_a, g_m - state.mu_m * chi_m
-    return (d_a, d_m), (
-        _defect_size(d_a, chi_a, state.mu_a, p.hbar * p.omega_a),
-        _defect_size(d_m, chi_m, state.mu_m, p.hbar * p.omega_m),
+    chi = (grid.r * phi[0], grid.r * phi[1])
+    g, _ = _gradients(p, [_operator(s, p, grid) for s in (ATOM, MOLECULE)], phi, chi)
+    return (
+        _defect_size(g[0] - state.mu_a * chi[0], chi[0], state.mu_a, p.hbar * p.omega_a),
+        _defect_size(g[1] - state.mu_m * chi[1], chi[1], state.mu_m, p.hbar * p.omega_m),
     )
 
 
@@ -291,11 +274,8 @@ def solve_coupled_gpe(
     opts: SolverOptions | None = None,
     init: CondensateState | None = None,
 ) -> CondensateState:
-    """Ground state: the energy descent, polished once by Newton at its
-    first check below START_TOL.  The polish is kept only if its defect
-    is below opts.tol, no field's RMS width is at the grid floor and its
-    energy is no higher than the descent state's it started from;
-    otherwise the descent's first state below opts.tol is returned.
+    """Ground state: the first state of the energy descent whose defect
+    is below opts.tol.
 
     Raises ConvergenceError if the defect stays above opts.tol after
     opts.max_iters steps, CollapseError if a field's RMS width falls to
@@ -303,21 +283,9 @@ def solve_coupled_gpe(
     """
     opts = opts if opts is not None else SolverOptions()
     start = init if init is not None else gaussian_ansatz(params, grid)
-    newton_tried = False
     for state in _descent(params, grid, opts, start):
         if state.residual < opts.tol:
             return state
-        if state.residual < START_TOL and not newton_tried:
-            newton_tried = True
-            steps = min(NEWTON_STEPS, opts.max_iters - state.iterations)
-            polished = _newton(params, grid, state, opts.tol, steps)
-            if (
-                polished is not None
-                and _narrowest(polished, params, grid) >= COLLAPSE_WIDTH * grid.h
-                and polished.energy <= state.energy + _energy_slack(state.energy)
-            ):
-                return polished
-            log.debug("Newton polish rejected; going on with the descent alone")
     raise ConvergenceError(
         f"no convergence after {state.iterations} iterations "
         f"(residual {state.residual:.3e}, tol {opts.tol:g})",
@@ -339,20 +307,26 @@ def _narrowest(state: CondensateState, params: PhysicalParams, grid: RadialGrid)
 
 def _descent(params, grid, opts, start):
     """Energy descent at fixed norms from `start`, as a generator: every
-    CHECK_EVERY steps and at opts.max_iters it checks the widths
+    CHECK_EVERY steps, at every step once a check has found the defect
+    below START_TOL, and at opts.max_iters it checks the widths
     (CollapseError at the grid floor) and yields the state.
 
     A populated species has the residual r = g - mu chi (g from
     `_gradients`, mu its Rayleigh quotient) and the preconditioner
     P = (H - e + max(c, 0) + max(|mu - e|, hbar*omega))^-1, positive
     definite for any mu (e the one-body offset).  z = P r - (chi.P r /
-    chi.P chi) P chi is tangent to the norm; the direction is -z plus a
-    Polak-Ribiere+ share of the previous one, or -z alone when that does
-    not descend.  The step halves from min(1, 2*previous step) until the
+    chi.P chi) P chi is tangent to the norm; the conjugate-gradient
+    direction is -z plus a Polak-Ribiere+ share of the previous one, or
+    -z alone when that does not descend.  Below START_TOL the direction
+    is the tangent Newton step of `_newton_step`, and the
+    conjugate-gradient one only when the bordered system is singular or
+    the Newton step does not descend.  The step length halves, from 1 for
+    a Newton step and from min(1, 2*previous length) otherwise, until the
     renormalized trial meets the Armijo condition or is within
     `_energy_slack` of the energy, which keeps the descent going once
-    energy differences reach round-off.  A species with zero norm keeps
-    its field and mu.
+    energy differences reach round-off: no step, Newton or not, raises
+    the energy by more.  A species with zero norm keeps its field and
+    mu.
     """
     p = params
     r = grid.r
@@ -367,7 +341,7 @@ def _descent(params, grid, opts, start):
     chi = [r * phi[0], r * phi[1]]
     mu = [float(start.mu_a), float(start.mu_m)]
     energy = _energy(p, grid, ops, phi, chi)
-    residual, width_floor = math.inf, COLLAPSE_WIDTH * grid.h
+    residual, width_floor, newton = math.inf, COLLAPSE_WIDTH * grid.h, False
     res, z, d, z_prev, rz_prev, tau = {}, {}, None, None, 0.0, 0.5
 
     for it in range(opts.max_iters + 1):
@@ -380,7 +354,7 @@ def _descent(params, grid, opts, start):
             x = solve_banded_shifted(precond, shift, np.column_stack((res[s], chi[s])))
             z[s] = x[:, 0] - (np.dot(chi[s], x[:, 0]) / np.dot(chi[s], x[:, 1])) * x[:, 1]
 
-        if it and (it % CHECK_EVERY == 0 or it == opts.max_iters):
+        if it and (newton or it % CHECK_EVERY == 0 or it == opts.max_iters):
             residual = max([_defect_size(res[s], chi[s], mu[s], scales[s]) for s in active],
                            default=0.0)
             state = CondensateState(grid=grid, phi_a=phi[0], phi_m=phi[1], mu_a=mu[0],
@@ -391,24 +365,31 @@ def _descent(params, grid, opts, start):
                                     f"{width_floor:.3e}; attractive collapse or "
                                     f"unresolvable state", width=width, iterations=it)
             yield state
+            newton = newton or residual < START_TOL
         if it == opts.max_iters:
             return
 
         rz = sum(float(np.dot(res[s], z[s])) for s in active)
-        beta = 0.0 if rz_prev <= 0.0 else max(
-            0.0, (rz - sum(float(np.dot(res[s], z_prev[s])) for s in active)) / rz_prev)
-        if beta:
-            # the previous direction, moved to the new tangent space
-            d = {s: beta * (d[s] - (np.dot(chi[s], d[s]) / np.dot(chi[s], chi[s])) * chi[s])
-                    - z[s] for s in active}
-            slope = 2.0 * four_pi_h * sum(float(np.dot(res[s], d[s])) for s in active)
-        if not beta or not slope < 0.0:
-            d = {s: -z[s] for s in active}
-            slope = -2.0 * four_pi_h * rz
+        step = _newton_step(p, grid, ops, phi, chi, mu, res, active) if newton else None
+        slope = math.nan if step is None else (
+            2.0 * four_pi_h * sum(float(np.dot(res[s], step[s])) for s in active))
+        if slope < 0.0:
+            d, tau = step, 1.0
+        else:
+            beta = 0.0 if rz_prev <= 0.0 else max(
+                0.0, (rz - sum(float(np.dot(res[s], z_prev[s])) for s in active)) / rz_prev)
+            if beta:
+                # the previous direction, moved to the new tangent space
+                d = {s: beta * (d[s] - (np.dot(chi[s], d[s]) / np.dot(chi[s], chi[s])) * chi[s])
+                        - z[s] for s in active}
+                slope = 2.0 * four_pi_h * sum(float(np.dot(res[s], d[s])) for s in active)
+            if not beta or not slope < 0.0:
+                d = {s: -z[s] for s in active}
+                slope = -2.0 * four_pi_h * rz
+            tau = min(1.0, 2.0 * tau)
         z_prev, rz_prev = dict(z), rz
 
         slack = _energy_slack(energy)
-        tau = min(1.0, 2.0 * tau)
         for _ in range(64 if math.isfinite(slope) else 0):
             trial_chi = list(chi)
             for s in active:
@@ -428,72 +409,37 @@ def _descent(params, grid, opts, start):
         chi, phi, energy = trial_chi, trial_phi, trial
 
 
-def _newton(params, grid, start, tol, steps):
-    """Newton on the stationary equations with the norms as constraints,
-    from `start` and for at most `steps` steps.
+def _newton_step(params, grid, ops, phi, chi, mu, res, active):
+    """Newton step {species: d} on the stationary equations with the
+    norms as constraints, at chemical potentials mu and residuals res, or
+    None when the bordered system is singular.
 
     The unknowns are chi_a, chi_m (interleaved a_0, m_0, a_1, ... so the
-    symmetric Jacobian is a band with two diagonals each side) and mu_a,
-    mu_m.  Each step solves the band once for the defect and the two border
-    columns chi_a, chi_m, then a 2x2 Schur system for the mu updates
-    keeps chi_s . delta chi_s = 0; chi is then rescaled to the exact norm.
-    A species with zero norm keeps its field and mu.  Returns the state
-    once its defect is below tol, or None (singular or non-finite step,
-    or tol not reached).
+    symmetric Jacobian is a band with two diagonals each side) and the mu
+    updates.  One banded solve for -res and the two border columns chi_a,
+    chi_m, then a 2x2 Schur system for the mu updates keeps
+    chi_s . d_s = 0.  An absent species' rows are the identity with zero
+    right-hand side.
     """
-    p = params
     n = grid.n_points
-    r = grid.r
-    four_pi_h = 4.0 * np.pi * grid.h
-    op_a, op_m = (_operator(s, p, grid) for s in (ATOM, MOLECULE))
-    active = np.array([p.n_a > 0, p.n_m > 0])
-    idx = np.flatnonzero(active)
-    norms = (p.n_a / four_pi_h, p.n_m / four_pi_h)
-    state = CondensateState(grid=grid, phi_a=start.phi_a, phi_m=start.phi_m,
-                            mu_a=start.mu_a, mu_m=start.mu_m)
+    k = _second_variation(params, phi[0], phi[1])
     ab = np.zeros((5, 2 * n))
-    ab[0, 2::2] = ab[4, :-2:2] = op_a.offdiag if active[0] else 0.0
-    ab[0, 3::2] = ab[4, 1:-2:2] = op_m.offdiag if active[1] else 0.0
+    ab[2] = 1.0
     rhs = np.zeros((2 * n, 3))
-    for k in range(steps + 1):
-        (d_a, d_m), defects = _defects(state, p, grid)
-        residual = max(defects)
-        if residual < tol:
-            state.residual = residual
-            state.energy = energy_functional(state, p, grid)
-            state.iterations = start.iterations + k
-            return state
-        if k == steps or not math.isfinite(residual):
-            return None
-        k_a, k_m, k_am = _second_variation(p, state.phi_a, state.phi_m)
-        chi = (r * state.phi_a, r * state.phi_m)
-        # an absent species' rows are the identity with zero right-hand side
-        ab[2, 0::2] = op_a.diag + k_a - state.mu_a if active[0] else 1.0
-        ab[2, 1::2] = op_m.diag + k_m - state.mu_m if active[1] else 1.0
-        ab[1, 1::2] = ab[3, 0::2] = k_am if active.all() else 0.0
-        rhs[0::2, 0] = -d_a if active[0] else 0.0
-        rhs[1::2, 0] = -d_m if active[1] else 0.0
-        rhs[0::2, 1] = chi[0]
-        rhs[1::2, 2] = chi[1]
-        try:
-            x = scipy.linalg.solve_banded((2, 2), ab, rhs)
-        except scipy.linalg.LinAlgError:
-            return None
-        x = (x[0::2], x[1::2])  # atom rows, molecule rows; columns -d, chi_a, chi_m
-        schur = np.array([[chi[s] @ x[s][:, 1 + t] for t in idx] for s in idx])
-        try:
-            dmu = np.zeros(2)
-            dmu[idx] = np.linalg.solve(schur, [-(chi[s] @ x[s][:, 0]) for s in idx])
-        except np.linalg.LinAlgError:
-            return None
-        new = []
-        for s in (0, 1):
-            c = chi[s]
-            if active[s]:
-                c = c + x[s] @ np.r_[1.0, dmu]
-                c = c * math.sqrt(norms[s] / float(np.dot(c, c)))
-            new.append(c / r)
-        state = CondensateState(grid=grid, phi_a=new[0], phi_m=new[1],
-                                mu_a=state.mu_a + float(dmu[0]),
-                                mu_m=state.mu_m + float(dmu[1]))
-    return None
+    for s in active:
+        ab[0, 2 + s::2] = ab[4, s:-2:2] = ops[s].offdiag
+        ab[2, s::2] = ops[s].diag + k[s] - mu[s]
+        rhs[s::2, 0] = -res[s]
+        rhs[s::2, 1 + s] = chi[s]
+    if len(active) == 2:
+        ab[1, 1::2] = ab[3, 0::2] = k[2]
+    try:
+        x = scipy.linalg.solve_banded((2, 2), ab, rhs, check_finite=False)
+        x = (x[0::2], x[1::2])  # atom rows, molecule rows; columns -res, chi_a, chi_m
+        dmu = np.zeros(2)
+        dmu[active] = np.linalg.solve(
+            [[chi[s] @ x[s][:, 1 + t] for t in active] for s in active],
+            [-(chi[s] @ x[s][:, 0]) for s in active])
+    except np.linalg.LinAlgError:  # scipy.linalg.LinAlgError is the same class
+        return None
+    return {s: x[s] @ np.r_[1.0, dmu] for s in active}

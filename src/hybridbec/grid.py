@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import require_count, require_positive
+from .errors import require_count, require_finite, require_positive
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +32,7 @@ class RadialGrid:
     w: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        require_positive("r_max", self.r_max)
+        require_positive("r_max", require_finite("r_max", self.r_max))
         n = require_count("n_points", self.n_points, 16)
         h = self.r_max / n
         r = h * np.arange(1, n + 1, dtype=float)

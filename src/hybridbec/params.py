@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict, replace
 
-from .errors import ConfigError, ResonanceSingularityError
+from .errors import ConfigError, ResonanceSingularityError, require_finite
 
 #: |B - B0| below SINGULARITY_FLOOR * Delta raises ResonanceSingularityError.
 SINGULARITY_FLOOR = 1e-9
@@ -35,6 +35,8 @@ class FeshbachResonance:
     b: float
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            require_finite(f"resonance.{name}", getattr(self, name))
         if self.delta <= 0:
             raise ConfigError(f"resonance width must be positive, got {self.delta}")
 
@@ -55,6 +57,10 @@ class PhysicalParams:
     mass, hbar        atomic mass and action quantum (1 in natural units)
     resonance         optional field-dependence parameters
 
+    Every number must be a finite real (not a bool), the frequencies, mass
+    and hbar positive, the counts and temperature >= 0; anything else
+    raises ConfigError.
+
     All derived quantities are pure functions of the record; equal records
     give bit-identical derived values.
     """
@@ -74,6 +80,10 @@ class PhysicalParams:
     resonance: FeshbachResonance | None = None
 
     def __post_init__(self):
+        # checked, not converted: an integer count keeps its config hash
+        for name in self.__dataclass_fields__:
+            if name != "resonance":
+                require_finite(name, getattr(self, name))
         if self.omega_a <= 0 or self.omega_m <= 0:
             raise ConfigError(
                 f"trap frequencies must be positive, got omega_a={self.omega_a}, "
@@ -126,10 +136,7 @@ class PhysicalParams:
         for name in ("omega_a", "omega_m"):
             if name not in kwargs:
                 raise ConfigError(f"params missing required key '{name}'")
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
         d = asdict(self)

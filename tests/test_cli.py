@@ -168,6 +168,7 @@ def test_non_numeric_sweep_values_exit_config_code(tmp_path, capsys, values):
 
 @pytest.mark.parametrize("section, key, value", [
     ("grid", "n_points", 400.5),
+    ("grid", "r_max", float("inf")),
     ("solver", "tol", "1e-8"),
     ("solver", "dt", -4e-3),
     ("solver", "max_iters", 0),
@@ -177,21 +178,52 @@ def test_non_numeric_sweep_values_exit_config_code(tmp_path, capsys, values):
     ("thermal", "j_max", "16"),
     ("thermal", "j_max", 1),
     ("variational", "coarse", 1),
+    ("params", "temperature", float("nan")),
+    ("params", "omega_a", float("nan")),
+    ("params", "n_a", float("nan")),
+    ("params", "lambda_a", float("nan")),
+    ("params", "alpha", True),
+    ("params", "n_a", "100"),
+    ("uniform", "density", 0),
+    ("uniform", "density", -1e15),
+    ("uniform", "density", float("nan")),
+    ("uniform", "density", "1e15"),
+    ("uniform", "r0", 0),
+    ("uniform", "r0", -1),
 ])
 def test_invalid_grid_and_solver_exit_config_code(tmp_path, capsys, section, key, value):
-    # a fractional grid size, a string tolerance, a negative step, a zero
-    # iteration cap and bad mode counts are config errors, not runs,
-    # truncations or solver failures
-    bad = write_config(tmp_path, "bad.json", {
-        "params": {"omega_a": 1.0, "omega_m": 1.4, "n_a": 100.0},
-        section: {key: value},
-    })
+    # a fractional grid size, an infinite box, a string tolerance, a
+    # negative step, a zero iteration cap, bad mode counts, non-finite,
+    # boolean or string parameters and a nonpositive or non-finite uniform
+    # density or sample size are config errors, not runs, truncations,
+    # solver failures or raw Python errors
+    data = {"params": {"omega_a": 1.0, "omega_m": 1.4, "n_a": 100.0}}
+    data.setdefault(section, {})[key] = value
+    bad = write_config(tmp_path, "bad.json", data)
     rc = main(["ground", "--config", bad, "--out", str(tmp_path)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert key in err["message"]
     assert not (tmp_path / "condensate.csv").exists()
+
+
+@pytest.mark.parametrize("n_points", [200, 400])
+@pytest.mark.parametrize("coupling, code", [(-7.2, 0), (-7.3, 4)])
+def test_ground_outcome_near_attractive_threshold(tmp_path, capsys, coupling, code, n_points):
+    # lambda_a*N_a on either side of the critical 4*pi*0.575 = 7.23
+    # (Ruprecht, Holland, Burnett & Edwards, PRA 51, 4704 (1995))
+    cfg = write_config(tmp_path, "attractive.json", {
+        "params": {"omega_a": 1.0, "omega_m": 1.4, "lambda_a": coupling / 1e4, "n_a": 1e4},
+        "grid": {"r_max": 8.0, "n_points": n_points},
+    })
+    assert main(["ground", "--config", cfg, "--out", str(tmp_path)]) == code
+    if code:
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CollapseError"
+    else:
+        summary = json.loads((tmp_path / "ground_summary.json").read_text())
+        assert summary["residual"] < 1e-8
 
 
 def test_spectrum_grid_reports_oscillator_levels(tmp_path):

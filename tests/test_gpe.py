@@ -191,8 +191,8 @@ def test_attractive_supercritical_collapses():
 
 
 def test_nonconvergence_reports_residual():
-    # the solve needs 10 descent steps and 2 Newton steps; at the cap of 8
-    # the defect is below START_TOL with no Newton step left
+    # the solve needs 10 descent steps and 2 Newton steps; the check at the
+    # cap of 8 finds the defect below START_TOL with no step left
     p = params(lambda_a=1e-3)
     with pytest.raises(ConvergenceError) as err:
         solve_coupled_gpe(p, GRID, SolverOptions(max_iters=8))
@@ -253,20 +253,22 @@ STAGE_SETS = {
 }
 
 
-# test names ending in "flow" name the start stage, now the energy
-# descent that replaced the imaginary-time flow
-def descent_only(p, g, opts):
-    descent = gpe._descent(p, g, opts, gaussian_ansatz(p, g))
-    return next(s for s in descent if s.residual < opts.tol)
+# test names ending in "flow" name the conjugate-gradient descent alone,
+# which replaced an imaginary-time flow
+def descent_only(monkeypatch, p, g, opts):
+    # no defect is below START_TOL = 0, so no Newton step is tried
+    with monkeypatch.context() as m:
+        m.setattr(gpe, "START_TOL", 0.0)
+        return solve_coupled_gpe(p, g, opts)
 
 
 @pytest.mark.parametrize("name", sorted(STAGE_SETS))
-def test_newton_agrees_with_flow(name):
+def test_newton_agrees_with_flow(monkeypatch, name):
     p, g = STAGE_SETS[name]
     opts = SolverOptions()
     s = solve_coupled_gpe(p, g, opts)
-    f = descent_only(p, g, opts)
-    # Newton polished the start: fewer steps, a smaller defect
+    f = descent_only(monkeypatch, p, g, opts)
+    # the Newton directions converge in fewer steps
     assert s.iterations < f.iterations
     # plain floats, as the descent reports them: CSV headers print their repr
     assert all(type(v) is float for v in (s.mu_a, s.mu_m, s.residual, s.energy))
@@ -353,38 +355,46 @@ def test_max_iters_caps_flow_plus_newton_steps():
     assert 1e-8 < err.value.residual < gpe.START_TOL
 
 
-@pytest.mark.parametrize("reject", ["higher_energy", "no_result", "collapsed"])
+@pytest.mark.parametrize("reject", ["higher_energy", "no_result", "ascent", "collapsed"])
 def test_guard_falls_back_to_flow(monkeypatch, reject):
+    # a Newton direction the line search must not follow: none (a singular
+    # system), an ascent direction, or one pointing at a genuine stationary
+    # state above the ground state (the phi_m >= 0 branch at E = 837.84) or
+    # at a field collapsed onto the first grid point
     p, g = STAGE_SETS["item2"]
     opts = SolverOptions()
     if reject == "higher_energy":
-        # a genuine stationary state above the ground state: the phi_m >= 0
-        # branch at E = 837.84
         seed = gaussian_ansatz(p, g)
         flipped = CondensateState(grid=g, phi_a=seed.phi_a, phi_m=-seed.phi_m,
                                   mu_a=seed.mu_a, mu_m=seed.mu_m)
-        bad = solve_coupled_gpe(p, g, init=flipped)
-        assert bad.residual < opts.tol and bad.energy > 800.0
+        target = solve_coupled_gpe(p, g, init=flipped)
+        assert target.residual < opts.tol and target.energy > 800.0
     elif reject == "collapsed":
-        bad = replace(gaussian_ansatz(p, g), residual=0.0, energy=-np.inf)
-        bad.phi_a = np.zeros_like(bad.phi_a)
-        bad.phi_a[0] = np.sqrt(p.n_a / g.w[0])
-    else:
-        bad = None
+        target = gaussian_ansatz(p, g)
+        target.phi_a = np.zeros_like(target.phi_a)
+        target.phi_a[0] = np.sqrt(p.n_a / g.w[0])
     calls = []
 
-    def fake_newton(*args):
-        calls.append(args)
-        return bad
+    def fake_step(params, grid, ops, phi, chi, mu, res, active):
+        calls.append(1)
+        if reject == "no_result":
+            return None
+        if reject == "ascent":
+            return {s: res[s] for s in active}
+        bad = (g.r * target.phi_a, g.r * target.phi_m)
+        return {s: bad[s] - chi[s] for s in active}
 
-    monkeypatch.setattr(gpe, "_newton", fake_newton)
+    monkeypatch.setattr(gpe, "_newton_step", fake_step)
     s = solve_coupled_gpe(p, g, opts)
-    f = descent_only(p, g, opts)
-    assert len(calls) == 1
-    assert s.iterations == f.iterations
-    assert np.array_equal(s.phi_a, f.phi_a) and np.array_equal(s.phi_m, f.phi_m)
-    assert s.mu_a == f.mu_a and s.mu_m == f.mu_m
+    assert calls and s.residual < opts.tol
     assert s.energy == pytest.approx(368.7505269, rel=1e-9)
+    assert np.all(s.phi_m <= 0.0)
+    if reject in ("no_result", "ascent"):
+        # every step fell back to the descent: its state at the same step
+        f = descent_only(monkeypatch, p, g, SolverOptions(max_iters=s.iterations))
+        assert s.iterations == f.iterations
+        assert np.array_equal(s.phi_a, f.phi_a) and np.array_equal(s.phi_m, f.phi_m)
+        assert s.mu_a == f.mu_a and s.mu_m == f.mu_m and s.energy == f.energy
 
 
 @pytest.mark.parametrize("tol", [gpe.START_TOL, 0.05])
@@ -393,13 +403,13 @@ def test_newton_never_tried_at_or_above_start_tol(monkeypatch, tol):
     # START_TOL without also being below tol
     p, g = STAGE_SETS["item2"]
     opts = SolverOptions(tol=tol)
-    f = descent_only(p, g, opts)
 
     def no_newton(*args):
         raise AssertionError("Newton tried with tol >= START_TOL")
 
-    monkeypatch.setattr(gpe, "_newton", no_newton)
+    monkeypatch.setattr(gpe, "_newton_step", no_newton)
     s = solve_coupled_gpe(p, g, opts)
+    f = descent_only(monkeypatch, p, g, opts)
     assert np.array_equal(s.phi_a, f.phi_a) and np.array_equal(s.phi_m, f.phi_m)
     assert s.mu_a == f.mu_a and s.mu_m == f.mu_m
     assert s.iterations == f.iterations

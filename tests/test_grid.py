@@ -23,6 +23,10 @@ def test_grid_layout():
 def test_grid_validation():
     with pytest.raises(ConfigError):
         build_grid(r_max=-1.0)
+    # an infinite box made h infinite and the solve exit 3 with warnings
+    for r_max in (np.inf, np.nan, "8.0", True):
+        with pytest.raises(ConfigError, match="r_max"):
+            build_grid(r_max=r_max)
     with pytest.raises(ConfigError):
         build_grid(n_points=15)
     with pytest.raises(ConfigError):

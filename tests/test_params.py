@@ -47,6 +47,35 @@ def test_validation_rejects_bad_frequencies_and_numbers():
         PhysicalParams(omega_a=1.0, omega_m=1.0, mass=0.0)
 
 
+@pytest.mark.parametrize("name", [
+    "omega_a", "omega_m", "lambda_a", "lambda_m", "lambda_am", "alpha",
+    "epsilon", "n_a", "n_m", "temperature", "mass", "hbar",
+])
+def test_validation_rejects_nonfinite_and_non_numeric_fields(name):
+    # a NaN temperature wrote NaN densities with exit 0, a NaN frequency or
+    # coupling ended as "iteration diverged", true ran as 1 and a string
+    # raised a bare TypeError
+    for value in (math.nan, math.inf, True, "1.0", None, 10**400):
+        with pytest.raises(ConfigError, match=name):
+            make_params(**{name: value})
+        with pytest.raises(ConfigError, match=name):
+            PhysicalParams.from_dict({"omega_a": 1.0, "omega_m": 1.0, name: value})
+
+
+@pytest.mark.parametrize("name", ["a0", "b0", "delta", "b"])
+def test_resonance_rejects_nonfinite_and_non_numeric_fields(name):
+    good = dict(a0=1.0, b0=100.0, delta=0.01, b=99.9)
+    for value in (math.nan, -math.inf, False, "99.9"):
+        with pytest.raises(ConfigError, match=f"resonance.{name}"):
+            FeshbachResonance(**{**good, name: value})
+
+
+def test_validation_keeps_integral_values():
+    # integers are checked, not converted: the config hash sees what was given
+    p = PhysicalParams.from_dict({"omega_a": 1, "omega_m": 1.4, "n_a": 100})
+    assert p.to_dict()["n_a"] == 100 and type(p.n_a) is int
+
+
 def test_beta_and_molecule_mass():
     p = make_params(temperature=0.0)
     assert p.beta == math.inf

@@ -31,7 +31,7 @@ from .bdg import (
     paper_literal_spectrum,
 )
 from .config import BDG_METHODS, RunConfig, load_config
-from .csvio import provenance, write_csv
+from .csvio import format_column, provenance, write_csv
 from .errors import (
     CollapseError,
     ConfigError,
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .gpe import solve_coupled_gpe
 from .params import chemical_equilibrium_gap
-from .thermal import density_profile, total_numbers
+from .thermal import density_profile, density_profiles, total_numbers
 from .uniform import figure3_curve
 from .variational import minimize_mode
 
@@ -170,49 +170,47 @@ def cmd_density(cfg: RunConfig, outdir: Path) -> list[Path]:
         t_values = cfg.sweep["values"]
     else:
         t_values = [cfg.params.temperature]
+    # every temperature is checked before the ground state is solved
+    sweep = [replace(cfg.params, temperature=float(t)) for t in t_values]
     grid, state = _solve_ground(cfg)
     j_max = int(cfg.thermal["j_max"])
     atoms, mols = block_2x2_spectrum(
         state, cfg.params, grid, j_max=j_max, convention=cfg.bdg["convention"])
-    # the per-level reduction makes the modes of the leading j_max // 2
-    # basis columns the half-size spectrum, so it is sliced, not re-solved
+    include = bool(cfg.thermal["include_quantum_depletion"])
+    profiles = density_profiles(state, atoms, mols, sweep, grid, include)
+    totals = [total_numbers(prof, grid) for prof in profiles]
+
+    # truncation sensitivity at the hottest requested point: the per-level
+    # reduction makes the modes of the leading j_max // 2 basis columns
+    # the half-size spectrum, so it is sliced, not re-solved
+    i_ref = t_values.index(max(t_values))
     half = [replace(ms, modes=[m for m in ms.modes if m.j < j_max // 2])
             for ms in (atoms, mols)]
-    include = bool(cfg.thermal["include_quantum_depletion"])
-
-    # truncation sensitivity at the hottest requested point, whose
-    # profile the sweep below reuses
-    t_ref = max(t_values)
-    p_ref = replace(cfg.params, temperature=t_ref)
-    prof_ref = density_profile(state, atoms, mols, p_ref, grid, include)
-    full = total_numbers(prof_ref, grid)
+    full = totals[i_ref]
     part = total_numbers(
-        density_profile(state, half[0], half[1], p_ref, grid, include), grid)
+        density_profile(state, half[0], half[1], sweep[i_ref], grid, include), grid)
     denom = max(abs(full["n_atom_equivalent"]), 1e-300)
     trunc = abs(full["n_atom_equivalent"] - part["n_atom_equivalent"]) / denom
 
     config_hash = cfg.config_hash()
+    # the columns that do not depend on temperature are formatted once
+    r, rho_a_cond, rho_m_cond = map(format_column, (
+        profiles[0].r, profiles[0].rho_a_cond, profiles[0].rho_m_cond))
     paths = []
-    for i, t in enumerate(t_values):
-        if t == t_ref:
-            prof, totals = prof_ref, full
-        else:
-            p_t = replace(cfg.params, temperature=float(t))
-            prof = density_profile(state, atoms, mols, p_t, grid, include)
-            totals = total_numbers(prof, grid)
+    for i, (t, prof, tot) in enumerate(zip(t_values, profiles, totals)):
         head = provenance(
             config_hash, temperature=repr(float(t)), j_max=j_max,
             include_quantum_depletion=include,
             truncation_delta_rel=repr(trunc),
-            n_a_total=repr(totals["n_a_total"]),
-            n_m_total=repr(totals["n_m_total"]),
+            n_a_total=repr(tot["n_a_total"]),
+            n_m_total=repr(tot["n_m_total"]),
             excluded_modes=prof.excluded_nonpositive + prof.excluded_undefined,
         )
         paths.append(write_csv(outdir / f"density_{i:03d}.csv", head, {
-            "r": prof.r,
-            "rho_a_cond": prof.rho_a_cond,
+            "r": r,
+            "rho_a_cond": rho_a_cond,
             "rho_a_thermal": prof.rho_a_thermal,
-            "rho_m_cond": prof.rho_m_cond,
+            "rho_m_cond": rho_m_cond,
             "rho_m_thermal": prof.rho_m_thermal,
             "rho_total": prof.rho_total,
         }))

@@ -21,7 +21,10 @@ UNITS_NOTE = "natural units: hbar = M = omega_a = 1"
 def format_value(x) -> str:
     # repr of Python floats is the shortest round-trip form; numpy
     # scalars are unwrapped so rows stay plain numbers, and booleans of
-    # either kind write as 0/1
+    # either kind write as 0/1; strings, such as the cells of a column
+    # format_column has already formatted, pass through first
+    if isinstance(x, str):
+        return x
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, (int, np.integer, np.bool_)):
@@ -41,10 +44,14 @@ def provenance(config_hash: str, **flags) -> list[str]:
     return lines
 
 
-def _format_column(values) -> list[str]:
+def format_column(values) -> list[str]:
     """format_value of every entry, in one pass: a float ndarray goes
     through tolist(), which yields the Python floats format_value would
-    unwrap, so the type dispatch is paid once per column, not per cell."""
+    unwrap, so the type dispatch is paid once per column, not per cell.
+
+    The result, passed to write_csv as a column, writes the same bytes as
+    the values it was formatted from, so a column shared by several files
+    is formatted once."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         return [repr(x) for x in values.tolist()]
     return [format_value(x) for x in values]
@@ -60,7 +67,7 @@ def write_csv(path, header_lines, columns: dict) -> Path:
         raise ValueError("csv columns must have equal length")
     out = [f"# {line}" for line in header_lines]
     out.append(",".join(names))
-    out.extend(map(",".join, zip(*map(_format_column, series))))
+    out.extend(map(",".join, zip(*map(format_column, series))))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(out) + "\n")
     return path

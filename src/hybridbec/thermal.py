@@ -19,6 +19,10 @@ coefficient discriminants of the closed-form method) are excluded and
 counted; a mode that carries amplitudes with ||norm| - 1| > 1e-4 is a
 hard error rather than an exclusion, since it signals a bug upstream.
 
+A temperature sweep is one mode sum per species (density_profiles): the
+scan, the amplitudes and the mode order are shared by every temperature,
+and each profile is bit-identical to density_profile at its temperature.
+
 No outer self-consistency loop: the thermal cloud is not fed back into
 the condensate equations.
 """
@@ -27,7 +31,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,13 +81,19 @@ class DensityProfile:
 
 
 def _thermal_sum(
-    modeset: ModeSet, beta: float, include_quantum_depletion: bool, n: int
+    modeset: ModeSet, betas: Sequence[float], include_quantum_depletion: bool, n: int
 ) -> tuple[np.ndarray, int, int]:
-    """Kahan-compensated mode sum; order-independent to ~1e-12.
+    """Kahan-compensated mode sum at each inverse temperature of betas;
+    order-independent to ~1e-12.
 
-    The admitted modes' terms are built as one (modes x n) array, then
-    added row by row in mode order: the same operations per element as
-    a per-mode loop, so the sum is bit-identical to one.
+    Returns a (len(betas), n) array, row k the sum at betas[k], and the
+    two exclusion counts.  The exclusion scan, the norm check and the
+    u^2, v^2, occupation and degeneracy rows are built once; then each
+    admitted mode, in mode order, adds its term at every temperature in
+    one Kahan update of the whole array.  Each element sees the same
+    operations as in a per-mode loop at its temperature, so every row is
+    bit-identical to one, and no (modes x temperatures x n) array is
+    formed.
     """
     admitted = []
     excluded_nonpos = 0
@@ -102,21 +113,69 @@ def _thermal_sum(
         admitted.append(mode)
     u2 = np.array([m.u for m in admitted]) ** 2
     v2 = np.array([m.v for m in admitted]) ** 2
-    occ = np.array([bose_occupation(m.energy, beta) for m in admitted])[:, None]
-    deg = np.array([m.degeneracy for m in admitted], dtype=float)[:, None]
+    # occupations of each mode at every temperature, as a column
+    occ = np.array([[bose_occupation(m.energy, b) for b in betas]
+                    for m in admitted]).reshape(len(admitted), len(betas), 1)
+    deg = np.array([m.degeneracy for m in admitted], dtype=float)
     if include_quantum_depletion:
-        terms = deg * (u2 * occ + v2 * (1.0 + occ))
+        occ_v = 1.0 + occ
     else:
-        terms = deg * ((u2 + v2) * occ)
-    total = np.zeros(n)
-    comp = np.zeros(n)
-    for term in terms:
+        uv2 = u2 + v2
+    total = np.zeros((len(betas), n))
+    comp = np.zeros((len(betas), n))
+    for k in range(len(admitted)):
+        if include_quantum_depletion:
+            term = deg[k] * (u2[k] * occ[k] + v2[k] * occ_v[k])
+        else:
+            term = deg[k] * (uv2[k] * occ[k])
         # Kahan update
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
     return total, excluded_nonpos, excluded_undef
+
+
+def density_profiles(
+    state: CondensateState,
+    atoms: ModeSet,
+    molecules: ModeSet,
+    sweep: Sequence[PhysicalParams],
+    grid: RadialGrid,
+    include_quantum_depletion: bool = True,
+) -> list[DensityProfile]:
+    """density_profile at each parameter set of sweep, from one mode sum
+    per species over all of their temperatures.
+
+    Only each set's temperature is read; the profiles share the r and
+    condensate arrays, which do not depend on it.
+    """
+    betas = [p.beta for p in sweep]
+    n = grid.n_points
+    rho_a_th, ex_a, un_a = _thermal_sum(atoms, betas, include_quantum_depletion, n)
+    rho_m_th, ex_m, un_m = _thermal_sum(molecules, betas, include_quantum_depletion, n)
+    if ex_a + ex_m:
+        log.info("excluded %d nonpositive/unstable modes from thermal sums", ex_a + ex_m)
+    if un_a + un_m:
+        log.info("excluded %d modes without amplitudes", un_a + un_m)
+    r = grid.r.copy()
+    rho_a_c = state.phi_a**2
+    rho_m_c = state.phi_m**2
+    rho_total = rho_a_c + rho_a_th + 2.0 * (rho_m_c + rho_m_th)
+    return [
+        DensityProfile(
+            r=r,
+            rho_a_cond=rho_a_c,
+            rho_a_thermal=rho_a_th[k],
+            rho_m_cond=rho_m_c,
+            rho_m_thermal=rho_m_th[k],
+            rho_total=rho_total[k],
+            temperature=p.temperature,
+            excluded_nonpositive=ex_a + ex_m,
+            excluded_undefined=un_a + un_m,
+        )
+        for k, p in enumerate(sweep)
+    ]
 
 
 def density_profile(
@@ -132,29 +191,11 @@ def density_profile(
     The thermal block is Sum[|u|^2 F + |v|^2 (1+F)] over positive-energy
     modes with |norm| = 1 of each set; with include_quantum_depletion
     False the "+1" is dropped so the noncondensate part vanishes
-    identically at T = 0.
+    identically at T = 0.  This is density_profiles at the one
+    temperature of params, bit for bit.
     """
-    beta = params.beta
-    n = grid.n_points
-    rho_a_th, ex_a, un_a = _thermal_sum(atoms, beta, include_quantum_depletion, n)
-    rho_m_th, ex_m, un_m = _thermal_sum(molecules, beta, include_quantum_depletion, n)
-    if ex_a + ex_m:
-        log.info("excluded %d nonpositive/unstable modes from thermal sums", ex_a + ex_m)
-    if un_a + un_m:
-        log.info("excluded %d modes without amplitudes", un_a + un_m)
-    rho_a_c = state.phi_a**2
-    rho_m_c = state.phi_m**2
-    return DensityProfile(
-        r=grid.r.copy(),
-        rho_a_cond=rho_a_c,
-        rho_a_thermal=rho_a_th,
-        rho_m_cond=rho_m_c,
-        rho_m_thermal=rho_m_th,
-        rho_total=rho_a_c + rho_a_th + 2.0 * (rho_m_c + rho_m_th),
-        temperature=params.temperature,
-        excluded_nonpositive=ex_a + ex_m,
-        excluded_undefined=un_a + un_m,
-    )
+    return density_profiles(
+        state, atoms, molecules, [params], grid, include_quantum_depletion)[0]
 
 
 def total_numbers(profile: DensityProfile, grid: RadialGrid) -> dict[str, float]:

@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# unused; perfbench/run.py --trace 1 needs its -X importtime line (ROADMAP item 8)
+# unused; perfbench/run.py --trace 1 needs its -X importtime line (ROADMAP item 9)
 import scipy.optimize  # noqa: F401
 
 from .errors import BoundaryMinimumError, ConfigError, DomainError, require_count

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import logging
 import sys
@@ -12,6 +13,7 @@ from hybridbec import ConfigError
 from hybridbec.bdg import block_2x2_spectrum
 from hybridbec.cli import _solve_ground, main
 from hybridbec.config import RunConfig, load_config
+from hybridbec.csvio import provenance, write_csv
 from hybridbec.grid import RadialOperator
 from hybridbec.thermal import density_profile, total_numbers
 
@@ -337,6 +339,98 @@ def test_density_truncation_header_from_leading_levels(tmp_path):
         head = [l for l in f.read_text().splitlines()
                 if l.startswith("# truncation_delta_rel: ")]
         assert head == [f"# truncation_delta_rel: {expect!r}"]
+
+
+def per_temperature_density(cfg, outdir):
+    """The density files as written one temperature at a time: a
+    density_profile call per temperature and write_csv on its float
+    arrays, with the header cmd_density writes."""
+    if cfg.sweep and cfg.sweep["variable"] == "T":
+        t_values = cfg.sweep["values"]
+    else:
+        t_values = [cfg.params.temperature]
+    grid, state = _solve_ground(cfg)
+    j_max = int(cfg.thermal["j_max"])
+    full_sets = block_2x2_spectrum(state, cfg.params, grid, j_max=j_max,
+                                   convention=cfg.bdg["convention"])
+    part_sets = [replace(ms, modes=[m for m in ms.modes if m.j < j_max // 2])
+                 for ms in full_sets]
+    include = bool(cfg.thermal["include_quantum_depletion"])
+    hot = replace(cfg.params, temperature=max(t_values))
+    full, part = (total_numbers(density_profile(state, *sets, hot, grid, include), grid)
+                  ["n_atom_equivalent"] for sets in (full_sets, part_sets))
+    trunc = abs(full - part) / max(abs(full), 1e-300)
+    for i, t in enumerate(t_values):
+        prof = density_profile(state, *full_sets, replace(cfg.params, temperature=float(t)),
+                               grid, include)
+        totals = total_numbers(prof, grid)
+        head = provenance(
+            cfg.config_hash(), temperature=repr(float(t)), j_max=j_max,
+            include_quantum_depletion=include, truncation_delta_rel=repr(trunc),
+            n_a_total=repr(totals["n_a_total"]), n_m_total=repr(totals["n_m_total"]),
+            excluded_modes=prof.excluded_nonpositive + prof.excluded_undefined,
+        )
+        write_csv(outdir / f"density_{i:03d}.csv", head, {
+            name: getattr(prof, name) for name in (
+                "r", "rho_a_cond", "rho_a_thermal", "rho_m_cond", "rho_m_thermal",
+                "rho_total")})
+
+
+@pytest.mark.parametrize("values, include", [
+    (None, True),
+    ([0.5, 0.5, 0.2], True),
+    (None, False),
+], ids=["bundled", "repeated-T", "no-depletion"])
+def test_density_sweep_matches_per_temperature_files(tmp_path, values, include):
+    # one mode sum over the sweep and the temperature-independent columns
+    # formatted once must write the bytes of the per-temperature route
+    data = json.loads((CONFIGS / "density_sweep.json").read_text())
+    if values is not None:
+        data["sweep"]["values"] = values
+    data["thermal"]["include_quantum_depletion"] = include
+    path = write_config(tmp_path, "sweep.json", data)
+    assert main(["density", "--config", path, "--out", str(tmp_path / "new")]) == 0
+    per_temperature_density(load_config(path), tmp_path / "old")
+    new = sorted(p.name for p in (tmp_path / "new").iterdir())
+    assert new == sorted(p.name for p in (tmp_path / "old").iterdir())
+    assert len(new) == len(data["sweep"]["values"])
+    for name in new:
+        assert (tmp_path / "new" / name).read_bytes() == \
+               (tmp_path / "old" / name).read_bytes()
+
+
+def test_negative_sweep_temperature_fails_before_the_solve(tmp_path, monkeypatch, capsys):
+    # every temperature is checked first: exit 2 with no ground solve and
+    # no density file, not a density_000.csv left behind by a late failure
+    solves = []
+    solve = cli.solve_coupled_gpe
+    monkeypatch.setattr(cli, "solve_coupled_gpe",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+    data = json.loads((CONFIGS / "density_sweep.json").read_text())
+    data["sweep"]["values"] = [0.5, -1.0]
+    path = write_config(tmp_path, "negative.json", data)
+    capsys.readouterr()
+    assert main(["density", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "temperature" in err["message"]
+    assert solves == []
+    assert not list((tmp_path / "out").glob("density_*.csv"))
+    # the counter sees the solve of a valid sweep
+    data["sweep"]["values"] = [0.5]
+    path = write_config(tmp_path, "valid.json", data)
+    assert main(["density", "--config", path, "--out", str(tmp_path / "ok")]) == 0
+    assert solves == [1]
+
+
+def test_cli_has_every_name_the_benchmark_tracer_wraps():
+    # perfbench/tracing.py replaces these cli attributes by name while a
+    # traced case runs; a missing one aborts the traced benchmark
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.LAYERS
+    assert [name for name in module.LAYERS if not callable(getattr(cli, name, None))] == []
 
 
 @pytest.mark.parametrize("params, per_point", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridbec.csvio import format_value, write_csv
+from hybridbec.csvio import format_column, format_value, write_csv
 
 SPECIALS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1]
 
@@ -46,6 +46,21 @@ def test_booleans_write_as_integers(tmp_path):
     path = write_csv(tmp_path / "b.csv", [], columns)
     assert path.read_text().splitlines()[1:] == ["1,1,1", "0,0,0", "1,1,1"]
     assert format_value(np.bool_(False)) == format_value(False) == "0"
+
+
+def test_preformatted_column_writes_the_bytes_of_its_array(tmp_path):
+    # a column formatted once and shared by several files must write what
+    # its float64 array writes, specials and neighbouring columns included
+    x = np.array(SPECIALS + [2.0 / 3.0, -1e-300])
+    y = np.arange(len(x), dtype=float) / 7
+    shared = format_column(x)
+    assert all(type(cell) is str for cell in shared)
+    for i, columns in enumerate(({"x": x, "y": y}, {"y": y, "x": x}, {"x": x})):
+        raw = write_csv(tmp_path / f"raw{i}.csv", ["h: 1"], columns)
+        pre = write_csv(tmp_path / f"pre{i}.csv", ["h: 1"],
+                        {k: shared if k == "x" else v for k, v in columns.items()})
+        assert pre.read_bytes() == raw.read_bytes()
+    assert format_column(shared) == shared
 
 
 def test_unequal_columns_raise(tmp_path):

@@ -185,8 +185,9 @@ def reference_thermal_sum(modeset, beta, include_quantum_depletion, n):
 @pytest.mark.parametrize("temperature", [0.0, 0.7], ids=["T0", "T0.7"])
 def test_mode_sum_matches_per_mode_kahan_loop(include, temperature):
     # block modes (norm +1 and -1, degeneracy 1), grid modes at l = 1
-    # (degeneracy 3), and modes that are excluded: the stacked sum must
-    # be the per-mode loop bit for bit, with the same exclusion counts
+    # (degeneracy 3), and modes that are excluded: the sum over several
+    # temperatures at once must be the per-mode loop at each of them, bit
+    # for bit, with the same exclusion counts
     p, s, atoms, _ = weak_setup()
     grid_atoms, _ = direct_grid_spectrum(s, p, GRID, l=1, n_modes=6)
     assert {m.degeneracy for m in grid_atoms.modes} == {3}
@@ -198,16 +199,24 @@ def test_mode_sum_matches_per_mode_kahan_loop(include, temperature):
         Mode(j=2, branch="-", energy=-1.0, u=u, v=u, norm=-1.0),
         *atoms.modes[5:],
     ])
-    beta = replace(p, temperature=temperature).beta
-    got = _thermal_sum(mixed, beta, include, GRID.n_points)
-    ref = reference_thermal_sum(mixed, beta, include, GRID.n_points)
-    assert got[0].tobytes() == ref[0].tobytes()
-    assert got[1:] == ref[1:]
-    assert got[1] == 2 + sum(m.energy <= 0.0 or m.unstable for m in atoms.modes)
-    assert got[2] == 1
+    # the parametrized temperature alone, and first, inside and repeated
+    # in a sweep that also holds T = 0 (beta = inf) and T > 0
+    betas = [replace(p, temperature=t).beta
+             for t in (temperature, 0.0, 0.35, temperature, 2.5)]
+    assert math.isinf(betas[1]) and all(b > 0.0 for b in betas)
+    for sweep in (betas[:1], betas):
+        got = _thermal_sum(mixed, sweep, include, GRID.n_points)
+        assert got[0].shape == (len(sweep), GRID.n_points)
+        for row, beta in zip(got[0], sweep):
+            ref = reference_thermal_sum(mixed, beta, include, GRID.n_points)
+            assert row.tobytes() == ref[0].tobytes()
+            assert got[1:] == ref[1:]
+        assert got[1] == 2 + sum(m.energy <= 0.0 or m.unstable for m in atoms.modes)
+        assert got[2] == 1
     # a bad norm after admitted modes is still an error for the whole sum
     bad = ModeSet(species="atom", method="mixed", modes=[
         *atoms.modes, Mode(j=9, branch="+", energy=1.0, u=u, v=u, norm=0.9)])
-    for fn in (_thermal_sum, reference_thermal_sum):
-        with pytest.raises(DomainError):
-            fn(bad, beta, include, GRID.n_points)
+    with pytest.raises(DomainError):
+        _thermal_sum(bad, betas, include, GRID.n_points)
+    with pytest.raises(DomainError):
+        reference_thermal_sum(bad, betas[0], include, GRID.n_points)

@@ -12,6 +12,11 @@ Exit codes: 0 success, 2 config error, 3 non-convergence, 4 collapse,
 5 other failure.  Failures also emit one JSON object on stderr with the
 error class and message, so callers never parse prose.  Sweeps run
 in-process; --jobs is accepted for compatibility and has no effect.
+
+`main` may be called any number of times in one process: the parser is
+built once, at import, and keeps no state between calls.  The output
+directory is made by the first artifact written, so a run that fails
+before writing leaves none.
 """
 
 from __future__ import annotations
@@ -292,12 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
         outdir = Path(args.out or cfg.output_dir or "out")
-        outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "spectrum":
             paths = cmd_spectrum(cfg, outdir, method=args.method,
                                  compare=args.compare)

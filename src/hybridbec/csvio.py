@@ -51,9 +51,12 @@ def format_column(values) -> list[str]:
 
     The result, passed to write_csv as a column, writes the same bytes as
     the values it was formatted from, so a column shared by several files
-    is formatted once."""
+    is formatted once: a column of strings, which format_value would
+    return unchanged, is returned as it is."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         return [repr(x) for x in values.tolist()]
+    if all(map(str.__instancecheck__, values)):  # isinstance(x, str), per cell
+        return values
     return [format_value(x) for x in values]
 
 

@@ -59,6 +59,8 @@ ARMIJO = 1e-4
 #: an RMS width below COLLAPSE_WIDTH*h raises CollapseError
 COLLAPSE_WIDTH = 4.0
 
+_GBSV = scipy.linalg.get_lapack_funcs("gbsv", dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -135,16 +137,20 @@ def _mean_fields(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarray):
     return c_a, c_m
 
 
-def _second_variation(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarray):
+def _second_variation(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarray,
+                      c=None):
     """Local part of the stationary equations' Jacobian in chi = r*phi:
     (k_a, k_m, k_am).  Species s has the diagonal block H_s + k_s - mu_s,
     which is also the BdG L + Delta of that species, and k_am couples
-    chi_a and chi_m."""
+    chi_a and chi_m.  c, the mean fields of `_gradients` at these fields,
+    spares recomputing them; a None mean field gives None for its block
+    and for k_am."""
     p = params
-    c_a, c_m = _mean_fields(p, phi_a, phi_m)
-    k_a = c_a + 2.0 * p.lambda_a * phi_a * phi_a
-    k_m = c_m + 2.0 * p.lambda_m * phi_m * phi_m
-    k_am = 2.0 * (p.lambda_am * phi_m + p.alpha) * phi_a
+    c_a, c_m = _mean_fields(p, phi_a, phi_m) if c is None else c
+    k_a = None if c_a is None else c_a + 2.0 * p.lambda_a * phi_a * phi_a
+    k_m = None if c_m is None else c_m + 2.0 * p.lambda_m * phi_m * phi_m
+    k_am = None if k_a is None or k_m is None else \
+        2.0 * (p.lambda_am * phi_m + p.alpha) * phi_a
     return k_a, k_m, k_am
 
 
@@ -161,6 +167,15 @@ def gaussian_ansatz(params: PhysicalParams, grid: RadialGrid) -> CondensateState
     noninteracting mu_a = (3/2)*hbar*omega_a holds to round-off rather
     than to grid accuracy.
     """
+    state = _gaussian_start(params, grid)
+    state.residual = max(gpe_defect(state, params, grid))
+    state.energy = energy_functional(state, params, grid)
+    return state
+
+
+def _gaussian_start(params: PhysicalParams, grid: RadialGrid) -> CondensateState:
+    """`gaussian_ansatz` without its residual and energy, which the
+    descent does not read: the fields and chemical potentials alone."""
     p = params
     aa2 = p.mass * p.omega_a / p.hbar
     am2 = p.molecule_mass * p.omega_m / p.hbar
@@ -197,10 +212,7 @@ def gaussian_ansatz(params: PhysicalParams, grid: RadialGrid) -> CondensateState
     if p.n_m > 0:
         mu_m += p.alpha * p.n_a / root_m * pump(aa2, am2)
 
-    state = CondensateState(grid=grid, phi_a=phi_a, phi_m=phi_m, mu_a=mu_a, mu_m=mu_m)
-    state.residual = max(gpe_defect(state, params, grid))
-    state.energy = energy_functional(state, params, grid)
-    return state
+    return CondensateState(grid=grid, phi_a=phi_a, phi_m=phi_m, mu_a=mu_a, mu_m=mu_m)
 
 
 def gpe_defect(
@@ -222,13 +234,40 @@ def gpe_defect(
     )
 
 
-def _gradients(params, ops, phi, chi):
+def _gradients(params, ops, phi, chi, zero=(None, None)):
     """((g_a, g_m), (c_a, c_m)): half the energy gradients in chi = r*phi,
-    (H_s + c_s) chi_s plus the source alpha*phi_a*chi_a, and c_s."""
-    c_a, c_m = _mean_fields(params, phi[0], phi[1])
-    g_a = ops[0].apply(chi[0]) + c_a * chi[0]
-    g_m = ops[1].apply(chi[1]) + c_m * chi[1] + params.alpha * phi[0] * chi[0]
+    (H_s + c_s) chi_s plus the source alpha*phi_a*chi_a, and c_s.  A
+    species with terms in `zero` (see `_zero_terms`) is empty: it gets
+    None for both and costs no arithmetic."""
+    p = params
+    zero_a, zero_m = zero
+    if zero_a is None and zero_m is None:
+        c_a, c_m = _mean_fields(p, phi[0], phi[1])
+        source = p.alpha * phi[0] * chi[0]
+    else:
+        c_a = None if zero_a is not None else p.lambda_a * (phi[0] * phi[0]) + zero_m
+        c_m = None if zero_m is not None else p.lambda_m * (phi[1] * phi[1]) + zero_a[0]
+        source = None if zero_a is None else zero_a[1]
+    g_a = None if c_a is None else ops[0].apply(chi[0]) + c_a * chi[0]
+    g_m = None if c_m is None else ops[1].apply(chi[1]) + c_m * chi[1] + source
     return (g_a, g_m), (c_a, c_m)
+
+
+def _zero_terms(params, phi, chi, species):
+    """(atom terms, molecule terms) of the listed species whose field is
+    all zeros, None for the others: what the zero field adds to the
+    other species' equations, computed as `_mean_fields` and `_gradients`
+    do - to c_a for the molecules, to c_m and the molecular source for
+    the atoms.  They are zero arrays, but of either sign, and adding them
+    as one array keeps every bit of the full sums, signs of zero
+    included, because (x + b) + c == x + (b + c) for zeros b and c."""
+    p = params
+    zero_a = zero_m = None
+    if 0 in species and not phi[0].any():
+        zero_a = (p.lambda_am * (phi[0] * phi[0]), p.alpha * phi[0] * chi[0])
+    if 1 in species and not phi[1].any():
+        zero_m = p.lambda_am * (phi[1] * phi[1]) + 2.0 * p.alpha * phi[1]
+    return zero_a, zero_m
 
 
 def _defect_size(d, chi, mu, scale):
@@ -249,22 +288,34 @@ def energy_functional(
     return _energy(params, grid, ops, phi, [grid.r * f for f in phi])
 
 
-def _energy(params, grid, ops, phi, chi):
+def _energy(params, grid, ops, phi, chi, zero=(None, None)):
     """`energy_functional` of phi = (phi_a, phi_m) and chi = r*phi; the
-    one-body part (kinetic + trap + offset) is 4*pi*h * chi.(H chi)."""
+    one-body part (kinetic + trap + offset) is 4*pi*h * chi.(H chi).
+
+    A species with terms in `zero` is empty and skipped.  Its terms are
+    zeros, so the sums without them differ from the full ones at most in
+    the sign of a zero sum, and adding the nonzero or +0 one-body part
+    (a sum started at +0.0) gives the same energy to the bit."""
     p = params
     four_pi_h = 4.0 * np.pi * grid.h
     one_body = 0.0
-    for op, c in zip(ops, chi):
-        one_body += four_pi_h * float(np.dot(c, op.apply(c)))
-    phi_a2 = phi[0]**2
-    phi_m2 = phi[1]**2
-    dens = (
-        0.5 * p.lambda_a * phi_a2**2
-        + 0.5 * p.lambda_m * phi_m2**2
-        + p.lambda_am * phi_a2 * phi_m2
-        + 2.0 * p.alpha * phi_a2 * phi[1]
-    )
+    populated = [s for s in (0, 1) if zero[s] is None]
+    for s in populated:
+        one_body += four_pi_h * float(np.dot(chi[s], ops[s].apply(chi[s])))
+    if len(populated) == 2:
+        phi_a2 = phi[0]**2
+        phi_m2 = phi[1]**2
+        dens = (
+            0.5 * p.lambda_a * phi_a2**2
+            + 0.5 * p.lambda_m * phi_m2**2
+            + p.lambda_am * phi_a2 * phi_m2
+            + 2.0 * p.alpha * phi_a2 * phi[1]
+        )
+    elif populated:
+        s, = populated
+        dens = 0.5 * (p.lambda_a, p.lambda_m)[s] * (phi[s]**2)**2
+    else:
+        return one_body
     return one_body + grid.integrate(dens)
 
 
@@ -282,7 +333,7 @@ def solve_coupled_gpe(
     the grid floor (attractive collapse or unresolvable state).
     """
     opts = opts if opts is not None else SolverOptions()
-    start = init if init is not None else gaussian_ansatz(params, grid)
+    start = init if init is not None else _gaussian_start(params, grid)
     for state in _descent(params, grid, opts, start):
         if state.residual < opts.tol:
             return state
@@ -326,12 +377,12 @@ def _descent(params, grid, opts, start):
     `_energy_slack` of the energy, which keeps the descent going once
     energy differences reach round-off: no step, Newton or not, raises
     the energy by more.  A species with zero norm keeps its field and
-    mu.
+    mu; when that field is all zeros, as the default start makes it, the
+    species costs no arithmetic per step (`_zero_terms`).
     """
     p = params
     r = grid.r
     four_pi_h = 4.0 * np.pi * grid.h
-    ops = [_operator(s, p, grid) for s in (ATOM, MOLECULE)]
     offsets = [_one_body(s, p)[2] for s in (ATOM, MOLECULE)]
     scales = (p.hbar * p.omega_a, p.hbar * p.omega_m)
     norms = (p.n_a / four_pi_h, p.n_m / four_pi_h)
@@ -340,18 +391,24 @@ def _descent(params, grid, opts, start):
     phi = [start.phi_a, start.phi_m]
     chi = [r * phi[0], r * phi[1]]
     mu = [float(start.mu_a), float(start.mu_m)]
-    energy = _energy(p, grid, ops, phi, chi)
+    # an inactive species keeps chi, so its trial field is always the same
+    kept = [None if s in active else chi[s] / r for s in (0, 1)]
+    zero = _zero_terms(p, phi, chi, [s for s in (0, 1) if s not in active])
+    ops = [_operator(name, p, grid) if zero[s] is None else None
+           for s, name in enumerate((ATOM, MOLECULE))]
+    energy = _energy(p, grid, ops, phi, chi, zero)
     residual, width_floor, newton = math.inf, COLLAPSE_WIDTH * grid.h, False
     res, z, d, z_prev, rz_prev, tau = {}, {}, None, None, 0.0, 0.5
 
     for it in range(opts.max_iters + 1):
-        g, c = _gradients(p, ops, phi, chi)
+        g, c = _gradients(p, ops, phi, chi, zero)
         for s in active:
             mu[s] = float(np.dot(chi[s], g[s]) / np.dot(chi[s], chi[s]))
             res[s] = g[s] - mu[s] * chi[s]
             precond = RadialOperator(ops[s].diag + np.maximum(c[s], 0.0), ops[s].offdiag)
             shift = max(abs(mu[s] - offsets[s]), scales[s]) - offsets[s]
-            x = solve_banded_shifted(precond, shift, np.column_stack((res[s], chi[s])))
+            # the columns res and chi, as a transposed view (no column_stack copy)
+            x = solve_banded_shifted(precond, shift, np.array((res[s], chi[s])).T)
             z[s] = x[:, 0] - (np.dot(chi[s], x[:, 0]) / np.dot(chi[s], x[:, 1])) * x[:, 1]
 
         if it and (newton or it % CHECK_EVERY == 0 or it == opts.max_iters):
@@ -370,7 +427,7 @@ def _descent(params, grid, opts, start):
             return
 
         rz = sum(float(np.dot(res[s], z[s])) for s in active)
-        step = _newton_step(p, grid, ops, phi, chi, mu, res, active) if newton else None
+        step = _newton_step(p, grid, ops, phi, chi, c, mu, res, active) if newton else None
         slope = math.nan if step is None else (
             2.0 * four_pi_h * sum(float(np.dot(res[s], step[s])) for s in active))
         if slope < 0.0:
@@ -395,8 +452,8 @@ def _descent(params, grid, opts, start):
             for s in active:
                 t = chi[s] + tau * d[s]
                 trial_chi[s] = t * math.sqrt(norms[s] / float(np.dot(t, t)))
-            trial_phi = [t / r for t in trial_chi]
-            trial = _energy(p, grid, ops, trial_phi, trial_chi)
+            trial_phi = [t / r if k is None else k for t, k in zip(trial_chi, kept)]
+            trial = _energy(p, grid, ops, trial_phi, trial_chi, zero)
             if trial <= energy + ARMIJO * tau * slope + slack:
                 break
             tau *= 0.5
@@ -409,10 +466,11 @@ def _descent(params, grid, opts, start):
         chi, phi, energy = trial_chi, trial_phi, trial
 
 
-def _newton_step(params, grid, ops, phi, chi, mu, res, active):
+def _newton_step(params, grid, ops, phi, chi, c, mu, res, active):
     """Newton step {species: d} on the stationary equations with the
-    norms as constraints, at chemical potentials mu and residuals res, or
-    None when the bordered system is singular.
+    norms as constraints, at mean fields c (from `_gradients`), chemical
+    potentials mu and residuals res, or None when the bordered system is
+    singular.
 
     The unknowns are chi_a, chi_m (interleaved a_0, m_0, a_1, ... so the
     symmetric Jacobian is a band with two diagonals each side) and the mu
@@ -420,26 +478,34 @@ def _newton_step(params, grid, ops, phi, chi, mu, res, active):
     chi_m, then a 2x2 Schur system for the mu updates keeps
     chi_s . d_s = 0.  An absent species' rows are the identity with zero
     right-hand side.
+
+    The banded solve calls LAPACK gbsv as solve_banded((2, 2), ...) does:
+    the band in rows 2-6 of seven, the top two left for the fill-in of
+    the factorization, so the step is the same to the bit without the
+    checks and copies around the call.
     """
     n = grid.n_points
-    k = _second_variation(params, phi[0], phi[1])
-    ab = np.zeros((5, 2 * n))
-    ab[2] = 1.0
-    rhs = np.zeros((2 * n, 3))
+    k = _second_variation(params, phi[0], phi[1], c)
+    # Fortran order, as gbsv takes its arrays, so neither is copied
+    ab = np.zeros((7, 2 * n), order="F")
+    ab[4] = 1.0
+    rhs = np.zeros((2 * n, 3), order="F")
     for s in active:
-        ab[0, 2 + s::2] = ab[4, s:-2:2] = ops[s].offdiag
-        ab[2, s::2] = ops[s].diag + k[s] - mu[s]
+        ab[2, 2 + s::2] = ab[6, s:-2:2] = ops[s].offdiag
+        ab[4, s::2] = ops[s].diag + k[s] - mu[s]
         rhs[s::2, 0] = -res[s]
         rhs[s::2, 1 + s] = chi[s]
     if len(active) == 2:
-        ab[1, 1::2] = ab[3, 0::2] = k[2]
+        ab[3, 1::2] = ab[5, 0::2] = k[2]
+    _, _, x, info = _GBSV(2, 2, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        return None
+    x = (x[0::2], x[1::2])  # atom rows, molecule rows; columns -res, chi_a, chi_m
+    coef = np.array([1.0, 0.0, 0.0])  # the -res column, then the mu updates
     try:
-        x = scipy.linalg.solve_banded((2, 2), ab, rhs, check_finite=False)
-        x = (x[0::2], x[1::2])  # atom rows, molecule rows; columns -res, chi_a, chi_m
-        dmu = np.zeros(2)
-        dmu[active] = np.linalg.solve(
+        coef[[1 + s for s in active]] = np.linalg.solve(
             [[chi[s] @ x[s][:, 1 + t] for t in active] for s in active],
             [-(chi[s] @ x[s][:, 0]) for s in active])
-    except np.linalg.LinAlgError:  # scipy.linalg.LinAlgError is the same class
+    except np.linalg.LinAlgError:
         return None
-    return {s: x[s] @ np.r_[1.0, dmu] for s in active}
+    return {s: x[s] @ coef for s in active}

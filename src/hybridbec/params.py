@@ -16,7 +16,7 @@ as equality, prefactor 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ResonanceSingularityError, require_finite
 
@@ -139,9 +139,12 @@ class PhysicalParams:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if d["resonance"] is None:
-            del d["resonance"]
+        """The fields as `dataclasses.asdict` gives them, without its deep
+        copy (every value is a number), and without an absent resonance."""
+        d = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        res = d.pop("resonance")
+        if res is not None:
+            d["resonance"] = {name: getattr(res, name) for name in res.__dataclass_fields__}
         return d
 
 

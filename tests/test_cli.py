@@ -527,3 +527,56 @@ def test_jobs_do_not_change_artifacts(tmp_path):
                      "--out", str(tmp_path / d), "--jobs", str(jobs)]) == 0
     assert (tmp_path / "f1" / "fig3.csv").read_bytes() == \
            (tmp_path / "f4" / "fig3.csv").read_bytes()
+
+
+def test_failed_runs_leave_no_out_directory(tmp_path, capsys):
+    # the writers make --out, so a run that fails its input checks leaves
+    # no empty directory behind
+    density = json.loads((CONFIGS / "density_sweep.json").read_text())
+    density["sweep"]["values"] = [0.5, -1.0]
+    runs = [
+        ("density", write_config(tmp_path, "negative.json", density)),
+        ("variational", write_config(tmp_path, "no_n.json", {
+            "params": {"omega_a": 1.0, "omega_m": 1.4}})),
+        ("fig3", write_config(tmp_path, "no_b.json", {
+            "params": {"omega_a": 1.0, "omega_m": 1.4},
+            "sweep": {"variable": "N", "values": [100.0, 200.0]}})),
+    ]
+    for command, cfg in runs:
+        out = tmp_path / f"out_{command}"
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert not out.exists()
+    # a run that succeeds still makes a nested --out
+    out = tmp_path / "nested" / "out"
+    assert main(["ground", "--config", str(CONFIGS / "ground_noninteracting.json"),
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["condensate.csv", "ground_summary.json"]
+
+
+def test_main_builds_no_parser_after_import(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+    for i in range(3):
+        assert main(["ground", "--config", str(CONFIGS / "ground_noninteracting.json"),
+                     "--out", str(tmp_path / str(i))]) == 0
+    assert built == []
+
+
+def test_reused_parser_leaks_no_value_between_calls(tmp_path):
+    # one process: a plain run, a call argparse rejects, a --compare run,
+    # then the plain run again, which must write the first run's bytes
+    cfg = str(CONFIGS / "spectrum_weak.json")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "first")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", cfg, "--method", "shooting",
+              "--out", str(tmp_path / "rejected")])
+    assert exc.value.code == 2 and not (tmp_path / "rejected").exists()
+    assert main(["spectrum", "--config", cfg, "--compare",
+                 "--out", str(tmp_path / "compare")]) == 0
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "again")]) == 0
+    first, again = (sorted((tmp_path / d).iterdir()) for d in ("first", "again"))
+    assert [p.name for p in again] == [p.name for p in first] == ["spectrum_block.csv"]
+    assert again[0].read_bytes() == first[0].read_bytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridbec import csvio
 from hybridbec.csvio import format_column, format_value, write_csv
 
 SPECIALS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1]
@@ -61,6 +62,25 @@ def test_preformatted_column_writes_the_bytes_of_its_array(tmp_path):
                         {k: shared if k == "x" else v for k, v in columns.items()})
         assert pre.read_bytes() == raw.read_bytes()
     assert format_column(shared) == shared
+
+
+def test_string_columns_pass_through_without_per_cell_formatting(tmp_path, monkeypatch):
+    # a preformatted column is written as it is; a column with any
+    # non-string cell is still formatted cell by cell
+    x = np.array(SPECIALS)
+    shared, names = format_column(x), ["atom", "molecule"] * 3 + ["atom"]
+    expected = write_csv(tmp_path / "raw.csv", [], {"x": x, "s": names}).read_bytes()
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return format_value(value)
+
+    monkeypatch.setattr(csvio, "format_value", counting)
+    assert format_column(names) is names
+    path = write_csv(tmp_path / "pre.csv", [], {"x": shared, "s": names})
+    assert path.read_bytes() == expected and calls == []
+    assert format_column(["x", 0.25]) == ["x", "0.25"] and calls == ["x", 0.25]
 
 
 def test_unequal_columns_raise(tmp_path):

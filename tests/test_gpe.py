@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hybridbec import CollapseError, ConvergenceError, PhysicalParams, build_grid
 from hybridbec import gpe
@@ -375,7 +376,7 @@ def test_guard_falls_back_to_flow(monkeypatch, reject):
         target.phi_a[0] = np.sqrt(p.n_a / g.w[0])
     calls = []
 
-    def fake_step(params, grid, ops, phi, chi, mu, res, active):
+    def fake_step(params, grid, ops, phi, chi, c, mu, res, active):
         calls.append(1)
         if reject == "no_result":
             return None
@@ -413,3 +414,170 @@ def test_newton_never_tried_at_or_above_start_tol(monkeypatch, tol):
     assert np.array_equal(s.phi_a, f.phi_a) and np.array_equal(s.phi_m, f.phi_m)
     assert s.mu_a == f.mu_a and s.mu_m == f.mu_m
     assert s.iterations == f.iterations
+
+
+# -- the descent's fast paths, each against the formula it replaces, bit for bit
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+START_SETS = dict(STAGE_SETS, **{
+    "negative_alpha": (params(lambda_a=1e-3, alpha=-0.02), GRID),
+    "no_molecules_alpha": (params(lambda_a=1e-3, alpha=0.1, n_m=0.0), GRID),
+})
+
+
+@pytest.mark.parametrize("name", sorted(START_SETS))
+def test_default_start_is_the_ansatz(name):
+    # the descent's start has the ansatz's fields and mu to the bit,
+    # signs of zero included (phi_m = -0.0 for alpha > 0 and no molecules)
+    p, g = START_SETS[name]
+    start, ref = gpe._gaussian_start(p, g), gaussian_ansatz(p, g)
+    for field in ("phi_a", "phi_m", "mu_a", "mu_m"):
+        assert bits(getattr(start, field)) == bits(getattr(ref, field))
+
+
+def test_default_start_skips_the_ansatz_diagnostics(monkeypatch):
+    calls = []
+    for name in ("gpe_defect", "energy_functional"):
+        real = getattr(gpe, name)
+        monkeypatch.setattr(gpe, name, lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
+    for p, g in STAGE_SETS.values():
+        solve_coupled_gpe(p, g)
+    assert calls == []
+    gaussian_ansatz(*STAGE_SETS["item2"])
+    assert calls == ["gpe_defect", "energy_functional"]
+
+
+# the benchmark's free, repulsive and attractive families with one species
+# empty, in a box wide enough (r_max 45) that the Gaussian tails underflow to
+# exact zeros, where lambda*phi^2 is -0.0 for a negative coupling; the
+# couplings to the empty field come in both signs, so its zero terms do too
+WIDE = build_grid(r_max=45.0, n_points=400)
+EMPTY_FAMILIES = {
+    "free": dict(n_a=100.0),
+    "repulsive": dict(lambda_a=0.08, n_a=100.0),
+    "attractive": dict(lambda_a=-0.0628, n_a=190.0),
+    "molecules_only": dict(lambda_m=-0.05, n_m=100.0),
+    "none": dict(lambda_a=-0.05),
+}
+COUPLINGS = {"uncoupled": dict(), "positive": dict(alpha=0.1, lambda_am=0.02),
+             "negative": dict(alpha=-0.1, lambda_am=-0.02)}
+
+
+def full_ops(p, g):
+    return [gpe._operator(s, p, g) for s in (gpe.ATOM, gpe.MOLECULE)]
+
+
+@pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+@pytest.mark.parametrize("family", sorted(EMPTY_FAMILIES))
+def test_empty_species_skip_keeps_every_bit(monkeypatch, family, coupling):
+    # every _gradients and _energy call of a descent with an empty species
+    # equals the full formulas on the same fields, signs of zero included
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4,
+                       **EMPTY_FAMILIES[family], **COUPLINGS[coupling])
+    ops = full_ops(p, WIDE)
+    gradients, energy = gpe._gradients, gpe._energy
+    checked = []
+
+    def checked_gradients(params, ops_, phi, chi, zero):
+        assert any(z is not None for z in zero)
+        out = gradients(params, ops_, phi, chi, zero)
+        ref = gradients(params, ops, phi, chi)
+        for pair, ref_pair in zip(out, ref):
+            for s, z in enumerate(zero):
+                if z is None:
+                    assert bits(pair[s]) == bits(ref_pair[s])
+                else:
+                    assert pair[s] is None
+        checked.append("gradients")
+        return out
+
+    def checked_energy(params, grid, ops_, phi, chi, zero):
+        out = energy(params, grid, ops_, phi, chi, zero)
+        assert bits(out) == bits(energy(params, grid, ops, phi, chi))
+        checked.append("energy")
+        return out
+
+    monkeypatch.setattr(gpe, "_gradients", checked_gradients)
+    monkeypatch.setattr(gpe, "_energy", checked_energy)
+    try:
+        solve_coupled_gpe(p, WIDE, SolverOptions(max_iters=12))
+    except (CollapseError, ConvergenceError):
+        pass
+    assert "gradients" in checked and "energy" in checked
+
+
+def test_empty_species_terms_turn_tail_zeros_positive():
+    # the case the zero terms exist for: with attraction and no coupling the
+    # atoms' mean field is -0.0 in the underflowed tail, +0.0 in the full sum
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4, **EMPTY_FAMILIES["attractive"])
+    start = gpe._gaussian_start(p, WIDE)
+    phi = (start.phi_a, start.phi_m)
+    chi = (WIDE.r * phi[0], WIDE.r * phi[1])
+    own = p.lambda_a * (phi[0] * phi[0])
+    tail = own == 0.0
+    assert tail.any() and np.signbit(own[tail]).all()
+    zero = gpe._zero_terms(p, phi, chi, (1,))
+    assert zero[0] is None and zero[1] is not None
+    (_, _), (c_a, c_m) = gpe._gradients(p, full_ops(p, WIDE), phi, chi, zero)
+    assert c_m is None and not np.signbit(c_a[tail]).any()
+    assert bits(c_a) == bits(gpe._mean_fields(p, *phi)[0])
+
+
+def newton_by_solve_banded(params, grid, ops, phi, chi, c, mu, res, active):
+    # the step as solve_banded((2, 2), ...) gives it, mean fields recomputed
+    n = grid.n_points
+    k = gpe._second_variation(params, phi[0], phi[1])
+    ab = np.zeros((5, 2 * n))
+    ab[2] = 1.0
+    rhs = np.zeros((2 * n, 3))
+    for s in active:
+        ab[0, 2 + s::2] = ab[4, s:-2:2] = ops[s].offdiag
+        ab[2, s::2] = ops[s].diag + k[s] - mu[s]
+        rhs[s::2, 0] = -res[s]
+        rhs[s::2, 1 + s] = chi[s]
+    if len(active) == 2:
+        ab[1, 1::2] = ab[3, 0::2] = k[2]
+    try:
+        x = scipy.linalg.solve_banded((2, 2), ab, rhs, check_finite=False)
+        x = (x[0::2], x[1::2])
+        dmu = np.zeros(2)
+        dmu[active] = np.linalg.solve(
+            [[chi[s] @ x[s][:, 1 + t] for t in active] for s in active],
+            [-(chi[s] @ x[s][:, 0]) for s in active])
+    except np.linalg.LinAlgError:
+        return None
+    return {s: x[s] @ np.r_[1.0, dmu] for s in active}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_SETS))
+def test_newton_step_gbsv_matches_solve_banded(monkeypatch, name):
+    p, g = STAGE_SETS[name]
+    step, steps = gpe._newton_step, []
+
+    def compared(*args):
+        # mu and res are updated in place by the next step: compare now
+        out, ref = step(*args), newton_by_solve_banded(*args)
+        assert out.keys() == ref.keys()
+        assert all(bits(out[s]) == bits(ref[s]) for s in out)
+        steps.append(out)
+        return out
+
+    monkeypatch.setattr(gpe, "_newton_step", compared)
+    solve_coupled_gpe(p, g)
+    assert steps
+
+
+def test_newton_step_singular_band_gives_none():
+    p = params()
+    n = GRID.n_points
+    flat = gpe.RadialOperator(diag=np.zeros(n), offdiag=0.0)
+    zeros = np.zeros(n)
+    args = (p, GRID, [flat, flat], (zeros, zeros), (zeros, zeros), (zeros, zeros),
+            [0.0, 0.0], {0: zeros, 1: zeros}, [0])
+    assert gpe._newton_step(*args) is None
+    assert newton_by_solve_banded(*args) is None

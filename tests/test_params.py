@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -185,3 +186,20 @@ def test_natural_units_scaling_dimensions():
 def test_chemical_equilibrium_gap():
     assert chemical_equilibrium_gap(1.0, 2.0) == 0.0
     assert chemical_equilibrium_gap(1.0, 2.5) == 0.5
+
+
+@pytest.mark.parametrize("resonance", [
+    None, FeshbachResonance(a0=5.3e-9, b0=100.0, delta=0.01, b=99.9),
+], ids=["no-resonance", "resonance"])
+def test_to_dict_is_asdict_without_the_deep_copy(resonance):
+    # the config hash reads to_dict: same keys, order, values and types
+    # as dataclasses.asdict, an absent resonance dropped
+    p = make_params(n_a=100, resonance=resonance)
+    ref = dataclasses.asdict(p)
+    if resonance is None:
+        del ref["resonance"]
+    d = p.to_dict()
+    assert list(d) == list(ref) and d == ref
+    assert [type(v) for v in d.values()] == [type(v) for v in ref.values()]
+    if resonance is not None:
+        assert list(d["resonance"]) == list(ref["resonance"])

@@ -73,6 +73,9 @@ NORM_FLOOR = 1e-10
 #: |E^2| at or below this, in units of (hbar*omega_a)^2, marks the
 #: Goldstone mode of the grid routes
 ZERO_MODE_E2 = 1e-6
+#: basis-level ladders of `basis_levels`; weights of the paper-literal average
+CONVENTIONS = ("paper", "oscillator3d")
+AVERAGINGS = ("density", "volume")
 
 _GBTRF, _GBTRS = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
 
@@ -128,13 +131,13 @@ def basis_levels(
     """
     if j_max < 1:
         raise ConfigError(f"j_max must be >= 1, got {j_max}")
+    if convention not in CONVENTIONS:
+        raise ConfigError(f"unknown basis convention '{convention}'")
     _, omega, _ = _one_body(species, params)
     j = np.arange(j_max, dtype=float)
     if convention == "paper":
         return params.hbar * omega * (j + 0.5)
-    if convention == "oscillator3d":
-        return params.hbar * omega * (2.0 * j + 1.5)
-    raise ConfigError(f"unknown basis convention '{convention}'")
+    return params.hbar * omega * (2.0 * j + 1.5)
 
 
 #: bases built on each grid, kept for as long as the grid object lives
@@ -197,14 +200,11 @@ def _projection(species, state, params, grid, j_max, convention):
 
 
 def _weighted_average(values: np.ndarray, weights: np.ndarray) -> float:
-    # exact for constant arrays: keeps the zero-coupling limit bit-identical
-    # with the scalar arithmetic of the block method
-    if values.size and np.all(values == values[0]):
+    # exact for constant arrays, so the zero-coupling limit keeps the block
+    # method's scalar arithmetic; paper_literal_spectrum's weights sum to > 0
+    if np.all(values == values[0]):
         return float(values[0])
-    total = float(np.sum(weights))
-    if total <= 0.0:
-        return float(np.mean(values))
-    return float(np.dot(weights, values)) / total
+    return float(np.dot(weights, values)) / float(np.sum(weights))
 
 
 def paper_literal_spectrum(
@@ -233,7 +233,7 @@ def paper_literal_spectrum(
     of raising.  Stable modes are renormalized to integral(u^2-v^2) = +-1
     and the raw A, B are kept in coeff_u, coeff_v.
     """
-    if averaging not in ("density", "volume"):
+    if averaging not in AVERAGINGS:
         raise ConfigError(f"unknown averaging '{averaging}'")
     out = []
     for species in (ATOM, MOLECULE):

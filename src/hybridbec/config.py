@@ -13,6 +13,8 @@ One JSON file drives every subcommand.  Sections:
     sweep        {"variable": "B"|"T"|"N", "values": [...]}
     output_dir   path for artifacts (CLI --out overrides)
 
+Every value is checked at load, whatever the command reads; grid, solver
+and variational by building their objects, whose defaults they are.
 Unknown keys anywhere are rejected with the offending field named, so a
 typo never silently reverts to a default.  The canonical hash covers the
 fully defaulted configuration and is embedded in every artifact header:
@@ -23,20 +25,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .bdg import AVERAGINGS, CONVENTIONS
 from .errors import ConfigError, require_count, require_finite, require_positive
 from .gpe import SolverOptions
 from .grid import RadialGrid, build_grid
 from .params import PhysicalParams
+from .uniform import DENSITY_ESTIMATES
 from .variational import SearchBox
 
 BDG_METHODS = ("paper", "block", "grid")
+_SOLVER, _VARIATIONAL = asdict(SolverOptions()), asdict(SearchBox())
 
 
-def _section(data: dict, name: str, allowed: dict) -> dict:
-    """Pop section `name`, apply defaults, reject unknown keys."""
+def _section(data: dict, name: str, allowed: dict, build=None) -> dict:
+    """Pop section `name`, apply defaults, reject unknown keys; with
+    `build`, check the values by building the section's object."""
     raw = data.pop(name, {})
     if not isinstance(raw, dict):
         raise ConfigError(f"section '{name}' must be an object")
@@ -45,6 +51,11 @@ def _section(data: dict, name: str, allowed: dict) -> dict:
         raise ConfigError(f"unknown key(s) in '{name}': {sorted(unknown)}")
     out = dict(allowed)
     out.update(raw)
+    if build is not None:
+        try:
+            build(**out)
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     return out
 
 
@@ -66,31 +77,36 @@ class RunConfig:
         if "params" not in data:
             raise ConfigError("config requires a 'params' section")
         params = PhysicalParams.from_dict(data.pop("params"))
-        grid = _section(data, "grid", {"r_max": 8.0, "n_points": 400})
-        solver = _section(data, "solver", {"tol": 1e-8, "max_iters": 20000, "dt": 1e-3})
+        # checked, not rewritten: a stored 16.0 keeps its config hash
+        grid = _section(data, "grid", {"r_max": 8.0, "n_points": 400}, build_grid)
+        solver = _section(data, "solver", _SOLVER, SolverOptions)
         bdg = _section(data, "bdg", {
             "method": "block", "j_max": 16, "l_max": 0,
             "averaging": "density", "convention": "paper",
         })
-        if bdg["method"] not in BDG_METHODS:
-            raise ConfigError(
-                f"bdg.method must be one of {list(BDG_METHODS)}, got '{bdg['method']}'")
-        thermal = _section(data, "thermal", {
-            "include_quantum_depletion": True, "j_max": 32,
-        })
-        variational = _section(data, "variational", {
-            "v_max": 5.0, "omega_lo": 0.2, "omega_hi": 5.0, "coarse": 64,
-        })
-        # checked, not rewritten: a stored 16.0 keeps its config hash
-        for name, value, minimum in (
-            ("bdg.j_max", bdg["j_max"], 1), ("bdg.l_max", bdg["l_max"], 0),
-            ("thermal.j_max", thermal["j_max"], 2),  # density compares j_max // 2
-            ("variational.coarse", variational["coarse"], 2),
-        ):
-            require_count(name, value, minimum)
+        thermal = _section(data, "thermal", {"include_quantum_depletion": True, "j_max": 32})
+        variational = _section(data, "variational", _VARIATIONAL, SearchBox)
         uniform = _section(data, "uniform", {
             "density": None, "r0": None, "density_estimate": "paper",
         })
+        require_count("bdg.l_max", bdg["l_max"], 0)
+        # a grid's oscillator basis has n_points states; density compares j_max // 2
+        for name, value, minimum in (
+            ("bdg.j_max", bdg["j_max"], 1), ("thermal.j_max", thermal["j_max"], 2),
+        ):
+            if require_count(name, value, minimum) > grid["n_points"]:
+                raise ConfigError(f"{name} must be at most grid.n_points = "
+                                  f"{grid['n_points']}, got {value!r}")
+        for name, value, allowed in (
+            ("bdg.method", bdg["method"], BDG_METHODS),
+            ("bdg.averaging", bdg["averaging"], AVERAGINGS),
+            ("bdg.convention", bdg["convention"], CONVENTIONS),
+            ("thermal.include_quantum_depletion", thermal["include_quantum_depletion"],
+             (True, False)),
+            ("uniform.density_estimate", uniform["density_estimate"], DENSITY_ESTIMATES),
+        ):
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of {list(allowed)}, got {value!r}")
         for key in ("density", "r0"):
             if uniform[key] is not None:
                 name = f"uniform.{key}"
@@ -106,6 +122,8 @@ class RunConfig:
             values = [require_finite(f"sweep.values[{i}]", v) for i, v in enumerate(values)]
             sweep = {"variable": sweep["variable"], "values": values}
         output_dir = data.pop("output_dir", None)
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
         if data:
             raise ConfigError(f"unknown top-level key(s): {sorted(data)}")
         return cls(
@@ -115,34 +133,18 @@ class RunConfig:
         )
 
     def build_grid(self) -> RadialGrid:
-        return build_grid(r_max=self.grid["r_max"], n_points=self.grid["n_points"])
+        return build_grid(**self.grid)
 
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(
-            tol=self.solver["tol"],
-            max_iters=self.solver["max_iters"],
-            dt=self.solver["dt"],
-        )
+        return SolverOptions(**self.solver)
 
     def search_box(self) -> SearchBox:
-        v = self.variational
-        return SearchBox(
-            v_max=v["v_max"], omega_lo=v["omega_lo"],
-            omega_hi=v["omega_hi"], coarse=v["coarse"],
-        )
+        return SearchBox(**self.variational)
 
     def canonical_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "grid": self.grid,
-            "solver": self.solver,
-            "bdg": self.bdg,
-            "thermal": self.thermal,
-            "variational": self.variational,
-            "uniform": self.uniform,
-            "sweep": self.sweep,
-            "output_dir": self.output_dir,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["params"] = self.params.to_dict()
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True,

@@ -21,10 +21,7 @@ UNITS_NOTE = "natural units: hbar = M = omega_a = 1"
 def format_value(x) -> str:
     # repr of Python floats is the shortest round-trip form; numpy
     # scalars are unwrapped so rows stay plain numbers, and booleans of
-    # either kind write as 0/1; strings, such as the cells of a column
-    # format_column has already formatted, pass through first
-    if isinstance(x, str):
-        return x
+    # either kind write as 0/1; a string is its own str()
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, (int, np.integer, np.bool_)):

@@ -31,6 +31,8 @@ log = logging.getLogger(__name__)
 
 STABLE = "stable"
 UNSTABLE = "unstable-attractive"
+#: sample size sqrt(N/n) ("paper") or (N/n)^(1/3) ("conventional")
+DENSITY_ESTIMATES = ("paper", "conventional")
 
 #: gas parameter (n * a_eff^3)^(1/3) above this is no longer dilute;
 #: results are logged suspect
@@ -98,14 +100,6 @@ class UniformGasPoint:
     source: str
 
 
-def _sample_size(n_total: float, density: float, estimate: str) -> float:
-    if estimate == "paper":
-        return math.sqrt(n_total / density)
-    if estimate == "conventional":
-        return (n_total / density) ** (1.0 / 3.0)
-    raise ConfigError(f"unknown density estimate '{estimate}'")
-
-
 def figure3_curve(
     params: PhysicalParams,
     b_list,
@@ -126,13 +120,13 @@ def figure3_curve(
     n_total = params.n_a
     if n_total <= 0.0:
         raise ConfigError("field curve requires a positive atom number n_a")
-    if density_estimate not in ("paper", "conventional"):
+    if density_estimate not in DENSITY_ESTIMATES:
         raise ConfigError(f"unknown density estimate '{density_estimate}'")
+    power = 2 if density_estimate == "paper" else 3
     if density is not None:
-        size = _sample_size(n_total, density, estimate=density_estimate)
+        size = math.sqrt(n_total / density) if power == 2 else (n_total / density) ** (1.0 / 3.0)
     else:
         size = r0 if r0 is not None else params.oscillator_length
-        power = 2 if density_estimate == "paper" else 3
         density = n_total / size**power
     volume = n_total / density
 

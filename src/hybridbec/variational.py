@@ -52,7 +52,7 @@ import numpy as np
 # unused; perfbench/run.py --trace 1 needs its -X importtime line (ROADMAP item 9)
 import scipy.optimize  # noqa: F401
 
-from .errors import BoundaryMinimumError, ConfigError, DomainError, require_count
+from .errors import BoundaryMinimumError, ConfigError, DomainError, require_count, require_finite
 from .params import PhysicalParams
 
 MODE_SURFACE = "010"
@@ -224,8 +224,8 @@ class SearchBox:
     coarse: int = 64
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.v_max, self.omega_lo, self.omega_hi))):
-            raise ConfigError("need finite v_max, omega_lo and omega_hi")
+        for name in ("v_max", "omega_lo", "omega_hi"):
+            require_finite(name, getattr(self, name))
         if not (0.0 < self.omega_lo < self.omega_hi):
             raise ConfigError("need 0 < omega_lo < omega_hi")
         if self.v_max <= 0.0:
@@ -310,7 +310,8 @@ def sweep_spectrum(
 
     For each N the resonant parameter set and its alpha = lambda = 0
     counterpart are minimized; output is [res(N1), bare(N1), res(N2), ...]
-    of length 2*len(n_list).
+    of length 2*len(n_list).  A set that is already decoupled is its own
+    counterpart: it is minimized once per N and listed twice.
     """
     n_list = list(n_list)
     if not n_list:
@@ -318,11 +319,12 @@ def sweep_spectrum(
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list must be strictly ascending")
     bare = replace(params, alpha=0.0, lambda_am=0.0)
+    decoupled = bare == params
     out: list[VariationalResult] = []
     for n in n_list:
         try:
-            out.append(minimize_mode(mode, params, n, box))
-            out.append(minimize_mode(mode, bare, n, box))
+            res = minimize_mode(mode, params, n, box)
+            out += (res, res if decoupled else minimize_mode(mode, bare, n, box))
         except BoundaryMinimumError as exc:
             raise BoundaryMinimumError(
                 f"sweep failed at N = {n:g}: {exc}",

@@ -180,6 +180,8 @@ def test_non_numeric_sweep_values_exit_config_code(tmp_path, capsys, values):
     ("thermal", "j_max", "16"),
     ("thermal", "j_max", 1),
     ("variational", "coarse", 1),
+    ("variational", "v_max", "5"),
+    ("thermal", "include_quantum_depletion", "false"),
     ("params", "temperature", float("nan")),
     ("params", "omega_a", float("nan")),
     ("params", "n_a", float("nan")),
@@ -195,8 +197,9 @@ def test_non_numeric_sweep_values_exit_config_code(tmp_path, capsys, values):
 ])
 def test_invalid_grid_and_solver_exit_config_code(tmp_path, capsys, section, key, value):
     # a fractional grid size, an infinite box, a string tolerance, a
-    # negative step, a zero iteration cap, bad mode counts, non-finite,
-    # boolean or string parameters and a nonpositive or non-finite uniform
+    # negative step, a zero iteration cap, bad mode counts, a string box
+    # edge or flag, non-finite, boolean or string parameters and a
+    # nonpositive or non-finite uniform
     # density or sample size are config errors, not runs, truncations,
     # solver failures or raw Python errors
     data = {"params": {"omega_a": 1.0, "omega_m": 1.4, "n_a": 100.0}}
@@ -580,3 +583,85 @@ def test_reused_parser_leaks_no_value_between_calls(tmp_path):
     first, again = (sorted((tmp_path / d).iterdir()) for d in ("first", "again"))
     assert [p.name for p in again] == [p.name for p in first] == ["spectrum_block.csv"]
     assert again[0].read_bytes() == first[0].read_bytes()
+
+
+@pytest.mark.parametrize("argv, config, section, key, value", [
+    (["fig3"], "fig3.json", "solver", "tol", -1),
+    (["fig3"], "fig3.json", "grid", "n_points", 3),
+    (["variational"], "variational_sweep.json", "solver", "max_iters", 0),
+    (["ground"], "ground_noninteracting.json", "variational", "v_max", -5),
+    (["ground"], "ground_noninteracting.json", "variational", "omega_lo", 9),
+    (["ground"], "ground_noninteracting.json", "uniform", "density_estimate", "bogus"),
+    (["spectrum", "--method", "block"], "spectrum_weak.json", "bdg", "averaging", "bogus"),
+    (["density"], "density_sweep.json", "bdg", "convention", "bogus"),
+    (["ground"], "ground_noninteracting.json", "bdg", "j_max", 401),
+    (["density"], "density_sweep.json", "thermal", "j_max", 201),
+], ids=["fig3-solver.tol", "fig3-grid.n_points", "variational-solver.max_iters",
+        "ground-variational.v_max", "ground-variational.omega_lo",
+        "ground-uniform.density_estimate", "spectrum-bdg.averaging", "density-bdg.convention",
+        "ground-bdg.j_max-above-n_points", "density-thermal.j_max-above-n_points"])
+def test_invalid_value_fails_at_load_whatever_the_command(
+        tmp_path, monkeypatch, capsys, argv, config, section, key, value):
+    # every section is checked when the config loads, including those the
+    # command never reads: exit 2 naming the key, before any solve, sweep
+    # point or field curve starts, and no --out directory
+    started = []
+    for name in ("solve_coupled_gpe", "minimize_mode", "figure3_curve"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: started.append(_name))
+    data = json.loads((CONFIGS / config).read_text())
+    data.setdefault(section, {})[key] = value
+    path = write_config(tmp_path, "bad.json", data)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([argv[0], "--config", path, "--out", str(out)] + argv[1:]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert section in err["message"] and key in err["message"]
+    assert started == []
+    assert not out.exists()
+
+
+PARAMS = '"params": {"omega_a": 1.0, "omega_m": 1.4'
+RESONANCE = '"resonance": {"a0": 5e-7, "b0": 100.0, "b": 100.0, '
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{' + PARAMS + '}, "grid": []}', "'grid'"),
+    ('{"grid": {"n_points": 200}}', "'params'"),
+    ('{' + PARAMS + '}', "not valid JSON"),
+    ('[{' + PARAMS + '}}]', "JSON object"),
+    ('{"params": []}', "params"),
+    ('{' + PARAMS + ', "resonance": []}}', "resonance"),
+    ('{' + PARAMS + ', ' + RESONANCE + '"delta": 0.01, "width": 1.0}}}', "width"),
+    ('{' + PARAMS + ', ' + RESONANCE + '"delta": 0}}}', "resonance"),
+    ('{' + PARAMS + '}, "output_dir": 5}', "output_dir"),
+], ids=["section-not-object", "no-params", "invalid-json", "top-level-array",
+        "params-not-object", "resonance-not-object", "unknown-resonance-key",
+        "zero-resonance-width", "numeric-output-dir"])
+def test_malformed_config_exits_config_code(tmp_path, capsys, text, named):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["ground", "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and named in err["message"]
+    assert not out.exists()
+
+
+def test_unconverged_ground_exits_3(tmp_path, capsys):
+    # three steps are too few for this set: exit 3 with a ConvergenceError
+    # line on stderr and no --out directory; the default cap converges it
+    data = {"params": {"omega_a": 1.0, "omega_m": 1.4, "lambda_a": 0.1, "n_a": 100.0},
+            "grid": {"r_max": 8.0, "n_points": 200}, "solver": {"max_iters": 3}}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["ground", "--config", write_config(tmp_path, "short.json", data),
+                 "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConvergenceError"
+    assert not out.exists()
+    del data["solver"]
+    assert main(["ground", "--config", write_config(tmp_path, "full.json", data),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "ground_summary.json").read_text())["iterations"] > 3

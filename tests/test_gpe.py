@@ -581,3 +581,24 @@ def test_newton_step_singular_band_gives_none():
             [0.0, 0.0], {0: zeros, 1: zeros}, [0])
     assert gpe._newton_step(*args) is None
     assert newton_by_solve_banded(*args) is None
+
+
+@pytest.mark.parametrize("active", [[0], [0, 1]], ids=["atoms", "both"])
+def test_newton_step_singular_schur_system_gives_none(active):
+    # a nonsingular band whose border columns chi are zero: the band solve
+    # succeeds and the 2x2 system for the mu updates is singular
+    p = params()
+    n = GRID.n_points
+    op = gpe.RadialOperator(diag=np.full(n, 2.0), offdiag=-0.5)
+    zeros, ones = np.zeros(n), np.ones(n)
+    res = {0: ones, 1: ones}
+
+    def args(chi):
+        return (p, GRID, [op, op], (zeros, zeros), chi, (zeros, zeros),
+                [0.0, 0.0], res, active)
+
+    assert gpe._newton_step(*args((zeros, zeros))) is None
+    assert newton_by_solve_banded(*args((zeros, zeros))) is None
+    # the same band with nonzero borders gives a step
+    step = gpe._newton_step(*args((ones, ones)))
+    assert sorted(step) == active and all(np.isfinite(step[s]).all() for s in active)

@@ -198,6 +198,27 @@ def test_figure3_r0_path_matches_density_path():
         assert x.n0 == y.n0 and x.a_eff == y.a_eff
 
 
+def test_figure3_conventional_estimate_from_density():
+    # with the density given, "conventional" sizes the sample as
+    # (N/n)^(1/3): the critical number is (pi/16) (N/n)^(1/3) / |a_eff|,
+    # while the depletion branch sees only the volume N/n
+    from dataclasses import replace
+
+    p = fig3_params()
+    bs = [99.9, 100.004, 100.008]
+    conv = figure3_curve(p, bs, density=1e15, density_estimate="conventional")
+    paper = figure3_curve(p, bs, density=1e15)
+    for pt, ref in zip(conv, paper):
+        assert pt.n == 1e15 and pt.a_eff == ref.a_eff
+        a = effective_scattering_length(replace(p, resonance=replace(p.resonance, b=pt.b)))
+        if pt.source == "critical-number":
+            assert pt.n0 == pytest.approx((math.pi / 16.0) * 1e-3 / abs(a), rel=1e-14)
+            assert pt.n0 / ref.n0 == pytest.approx(1e-3 / math.sqrt(1e-9), rel=1e-14)
+        else:
+            assert pt.n0 == ref.n0 == depletion_number(1e6, 1e-9, a)
+    assert [pt.source for pt in conv] == ["depletion", "critical-number", "critical-number"]
+
+
 def test_figure3_error_paths():
     p = fig3_params()
     with pytest.raises(ResonanceSingularityError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from hybridbec import ConfigError, DomainError, PhysicalParams
+from hybridbec import ConfigError, DomainError, PhysicalParams, variational
 from hybridbec.errors import BoundaryMinimumError
 from hybridbec.variational import (
     SearchBox,
@@ -154,6 +154,45 @@ def test_sweep_pairs_and_validation():
         sweep_spectrum("010", WEAK, [])
     with pytest.raises(ConfigError):
         sweep_spectrum("010", WEAK, [100.0, 100.0])
+
+
+@pytest.mark.parametrize("params, per_point", [
+    (replace(WEAK, alpha=0.0, lambda_am=0.0), 1),
+    (WEAK, 2),
+], ids=["decoupled", "resonant"])
+def test_sweep_minimizes_a_decoupled_set_once(monkeypatch, params, per_point):
+    # a decoupled set is its own alpha = lambda = 0 counterpart: one
+    # minimization per N, listed twice, and the rows are those of the two
+    # separate minimizations to the bit
+    calls = []
+    real = variational.minimize_mode
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(variational, "minimize_mode", counting)
+    n_list = [50.0, 100.0, 200.0]
+    out = sweep_spectrum("100", params, n_list)
+    assert len(calls) == per_point * len(n_list)
+    bare = replace(params, alpha=0.0, lambda_am=0.0)
+    expected = [r for n in n_list
+                for r in (real("100", params, n), real("100", bare, n))]
+    assert out == expected
+
+
+def test_sweep_names_the_population_of_a_pinned_minimum():
+    # the free gas minimizes at omega = 1, outside this box: the first
+    # point pins to omega_lo and the sweep says at which N
+    box = SearchBox(omega_lo=3.0, omega_hi=5.0)
+    with pytest.raises(BoundaryMinimumError) as info:
+        sweep_spectrum("010", ZERO, [10.0, 20.0], box)
+    inner = info.value.__cause__
+    assert isinstance(inner, BoundaryMinimumError)
+    assert str(info.value) == f"sweep failed at N = 10: {inner}"
+    assert (info.value.v, info.value.omega, info.value.energy) == \
+        (inner.v, inner.omega, inner.energy)
+    assert info.value.omega == pytest.approx(3.0, rel=1e-3)
 
 
 def test_strong_quartic_coupling_raises_both_modes():

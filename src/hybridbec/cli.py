@@ -181,7 +181,7 @@ def cmd_density(cfg: RunConfig, outdir: Path) -> list[Path]:
     j_max = int(cfg.thermal["j_max"])
     atoms, mols = block_2x2_spectrum(
         state, cfg.params, grid, j_max=j_max, convention=cfg.bdg["convention"])
-    include = bool(cfg.thermal["include_quantum_depletion"])
+    include = cfg.thermal["include_quantum_depletion"]
     profiles = density_profiles(state, atoms, mols, sweep, grid, include)
     totals = [total_numbers(prof, grid) for prof in profiles]
 

@@ -14,7 +14,8 @@ One JSON file drives every subcommand.  Sections:
     output_dir   path for artifacts (CLI --out overrides)
 
 Every value is checked at load, whatever the command reads; grid, solver
-and variational by building their objects, whose defaults they are.
+and variational by building their objects once, which the config keeps
+and whose defaults they are.
 Unknown keys anywhere are rejected with the offending field named, so a
 typo never silently reverts to a default.  The canonical hash covers the
 fully defaulted configuration and is embedded in every artifact header:
@@ -40,9 +41,8 @@ BDG_METHODS = ("paper", "block", "grid")
 _SOLVER, _VARIATIONAL = asdict(SolverOptions()), asdict(SearchBox())
 
 
-def _section(data: dict, name: str, allowed: dict, build=None) -> dict:
-    """Pop section `name`, apply defaults, reject unknown keys; with
-    `build`, check the values by building the section's object."""
+def _section(data: dict, name: str, allowed: dict) -> dict:
+    """Pop section `name`, apply defaults, reject unknown keys."""
     raw = data.pop(name, {})
     if not isinstance(raw, dict):
         raise ConfigError(f"section '{name}' must be an object")
@@ -51,11 +51,6 @@ def _section(data: dict, name: str, allowed: dict, build=None) -> dict:
         raise ConfigError(f"unknown key(s) in '{name}': {sorted(unknown)}")
     out = dict(allowed)
     out.update(raw)
-    if build is not None:
-        try:
-            build(**out)
-        except ConfigError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
     return out
 
 
@@ -77,36 +72,35 @@ class RunConfig:
         if "params" not in data:
             raise ConfigError("config requires a 'params' section")
         params = PhysicalParams.from_dict(data.pop("params"))
-        # checked, not rewritten: a stored 16.0 keeps its config hash
-        grid = _section(data, "grid", {"r_max": 8.0, "n_points": 400}, build_grid)
-        solver = _section(data, "solver", _SOLVER, SolverOptions)
+        grid = _section(data, "grid", {"r_max": 8.0, "n_points": 400})
+        solver = _section(data, "solver", _SOLVER)
         bdg = _section(data, "bdg", {
             "method": "block", "j_max": 16, "l_max": 0,
             "averaging": "density", "convention": "paper",
         })
         thermal = _section(data, "thermal", {"include_quantum_depletion": True, "j_max": 32})
-        variational = _section(data, "variational", _VARIATIONAL, SearchBox)
+        variational = _section(data, "variational", _VARIATIONAL)
         uniform = _section(data, "uniform", {
             "density": None, "r0": None, "density_estimate": "paper",
         })
-        require_count("bdg.l_max", bdg["l_max"], 0)
-        # a grid's oscillator basis has n_points states; density compares j_max // 2
+        # checked, not rewritten: a stored 16.0 keeps its config hash
         for name, value, minimum in (
-            ("bdg.j_max", bdg["j_max"], 1), ("thermal.j_max", thermal["j_max"], 2),
+            ("bdg.j_max", bdg["j_max"], 1), ("bdg.l_max", bdg["l_max"], 0),
+            ("thermal.j_max", thermal["j_max"], 2),  # density compares j_max // 2
         ):
-            if require_count(name, value, minimum) > grid["n_points"]:
-                raise ConfigError(f"{name} must be at most grid.n_points = "
-                                  f"{grid['n_points']}, got {value!r}")
+            require_count(name, value, minimum)
         for name, value, allowed in (
             ("bdg.method", bdg["method"], BDG_METHODS),
             ("bdg.averaging", bdg["averaging"], AVERAGINGS),
             ("bdg.convention", bdg["convention"], CONVENTIONS),
-            ("thermal.include_quantum_depletion", thermal["include_quantum_depletion"],
-             (True, False)),
             ("uniform.density_estimate", uniform["density_estimate"], DENSITY_ESTIMATES),
         ):
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {list(allowed)}, got {value!r}")
+        flag = thermal["include_quantum_depletion"]
+        if type(flag) is not bool:  # 1 == True, but a header must read True
+            raise ConfigError(
+                f"thermal.include_quantum_depletion must be true or false, got {flag!r}")
         for key in ("density", "r0"):
             if uniform[key] is not None:
                 name = f"uniform.{key}"
@@ -132,14 +126,24 @@ class RunConfig:
             output_dir=output_dir,
         )
 
+    def __post_init__(self):
+        # the section objects are built once; their checks are the config's
+        for attr, name, build in (("_grid", "grid", build_grid),
+                                  ("_solver", "solver", SolverOptions),
+                                  ("_box", "variational", SearchBox)):
+            try:
+                object.__setattr__(self, attr, build(**getattr(self, name)))
+            except ConfigError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+
     def build_grid(self) -> RadialGrid:
-        return build_grid(**self.grid)
+        return self._grid
 
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(**self.solver)
+        return self._solver
 
     def search_box(self) -> SearchBox:
-        return SearchBox(**self.variational)
+        return self._box
 
     def canonical_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -77,7 +77,10 @@ ZERO_MODE_E2 = 1e-6
 CONVENTIONS = ("paper", "oscillator3d")
 AVERAGINGS = ("density", "volume")
 
-_GBTRF, _GBTRS = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
+_GBSV, _GBTRF, _GBTRS, _PBTRF, _SBEVX = scipy.linalg.get_lapack_funcs(
+    ("gbsv", "gbtrf", "gbtrs", "pbtrf", "sbevx"), dtype=np.float64)
+#: sbevx's absolute eigenvalue tolerance as eig_banded sets it
+_ABSTOL = 2.0 * scipy.linalg.lapack.dlamch("s")
 
 
 @dataclass(eq=False)
@@ -92,7 +95,9 @@ class Mode:
     degeneracy angular multiplicity entering thermal sums: 2l+1 for a
                grid channel, 1 for the s-wave auxiliary basis
     norm       signed integral(u^2 - v^2) after normalization
-    unstable   negative discriminant (basis) or complex eigenvalue (grid)
+    unstable   negative discriminant (basis methods); the grid's complex
+               eigenvalues have zero norm and are counted in
+               ModeSet.skipped instead, so its modes read False
     """
 
     j: int
@@ -188,23 +193,28 @@ def _background(species: str, state: CondensateState, params: PhysicalParams):
 
 
 def _projection(species, state, params, grid, j_max, convention):
-    """Common setup of the basis methods: level ladder, basis chi columns,
-    the background with the one-body offset (eps for molecules) folded
-    into W, and the density-normalized amplitude of each basis state."""
+    """Common setup of the basis methods: level ladder, basis chi, the
+    background with the one-body offset (eps for molecules) folded into
+    W, and the density-normalized amplitude of each basis state.  chi and
+    the amplitudes come one contiguous row per basis state."""
     levels = basis_levels(species, params, j_max, convention)
-    _, chi = oscillator_basis(species, params, grid, j_max)
+    chi = np.ascontiguousarray(oscillator_basis(species, params, grid, j_max)[1].T)
     plus, delta, mu = _background(species, state, params)
     w = plus - delta + _one_body(species, params)[2]
-    amp = chi / (grid.r[:, None] * math.sqrt(4.0 * np.pi * grid.h))
+    amp = chi / (grid.r * math.sqrt(4.0 * np.pi * grid.h))
     return levels, chi, w, delta, mu, amp
 
 
-def _weighted_average(values: np.ndarray, weights: np.ndarray) -> float:
-    # exact for constant arrays, so the zero-coupling limit keeps the block
-    # method's scalar arithmetic; paper_literal_spectrum's weights sum to > 0
-    if np.all(values == values[0]):
-        return float(values[0])
-    return float(np.dot(weights, values)) / float(np.sum(weights))
+def _weighted_averages(rows: np.ndarray, weights: np.ndarray, total: float) -> list[float]:
+    """Weighted average over r of each row, total = sum(weights) > 0.
+
+    A constant row gives its value exactly, so the zero-coupling limit
+    keeps the block method's scalar arithmetic.  Each other row is one
+    np.dot of contiguous vectors, the dot product the average always
+    took (a matrix-vector product may sum in another order)."""
+    constant = (rows == rows[:, :1]).all(axis=1).tolist()
+    return [float(row[0]) if same else float(np.dot(weights, row)) / total
+            for row, same in zip(rows, constant)]
 
 
 def paper_literal_spectrum(
@@ -222,7 +232,8 @@ def paper_literal_spectrum(
     its weighted average over r.  The closed form has no eigenvalue
     feedback, so one average is the fixed point of the paper's repeated
     re-averaging.  averaging "density" weights by the species' condensate
-    density, "volume" by the bare volume element.
+    density, "volume" by the bare volume element; a species with no
+    condensate (density weights summing to zero) is averaged by volume.
 
     strict_literal drops the lambda*phi_a^2 term from the molecule
     bracket, which the closed form omits even though the projected
@@ -243,25 +254,31 @@ def paper_literal_spectrum(
             w -= params.lambda_am * state.phi_a**2
         dens = state.phi_a**2 if species == ATOM else state.phi_m**2
         weights = grid.w * dens if averaging == "density" else grid.w
-        if float(np.sum(weights)) <= 0.0:
+        total = float(np.sum(weights))
+        if total <= 0.0:
             weights = grid.w
+            total = float(np.sum(weights))
 
-        d_bar = _weighted_average(delta, weights)
+        # one row per level: H_j(r) = level_j - mu + W(r) and E_j^+(r)
+        h_of_r = (levels - mu)[:, None] + w
+        e_of_r = delta - h_of_r
+        d_bar, = _weighted_averages(delta[None, :], weights, total)
+        h_bar = _weighted_averages(h_of_r, weights, total)
+        e_avg = {branch: _weighted_averages(sgn * e_of_r, weights, total)
+                 for sgn, branch in ((1.0, "+"), (-1.0, "-"))}
         modes = []
         for j in range(j_max):
-            h_of_r = levels[j] - mu + w
-            h_bar = _weighted_average(h_of_r, weights)
-            for sgn, branch in ((1.0, "+"), (-1.0, "-")):
-                e_avg = _weighted_average(sgn * (delta - h_of_r), weights)
-                mode = Mode(j=j, branch=branch, energy=e_avg)
-                denom = h_bar - e_avg**2
+            for branch in ("+", "-"):
+                e = e_avg[branch][j]
+                mode = Mode(j=j, branch=branch, energy=e)
+                denom = h_bar[j] - e**2
                 f = d_bar / denom if denom != 0.0 else math.inf
                 if f > 1.0 and math.isfinite(f):
                     b = math.sqrt(1.0 / (f - 1.0))
                     a = f * b
                     scale = math.sqrt(a * a - b * b)  # = sqrt(f + 1)
-                    mode.u = (a / scale) * amp[:, j]
-                    mode.v = (b / scale) * amp[:, j]
+                    mode.u = (a / scale) * amp[j]
+                    mode.v = (b / scale) * amp[j]
                     mode.coeff_u = a
                     mode.coeff_v = b
                     mode.norm = 1.0
@@ -293,11 +310,11 @@ def block_2x2_spectrum(
     for species in (ATOM, MOLECULE):
         levels, chi, w, delta, mu, amp = _projection(
             species, state, params, grid, j_max, convention)
+        chi2 = chi**2  # the |j> densities; one np.dot per matrix element
         modes = []
-        for j in range(j_max):
-            chi2 = chi[:, j] ** 2
-            h = levels[j] + float(np.dot(w, chi2)) - mu
-            d = float(np.dot(delta, chi2))
+        for j, level in enumerate(levels.tolist()):
+            h = level + float(np.dot(w, chi2[j])) - mu
+            d = float(np.dot(delta, chi2[j]))
             disc = h * h - d * d
             for sgn, branch in ((1.0, "+"), (-1.0, "-")):
                 mode = Mode(j=j, branch=branch, energy=math.nan)
@@ -311,11 +328,11 @@ def block_2x2_spectrum(
                         b = math.copysign(math.sqrt(a2 - 1.0), d) if a2 > 1.0 else 0.0
                         if sgn > 0:
                             mode.coeff_u, mode.coeff_v = a, b
-                            mode.u, mode.v = a * amp[:, j], b * amp[:, j]
+                            mode.u, mode.v = a * amp[j], b * amp[j]
                             mode.norm = 1.0
                         else:
                             mode.coeff_u, mode.coeff_v = b, a
-                            mode.u, mode.v = b * amp[:, j], a * amp[:, j]
+                            mode.u, mode.v = b * amp[j], a * amp[j]
                             mode.norm = -1.0
                     # e_mag == 0: Goldstone-like boundary, coefficients diverge
                 else:
@@ -352,32 +369,57 @@ def bdg_matrix(
 
 def _dense_channel(mat, four_pi_h, n_modes, zero_e2):
     """Lowest positive-norm eigenpairs of the dense 2n x 2n BdG matrix:
-    (energies, chi_u columns, chi_v columns, goldstone, nonnormalizable).
-    Eigenvalues met on the way with |E|^2 <= zero_e2 are counted as
-    goldstone, the banded route's Goldstone rule (this route is reached
-    only where Delta != 0; round-off leaves that pair either imaginary or
-    real with a small nonzero norm), and the others with a near-zero
-    norm as nonnormalizable.  Neither kind is returned."""
+    (energies, u rows, v rows, goldstone, nonnormalizable), the rows as
+    `_real_rows` gives them.  Eigenvalues met on the way with
+    |E|^2 <= zero_e2 are counted as goldstone, the banded route's
+    Goldstone rule (this route is reached only where Delta != 0;
+    round-off leaves that pair either imaginary or real with a small
+    nonzero norm), and the others with a near-zero norm as
+    nonnormalizable.  Neither kind is returned.  The vectors are
+    complex, so each kept one is rotated by its own phase."""
     try:
         vals, vecs = scipy.linalg.eig(mat)
     except scipy.linalg.LinAlgError as exc:
         raise SimulationError(f"BdG eigensolver failed: {exc}") from exc
     n = mat.shape[0] // 2
-    keep = []
+    keep, u, v = [], [], []
     goldstone = nonnormalizable = 0
     for k in np.argsort(vals.real):
-        s = four_pi_h * float((np.abs(vecs[:n, k]) ** 2 - np.abs(vecs[n:, k]) ** 2).sum())
+        cu, cv = vecs[:n, k], vecs[n:, k]
+        s = four_pi_h * float((np.abs(cu) ** 2 - np.abs(cv) ** 2).sum())
         if abs(vals[k]) ** 2 <= zero_e2:
             goldstone += 1
         elif abs(s) <= NORM_FLOOR:
             nonnormalizable += 1
         elif s > 0.0:
             # negative norms are mirror partners (E -> -E, u <-> v); the
-            # positive-norm family carries the same information
+            # positive-norm family carries the same information.  Its
+            # eigenvectors are real up to a global phase
+            phase = np.exp(-1j * np.angle(cu[np.argmax(np.abs(cu))]))
+            scale = 1.0 / math.sqrt(s)
             keep.append(k)
+            u.append((cu * phase).real * scale)
+            v.append((cv * phase).real * scale)
             if len(keep) >= n_modes:
                 break
-    return vals[keep], vecs[:n, keep], vecs[n:, keep], goldstone, nonnormalizable
+    return (vals[keep], np.reshape(u, (-1, n)), np.reshape(v, (-1, n)),
+            goldstone, nonnormalizable)
+
+
+def _real_rows(chi_u, chi_v, four_pi_h):
+    """Real mode vectors, one per column of chi_u and chi_v, as rows u
+    and v scaled to four_pi_h * sum(u^2 - v^2) = 1 with the largest |u|
+    entry positive.
+
+    Bit for bit the dense route's rotation: the phase of a real pivot is
+    0 or pi, and the real part of x * exp(-i*phase) is +-x, with -0.0
+    turned into +0.0 (hence the + 0.0).  Each row is contiguous, so its
+    norm is the pairwise sum of a single vector."""
+    u, v = chi_u.T.copy(), chi_v.T.copy()
+    pivot = u[np.arange(len(u)), np.abs(u).argmax(axis=1)]
+    factor = (np.where(pivot < 0.0, -1.0, 1.0)
+              / np.sqrt(four_pi_h * (u * u - v * v).sum(axis=1)))[:, None]
+    return u * factor + 0.0, v * factor + 0.0
 
 
 def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
@@ -387,24 +429,24 @@ def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
 
     L + D = C C^T is a tridiagonal Cholesky (C lower bidiagonal), so
     K = C^T (L - D) C is symmetric pentadiagonal with K y = E^2 y,
-    g = C^-T y and f = u + v = C y / E.  eig_banded gives the lowest
-    eigenvalues, inverse iteration on K the vectors.  Eigenvalues with
-    |E^2| <= zero_e2 are the Goldstone mode, counted as its skipped
+    g = C^-T y and f = u + v = C y / E.  The lowest eigenvalues come
+    from sbevx, inverse iteration on K gives the vectors.  Eigenvalues
+    with |E^2| <= zero_e2 are the Goldstone mode, counted as its skipped
     pair.  None when L + D is not positive definite or some
     E^2 < -zero_e2 (unstable).
 
-    Inverse iteration calls LAPACK directly: K - E^2 I is LU-factored
-    once by gbtrf and both steps reuse the factors through gbtrs.  This
-    is the arithmetic of solve_banded((2, 2), ...), which runs gbsv
-    (factor plus solve) on every call, without the second factorization
-    and the wrapper's checks around each of the 2 * count solves.  A
-    zero pivot (info > 0) also returns None.
+    Every LAPACK routine is called directly, with the arguments of the
+    scipy.linalg wrapper that runs it, so the bits are the wrapper's:
+    pbtrf (cholesky_banded), sbevx (eig_banded, eigenvalues by index),
+    gbsv (solve_banded((0, 1), ...)).  Inverse iteration LU-factors
+    K - E^2 I once by gbtrf and both steps reuse the factors through
+    gbtrs, the arithmetic of solve_banded((2, 2), ...) without its
+    second factorization.  A zero pivot (info > 0) also returns None.
+    The wrappers' finiteness check is kept as one check of K's band.
     """
     n = len(plus_diag)
-    try:
-        c = scipy.linalg.cholesky_banded(
-            np.vstack([plus_diag, np.full(n, offdiag)]), lower=True)
-    except scipy.linalg.LinAlgError:
+    c, info = _PBTRF(np.vstack([plus_diag, np.full(n, offdiag)]), lower=1)
+    if info:
         return None
     a, b = c[0], c[1, :-1]
     d = plus_diag - 2.0 * delta
@@ -414,30 +456,37 @@ def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
     band[1, :-1] = a[1:] * (offdiag * a[:-1] + b * d[1:])
     band[1, :-2] += offdiag * b[1:] * b[:-1]
     band[2, :-2] = offdiag * a[2:] * b[:-1]
+    if not np.isfinite(band).all():
+        raise ValueError("array must not contain infs or NaNs")
     # K in gbtrf's general band storage (two extra rows for the fill-in
-    # of partial pivoting), for inverse iteration
-    full = np.zeros((7, n))
+    # of partial pivoting), Fortran order so that gbtrf factors each
+    # shifted copy in place
+    full = np.zeros((7, n), order="F")
     full[2, 2:], full[3, 1:] = band[2, :-2], band[1, :-1]
     full[4:] = band
+    shifted = np.empty_like(full)
+    ones = np.ones(n)
     count = min(n, n_modes + 2)
     while True:
         # eigenvalues alone cost O(n^2) where eig_banded's eigenvectors
         # cost O(n^3); each vector then takes two O(n) banded solves,
         # which reach round-off from a flat start (one leaves ~1e-6 of
         # the neighbouring modes at 800 points)
-        e2 = scipy.linalg.eig_banded(band, lower=True, select="i",
-                                     select_range=(0, count - 1), eigvals_only=True)
+        w, _, m, _, info = _SBEVX(band, 0.0, 1.0, 1, count, compute_v=0, mmax=1,
+                                  range=2, lower=1, overwrite_ab=0, abstol=_ABSTOL)
+        if info:
+            raise scipy.linalg.LinAlgError(f"banded eigensolve failed (LAPACK info {info})")
         y = np.empty((n, count))
-        for k, shift in enumerate(e2):
-            shifted = full.copy()
+        for k, shift in enumerate(w[:m]):
+            shifted[...] = full
             shifted[4] -= shift
             lu, piv, info = _GBTRF(shifted, 2, 2, overwrite_ab=1)
             if info:  # shift hit an exact pivot zero
                 return None
-            x = np.ones(n)
-            for _ in range(2):
-                x, _ = _GBTRS(lu, 2, 2, x, piv)
-                x /= np.linalg.norm(x)
+            x, _ = _GBTRS(lu, 2, 2, ones, piv)
+            x /= math.sqrt(x.dot(x))  # np.linalg.norm's arithmetic
+            x, _ = _GBTRS(lu, 2, 2, x, piv, overwrite_b=1)
+            x /= math.sqrt(x.dot(x))
             y[:, k] = x
         # E^2 as the Rayleigh quotient y^T K y = z^T (L - D) z, z = C y,
         # taken in factored form: its round-off scales with ||L||, where
@@ -456,7 +505,9 @@ def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
         count = min(n, 2 * count)
     energies = np.sqrt(e2[~zero][:n_modes])
     y = y[:, ~zero][:, :n_modes]
-    g = scipy.linalg.solve_banded((0, 1), np.vstack([np.r_[0.0, b], a]), y)
+    upper = np.empty((2, n))  # C^T in upper band storage
+    upper[0, 0], upper[0, 1:], upper[1] = 0.0, b, a
+    g = _GBSV(0, 1, upper, y)[2]
     f = z[:, ~zero][:, :n_modes] / energies
     return energies, (f + g) / 2.0, (f - g) / 2.0, 2 * int(zero.sum()), 0
 
@@ -479,9 +530,10 @@ def direct_grid_spectrum(
     largest |u| entry positive.  The Goldstone pair (|E|^2 at most
     ZERO_MODE_E2 * (hbar*omega_a)^2 on either route) and modes of the
     dense route with norm ~ 0 are counted in ModeSet.skipped; the former
-    is expected and logged at DEBUG, the latter at WARNING.  Complex
-    eigenvalues of the dense route are kept only if their norm is
-    meaningful, flagged unstable.
+    is expected and logged at DEBUG, the latter at WARNING.  A complex
+    eigenvalue has zero norm, so the dense route counts it in skipped as
+    well, and in practice no returned mode is flagged unstable (ROADMAP
+    item 8).
     """
     out = []
     four_pi_h = 4.0 * np.pi * grid.h
@@ -498,27 +550,20 @@ def direct_grid_spectrum(
             found = _banded_channel(plus_diag, op.offdiag, delta, n_modes, zero_e2)
         if found is None:
             log.debug("%s l=%d: dense BdG eigensolve", species, l)
-            found = _dense_channel(
+            energies, u, v, goldstone, nonnormalizable = _dense_channel(
                 bdg_matrix(state, params, grid, species, l), four_pi_h, n_modes, zero_e2)
-        energies, chi_u, chi_v, goldstone, nonnormalizable = found
-        modes = []
-        for k, e in enumerate(energies):
-            cu, cv = chi_u[:, k], chi_v[:, k]
-            s = four_pi_h * float((np.abs(cu) ** 2 - np.abs(cv) ** 2).sum())
-            scale = 1.0 / math.sqrt(s)
-            unstable = abs(e.imag) > 1e-9 * max(1.0, abs(e.real))
-            # positive-norm eigenvectors of real problems are real up to
-            # a global phase; rotate it away before storing
-            phase = np.exp(-1j * np.angle(cu[np.argmax(np.abs(cu))]))
-            modes.append(
-                Mode(
-                    j=k, branch="+", energy=float(e.real),
-                    energy_imag=float(e.imag),
-                    u=(cu * phase).real * scale / grid.r,
-                    v=(cv * phase).real * scale / grid.r,
-                    degeneracy=2 * l + 1, norm=1.0, unstable=unstable,
-                )
-            )
+        else:
+            energies, chi_u, chi_v, goldstone, nonnormalizable = found
+            u, v = _real_rows(chi_u, chi_v, four_pi_h)
+        u /= grid.r
+        v /= grid.r
+        unstable = np.abs(energies.imag) > 1e-9 * np.maximum(1.0, np.abs(energies.real))
+        modes = [
+            Mode(j=k, branch="+", energy=e, energy_imag=e_imag, u=u_k, v=v_k,
+                 degeneracy=2 * l + 1, norm=1.0, unstable=flag)
+            for k, (e, e_imag, u_k, v_k, flag) in enumerate(zip(
+                energies.real.tolist(), energies.imag.tolist(), u, v, unstable))
+        ]
         if goldstone:
             log.debug("%s l=%d: skipped the Goldstone pair (%d modes)",
                       species, l, goldstone)

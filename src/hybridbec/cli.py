@@ -101,34 +101,37 @@ def _spectrum_by_method(method, cfg, state, grid):
         for l in range(int(b["l_max"]) + 1):
             sets.extend(direct_grid_spectrum(state, cfg.params, grid, l=l))
         return sets
-    raise ConfigError(f"unknown spectrum method '{method}'")
 
 
 def _mode_rows(modesets):
-    cols = {name: [] for name in MODE_COLUMNS}
-    for ms in modesets:
-        for m in ms.modes:
-            cols["method"].append(ms.method)
-            cols["species"].append(ms.species)
-            cols["j"].append(m.j)
-            cols["branch"].append(m.branch)
-            cols["energy_re"].append(m.energy)
-            cols["energy_im"].append(m.energy_imag)
-            cols["norm"].append(m.norm if math.isfinite(m.norm) else math.nan)
-    # float64 arrays take write_csv's whole-column formatting
-    for name in ("energy_re", "energy_im", "norm"):
-        cols[name] = np.array(cols[name], dtype=float)
-    return cols
+    # strings pass through write_csv as they are and float64 arrays take
+    # its whole-column formatting, so no cell goes through format_value
+    modes = [m for ms in modesets for m in ms.modes]
+    norm = np.array([m.norm for m in modes], dtype=float)
+    return dict(zip(MODE_COLUMNS, (
+        [ms.method for ms in modesets for _ in ms.modes],
+        [ms.species for ms in modesets for _ in ms.modes],
+        [str(m.j) for m in modes],
+        [m.branch for m in modes],
+        np.array([m.energy for m in modes], dtype=float),
+        np.array([m.energy_imag for m in modes], dtype=float),
+        np.where(np.isfinite(norm), norm, math.nan),
+    )))
 
 
 def _lowest_positive(modeset, count=2, floor=0.1):
     es = sorted(m.energy for m in modeset.modes
                 if m.branch == "+" and not m.unstable and m.energy > floor)
-    return es[:count]
+    return np.array(es[:count], dtype=float)
 
 
-def _nearest(value, pool):
-    return min(pool, key=lambda e: abs(e - value)) if pool else math.nan
+def _nearest(values, pool):
+    """The entry of pool closest to each value (the first of equals);
+    nan for an empty pool."""
+    if not pool:
+        return np.full(len(values), math.nan)
+    pool = np.array(pool, dtype=float)
+    return pool[np.abs(pool[None, :] - values[:, None]).argmin(axis=1)]
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path, method: str | None = None,
@@ -147,24 +150,20 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path, method: str | None = None,
         )
         paths.append(write_csv(outdir / f"spectrum_{name}.csv", head, _mode_rows(sets)))
     if compare:
-        cols = {"species": [], "index": [], "e_grid": [],
-                "e_block": [], "dev_block": [], "e_paper": [], "dev_paper": []}
+        species, index, e_grid, e_block, e_paper = [], [], [], [], []
         for ms_grid in results["grid"]:
-            species = ms_grid.species
-            block = next(s for s in results["block"] if s.species == species)
-            paper = next(s for s in results["paper"] if s.species == species)
-            b_pool = [m.energy for m in block.modes if m.energy > 0.0]
-            p_pool = [abs(m.energy) for m in paper.modes]
-            for i, e in enumerate(_lowest_positive(ms_grid)):
-                eb = _nearest(e, b_pool)
-                ep = _nearest(e, p_pool)
-                cols["species"].append(species)
-                cols["index"].append(i)
-                cols["e_grid"].append(e)
-                cols["e_block"].append(eb)
-                cols["dev_block"].append(abs(eb - e) / e)
-                cols["e_paper"].append(ep)
-                cols["dev_paper"].append(abs(ep - e) / e)
+            block = next(s for s in results["block"] if s.species == ms_grid.species)
+            paper = next(s for s in results["paper"] if s.species == ms_grid.species)
+            e = _lowest_positive(ms_grid)
+            species += [ms_grid.species] * len(e)
+            index += map(str, range(len(e)))
+            e_grid.append(e)
+            e_block.append(_nearest(e, [m.energy for m in block.modes if m.energy > 0.0]))
+            e_paper.append(_nearest(e, [abs(m.energy) for m in paper.modes]))
+        e, eb, ep = map(np.concatenate, (e_grid, e_block, e_paper))
+        cols = {"species": species, "index": index, "e_grid": e,
+                "e_block": eb, "dev_block": np.abs(eb - e) / e,
+                "e_paper": ep, "dev_paper": np.abs(ep - e) / e}
         head = provenance(config_hash, compare="grid vs block vs paper")
         paths.append(write_csv(outdir / "spectrum_deviation.csv", head, cols))
     return paths

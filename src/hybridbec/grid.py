@@ -13,6 +13,7 @@ the standard 3-point Laplacian, second-order accurate in h.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,10 @@ def harmonic_potential(grid: RadialGrid, mass: float, omega: float) -> np.ndarra
     return 0.5 * mass * omega**2 * grid.r**2
 
 
+_STEBZ, _STEIN, _GTSV = scipy.linalg.get_lapack_funcs(
+    ("stebz", "stein", "gtsv"), dtype=np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class RadialOperator:
     """Tridiagonal operator -(hbar^2/2m) d^2/dr^2 + diag acting on chi = r*phi.
@@ -101,18 +106,30 @@ class RadialOperator:
 
     def eigensolve(self, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
         """Lowest eigenpairs; columns of the second return are chi vectors
-        normalized to sum(chi^2) = 1 with chi[0] >= 0."""
+        normalized to sum(chi^2) = 1 with chi[0] >= 0.
+
+        Calls LAPACK stebz (bisection, block order) and stein (inverse
+        iteration) directly, the routines eigh_tridiagonal(select="i")
+        runs, so the pairs are the same to the bit without the wrapper's
+        argument handling.  Its finiteness check is kept: stebz returns
+        eigenvalues for a NaN diagonal without an error.
+        """
         n = len(self.diag)
         n_modes = min(n_modes, n)
+        if n_modes < 1:
+            raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+        if not (np.isfinite(self.diag).all() and math.isfinite(self.offdiag)):
+            raise ValueError("array must not contain infs or NaNs")
         off = np.full(n - 1, self.offdiag)
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            self.diag, off, select="i", select_range=(0, n_modes - 1)
-        )
+        m, vals, block, split, info = _STEBZ(self.diag, off, 2, 0.0, 1.0, 1, n_modes, 0.0, "B")
+        if not info:
+            vecs, info = _STEIN(self.diag, off, vals[:m], block, split)
+        if info:
+            raise scipy.linalg.LinAlgError(f"tridiagonal eigensolve failed (LAPACK info {info})")
+        order = np.argsort(vals[:m])  # block order to ascending order
+        vals, vecs = vals[:m][order], vecs[:, order]
         signs = np.where(vecs[0] < 0.0, -1.0, 1.0)
         return vals, vecs * signs
-
-
-_GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 def solve_banded_shifted(

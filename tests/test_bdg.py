@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import logging
+import struct
 import weakref
 
 import numpy as np
@@ -12,6 +14,7 @@ from hybridbec.bdg import (
     MOLECULE,
     NORM_FLOOR,
     ZERO_MODE_E2,
+    Mode,
     basis_levels,
     bdg_matrix,
     block_2x2_spectrum,
@@ -21,9 +24,32 @@ from hybridbec.bdg import (
 )
 from hybridbec.gpe import CondensateState, SolverOptions, gaussian_ansatz, solve_coupled_gpe
 
+import spectrum_reference as reference
+
 
 def plus_modes(modeset):
     return [m for m in modeset.modes if m.branch == "+"]
+
+
+def same_bits(a, b):
+    # arrays by dtype, shape and bytes, floats by their 8 bytes (so -0.0
+    # differs from 0.0), everything else by type and value
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def assert_same_modes(got, ref):
+    assert (got.species, got.method, got.skipped) == (ref.species, ref.method, ref.skipped)
+    assert len(got.modes) == len(ref.modes)
+    for k, (m, r) in enumerate(zip(got.modes, ref.modes)):
+        for f in dataclasses.fields(Mode):
+            a, b = getattr(m, f.name), getattr(r, f.name)
+            assert same_bits(a, b), (got.species, got.method, k, f.name, a, b)
 
 
 def test_basis_levels_paper_convention():
@@ -180,6 +206,21 @@ def test_paper_literal_averaging_choices_differ():
     assert e_dens != e_vol
     with pytest.raises(ConfigError):
         paper_literal_spectrum(s, p, g, j_max=2, averaging="median")
+
+
+def test_paper_literal_species_without_condensate_averages_by_volume():
+    # n_m = 0: the molecule density weights sum to zero, so "density"
+    # falls back to grid.w, the "volume" weights, to the bit (lambda_am
+    # makes the molecule bracket vary with r, so the weights matter); the
+    # atoms have a condensate and average differently
+    g = build_grid(r_max=8.0, n_points=200)
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.06, lambda_am=0.1, n_a=100.0)
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    assert not s.phi_m.any()
+    a_dens, m_dens = paper_literal_spectrum(s, p, g, averaging="density")
+    a_vol, m_vol = paper_literal_spectrum(s, p, g, averaging="volume")
+    assert_same_modes(m_dens, m_vol)
+    assert [m.energy for m in a_dens.modes] != [m.energy for m in a_vol.modes]
 
 
 def test_block_zero_coupling_matches_paper_literal_exactly():
@@ -426,6 +467,48 @@ def test_direct_grid_matches_dense_eigensolve(name, equivalence_states, monkeypa
             assert got[0].skipped == 2  # the Goldstone pair
 
 
+BITWISE_SETS = {
+    # oracle_spectrum's family: decoupled weak atoms; molecules have Delta = 0
+    "weak-200": (PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.06, n_a=100.0), 200),
+    "weak-400": (PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.06, n_a=100.0), 400),
+    "hybrid": (EQUIVALENCE_SETS["hybrid"], 200),
+    "item2": (EQUIVALENCE_SETS["item2"], 200),
+    # lambda_a * n_a = -2: L + Delta is indefinite at l = 0, the dense route
+    "attractive": (PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=-0.02, n_a=100.0), 200),
+}
+
+
+@pytest.mark.parametrize("name", list(BITWISE_SETS))
+def test_spectra_match_per_mode_reference_bitwise(name, monkeypatch):
+    # every Mode field and skipped count of the whole-array methods equals
+    # the per-mode loops of tests/spectrum_reference.py to the bit
+    p, n = BITWISE_SETS[name]
+    g = build_grid(r_max=8.0, n_points=n)
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    dense = []
+
+    def counted(*args, **kwargs):
+        dense.append(args[3:])
+        return bdg_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(bdg, "bdg_matrix", counted)
+    for l in (0, 1, 2):
+        for got, ref in zip(direct_grid_spectrum(s, p, g, l=l),
+                            reference.direct_grid_spectrum(s, p, g, l=l)):
+            assert_same_modes(got, ref)
+    assert dense == ([(ATOM, 0)] if name == "attractive" else [])
+    for convention in ("paper", "oscillator3d"):
+        for got, ref in zip(block_2x2_spectrum(s, p, g, convention=convention),
+                            reference.block_2x2_spectrum(s, p, g, convention=convention)):
+            assert_same_modes(got, ref)
+        for averaging in ("density", "volume"):
+            kwargs = dict(averaging=averaging, convention=convention,
+                          strict_literal=averaging == "volume")
+            for got, ref in zip(paper_literal_spectrum(s, p, g, **kwargs),
+                                reference.paper_literal_spectrum(s, p, g, **kwargs)):
+                assert_same_modes(got, ref)
+
+
 @pytest.mark.parametrize("mu_shift", [0.0, -1e-13, -1e-12, -1e-10])
 def test_dense_route_skips_goldstone_pair(equivalence_states, mu_shift):
     # decoupled atoms, l = 0: round-off leaves the Goldstone pair of the
@@ -443,6 +526,23 @@ def test_dense_route_skips_goldstone_pair(equivalence_states, mu_shift):
     assert banded.skipped == 2
     assert found[0][0].real == pytest.approx(2.08288, abs=1e-5)
     assert found[0][0].real == pytest.approx(banded.modes[0].energy, rel=1e-8)
+
+
+@pytest.mark.parametrize("field", ["phi_a", "mu_m"], ids=["banded", "delta-zero"])
+def test_direct_grid_rejects_non_finite_background(equivalence_states, field):
+    # stebz and sbevx return eigenvalues for a NaN matrix without an
+    # error, so both routes keep the finiteness check of the scipy
+    # wrappers they bypass: a NaN in the atoms' condensate reaches the
+    # banded route, a NaN mu_m the molecules' Delta = 0 route
+    g, states = equivalence_states
+    p, s = EQUIVALENCE_SETS["decoupled"], states["decoupled"]
+    fields = {"phi_a": s.phi_a.copy(), "phi_m": s.phi_m, "mu_a": s.mu_a, "mu_m": s.mu_m}
+    if field == "phi_a":
+        fields["phi_a"][10] = np.nan
+    else:
+        fields["mu_m"] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        direct_grid_spectrum(CondensateState(grid=g, **fields), p, g, l=0)
 
 
 def test_direct_grid_keeps_sign_without_anomalous_term():

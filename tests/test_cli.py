@@ -437,6 +437,33 @@ def test_cli_has_every_name_the_benchmark_tracer_wraps():
     assert [name for name in module.LAYERS if not callable(getattr(cli, name, None))] == []
 
 
+def test_spectrum_compare_calls_the_methods_the_tracer_times(tmp_path, monkeypatch):
+    # perfbench/tracing.py times these cli names as bdg.grid, bdg.block and
+    # bdg.paper and reads each grid call's n_points from args[2]: --compare
+    # with l_max = 2 calls the grid oracle once per channel, positionally
+    # on (state, params, grid), and each basis method once
+    calls = []
+    for name in ("direct_grid_spectrum", "block_2x2_spectrum", "paper_literal_spectrum"):
+        def spy(*args, _name=name, _method=getattr(cli, name), **kwargs):
+            calls.append((_name, args, kwargs))
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    cfg = write_config(tmp_path, "spec.json", {
+        "params": {"omega_a": 1.0, "omega_m": 1.4, "lambda_a": 0.06, "n_a": 100.0},
+        "grid": {"r_max": 8.0, "n_points": 200},
+        "bdg": {"j_max": 16, "l_max": 2, "convention": "oscillator3d"},
+    })
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), "--compare"]) == 0
+    grid_calls = [(args, kwargs) for name, args, kwargs in calls if name == "direct_grid_spectrum"]
+    assert [kwargs for _, kwargs in grid_calls] == [{"l": 0}, {"l": 1}, {"l": 2}]
+    for args, _ in grid_calls:
+        assert [type(a).__name__ for a in args] == [
+            "CondensateState", "PhysicalParams", "RadialGrid"]
+        assert args[2].n_points == 200
+    assert sorted(name for name, _, _ in calls if name != "direct_grid_spectrum") == [
+        "block_2x2_spectrum", "paper_literal_spectrum"]
+
+
 @pytest.mark.parametrize("params, per_point", [
     ({"omega_a": 1.0, "omega_m": 1.4, "lambda_a": 0.05}, 2),
     ({"omega_a": 1.0, "omega_m": 1.4, "lambda_a": 0.05, "lambda_am": 0.02,

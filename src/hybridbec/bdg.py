@@ -2,7 +2,7 @@
 
 Three interchangeable methods solve the linearized fluctuation problem
 
-    L u - Delta v = E u,   Delta u - L v = -E v,
+    L u - Delta v = E u,   Delta u - L v = E v,
 
 with, for the atom sector,
     L = -hbar^2 grad^2/2M + V_a + lambda*phi_m^2 + 2*lambda_a*phi_a^2 - mu_a
@@ -22,14 +22,17 @@ Methods:
 * ``direct_grid_spectrum``: the grid BdG problem per angular channel,
   with no approximation beyond the sector decoupling; this is the oracle
   the other two are judged against.  With g = u - v and f = u + v it reads
-  (L - Delta)(L + Delta) g = E^2 g.  The tridiagonal L + Delta is
-  factored as C C^T (C bidiagonal), and the lowest eigenpairs of the
-  symmetric pentadiagonal C^T (L - Delta) C give E^2, g = C^-T y and
-  f = C y / E.  E^2 ~ 0 is the Goldstone mode and is skipped.  Where
-  Delta = 0 the modes are the eigenpairs of L itself, negative levels
-  included.  If L + Delta is not positive definite or some E^2 < 0
-  (a dynamical instability), the channel falls back to diagonalizing
-  the dense 2n x 2n block matrix.
+  (L - Delta)(L + Delta) g = E^2 g.  In the A order the tridiagonal
+  L + Delta is factored as C C^T (C bidiagonal), and the lowest
+  eigenpairs of the symmetric pentadiagonal C^T (L - Delta) C give E^2,
+  g = C^-T y and f = C y / E.  Where L + Delta is not positive definite
+  (the l = 0 channel of an attractive species) the B order runs the
+  same algorithm on (L + Delta)(L - Delta) f = E^2 f, factoring
+  L - Delta, shifted above round-off where its Goldstone zero needs it.
+  E^2 ~ 0 is the Goldstone mode and is skipped; E^2 < 0 is a dynamical
+  instability, reported with its growth rate; a channel where neither
+  block is positive definite raises DomainError.  Where Delta = 0 the
+  modes are the eigenpairs of L itself, negative levels included.
 
 * ``block_2x2_spectrum``: project onto auxiliary oscillator levels |j>
   and solve the standard symplectic 2x2 problem per level,
@@ -59,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, DomainError, require_count
 from .gpe import (
     ATOM, MOLECULE, CondensateState, _one_body, _operator, _second_variation,
 )
@@ -68,8 +71,6 @@ from .params import PhysicalParams
 
 log = logging.getLogger(__name__)
 
-#: modes with |integral(u^2 - v^2)| below this are non-normalizable and skipped
-NORM_FLOOR = 1e-10
 #: |E^2| at or below this, in units of (hbar*omega_a)^2, marks the
 #: Goldstone mode of the grid routes
 ZERO_MODE_E2 = 1e-6
@@ -95,9 +96,9 @@ class Mode:
     degeneracy angular multiplicity entering thermal sums: 2l+1 for a
                grid channel, 1 for the s-wave auxiliary basis
     norm       signed integral(u^2 - v^2) after normalization
-    unstable   negative discriminant (basis methods); the grid's complex
-               eigenvalues have zero norm and are counted in
-               ModeSet.skipped instead, so its modes read False
+    unstable   negative discriminant (basis methods) or E^2 < 0 (grid);
+               a grid mode so flagged has energy 0.0, its growth rate in
+               energy_imag, no u and v, and norm nan
     """
 
     j: int
@@ -115,7 +116,8 @@ class Mode:
 
 @dataclass(eq=False)
 class ModeSet:
-    """Spectrum of one species by one method."""
+    """Spectrum of one species by one method; skipped counts the
+    Goldstone pair a grid channel leaves out."""
 
     species: str
     method: str
@@ -345,76 +347,11 @@ def block_2x2_spectrum(
     return out[0], out[1]
 
 
-def bdg_matrix(
-    state: CondensateState,
-    params: PhysicalParams,
-    grid: RadialGrid,
-    species: str = ATOM,
-    l: int = 0,
-) -> np.ndarray:
-    """Dense 2n x 2n block matrix [[L, -Delta], [Delta, -L]] for one
-    angular channel, acting on stacked reduced functions (r*u, r*v)."""
-    p = params
-    plus, delta, mu = _background(species, state, p)
-    op = _operator(species, p, grid, plus - delta, l)
-    n = grid.n_points
-    l_block = np.diag(op.diag - mu) + op.offdiag * (
-        np.eye(n, k=1) + np.eye(n, k=-1)
-    )
-    d_block = np.diag(delta)
-    top = np.hstack([l_block, -d_block])
-    bot = np.hstack([d_block, -l_block])
-    return np.vstack([top, bot])
-
-
-def _dense_channel(mat, four_pi_h, n_modes, zero_e2):
-    """Lowest positive-norm eigenpairs of the dense 2n x 2n BdG matrix:
-    (energies, u rows, v rows, goldstone, nonnormalizable), the rows as
-    `_real_rows` gives them.  Eigenvalues met on the way with
-    |E|^2 <= zero_e2 are counted as goldstone, the banded route's
-    Goldstone rule (this route is reached only where Delta != 0;
-    round-off leaves that pair either imaginary or real with a small
-    nonzero norm), and the others with a near-zero norm as
-    nonnormalizable.  Neither kind is returned.  The vectors are
-    complex, so each kept one is rotated by its own phase."""
-    try:
-        vals, vecs = scipy.linalg.eig(mat)
-    except scipy.linalg.LinAlgError as exc:
-        raise SimulationError(f"BdG eigensolver failed: {exc}") from exc
-    n = mat.shape[0] // 2
-    keep, u, v = [], [], []
-    goldstone = nonnormalizable = 0
-    for k in np.argsort(vals.real):
-        cu, cv = vecs[:n, k], vecs[n:, k]
-        s = four_pi_h * float((np.abs(cu) ** 2 - np.abs(cv) ** 2).sum())
-        if abs(vals[k]) ** 2 <= zero_e2:
-            goldstone += 1
-        elif abs(s) <= NORM_FLOOR:
-            nonnormalizable += 1
-        elif s > 0.0:
-            # negative norms are mirror partners (E -> -E, u <-> v); the
-            # positive-norm family carries the same information.  Its
-            # eigenvectors are real up to a global phase
-            phase = np.exp(-1j * np.angle(cu[np.argmax(np.abs(cu))]))
-            scale = 1.0 / math.sqrt(s)
-            keep.append(k)
-            u.append((cu * phase).real * scale)
-            v.append((cv * phase).real * scale)
-            if len(keep) >= n_modes:
-                break
-    return (vals[keep], np.reshape(u, (-1, n)), np.reshape(v, (-1, n)),
-            goldstone, nonnormalizable)
-
-
 def _real_rows(chi_u, chi_v, four_pi_h):
     """Real mode vectors, one per column of chi_u and chi_v, as rows u
     and v scaled to four_pi_h * sum(u^2 - v^2) = 1 with the largest |u|
-    entry positive.
-
-    Bit for bit the dense route's rotation: the phase of a real pivot is
-    0 or pi, and the real part of x * exp(-i*phase) is +-x, with -0.0
-    turned into +0.0 (hence the + 0.0).  Each row is contiguous, so its
-    norm is the pairwise sum of a single vector."""
+    entry positive (-0.0 turned into +0.0, hence the + 0.0).  Each row is
+    contiguous, so its norm is the pairwise sum of a single vector."""
     u, v = chi_u.T.copy(), chi_v.T.copy()
     pivot = u[np.arange(len(u)), np.abs(u).argmax(axis=1)]
     factor = (np.where(pivot < 0.0, -1.0, 1.0)
@@ -422,34 +359,49 @@ def _real_rows(chi_u, chi_v, four_pi_h):
     return u * factor + 0.0, v * factor + 0.0
 
 
-def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
-    """Lowest modes from (L - D)(L + D) g = E^2 g, g = u - v, as
-    (energies, chi_u columns, chi_v columns, goldstone, 0); plus_diag is
-    the diagonal of L + D.
+def _tridiagonal_product(diag, offdiag, z):
+    """T z, T symmetric tridiagonal with a constant off-diagonal."""
+    tz = diag[:, None] * z
+    tz[:-1] += offdiag * z[1:]
+    tz[1:] += offdiag * z[:-1]
+    return tz
 
-    L + D = C C^T is a tridiagonal Cholesky (C lower bidiagonal), so
-    K = C^T (L - D) C is symmetric pentadiagonal with K y = E^2 y,
-    g = C^-T y and f = u + v = C y / E.  The lowest eigenvalues come
-    from sbevx, inverse iteration on K gives the vectors.  Eigenvalues
-    with |E^2| <= zero_e2 are the Goldstone mode, counted as its skipped
-    pair.  None when L + D is not positive definite or some
-    E^2 < -zero_e2 (unstable).
 
-    Every LAPACK routine is called directly, with the arguments of the
-    scipy.linalg wrapper that runs it, so the bits are the wrapper's:
-    pbtrf (cholesky_banded), sbevx (eig_banded, eigenvalues by index),
-    gbsv (solve_banded((0, 1), ...)).  Inverse iteration LU-factors
-    K - E^2 I once by gbtrf and both steps reuse the factors through
-    gbtrs, the arithmetic of solve_banded((2, 2), ...) without its
-    second factorization.  A zero pivot (info > 0) also returns None.
-    The wrappers' finiteness check is kept as one check of K's band.
+def _solve_ct(c, y):
+    """C^-T y for pbtrf's bidiagonal factor c, as solve_banded((0, 1), ...)."""
+    upper = np.empty_like(c)  # C^T in upper band storage
+    upper[0, 0], upper[0, 1:], upper[1] = 0.0, c[1, :-1], c[0]
+    return _GBSV(0, 1, upper, y)[2]
+
+
+def _product_form(factored, other, offdiag, n_modes, zero_e2):
+    """Lowest eigenpairs of Q P x = E^2 x, P and Q symmetric tridiagonal
+    with diagonals `factored` and `other`.  P = C C^T is a tridiagonal
+    Cholesky (C lower bidiagonal), so K = C^T Q C is symmetric
+    pentadiagonal with K y = E^2 y and x = C^-T y.  Returns
+    (c, y, z, e2, zero): the Cholesky band, columns y and z = C y, the
+    Rayleigh quotients e2 = z^T Q z and the Goldstone mask
+    |e2| <= zero_e2, with n_modes pairs outside it where n allows.  None
+    when P is not positive definite.
+
+    The lowest eigenvalues come from sbevx, inverse iteration on K gives
+    the vectors.  Every LAPACK routine is called directly, with the
+    arguments of the scipy.linalg wrapper that runs it, so the bits are
+    the wrapper's: pbtrf (cholesky_banded), sbevx (eig_banded,
+    eigenvalues by index).  Inverse iteration LU-factors K - E^2 I once
+    by gbtrf and both steps reuse the factors through gbtrs, the
+    arithmetic of solve_banded((2, 2), ...) without its second
+    factorization.  An exact zero pivot (info > 0) raises E^2 by the
+    least step that changes K - E^2 I, one ulp of the larger of E^2 and
+    min |K_ii - E^2| (the next float of E^2 alone leaves K - E^2 I as it
+    is where |K_ii| >> E^2).  The wrappers' finiteness check is kept as
+    one check of K's band.
     """
-    n = len(plus_diag)
-    c, info = _PBTRF(np.vstack([plus_diag, np.full(n, offdiag)]), lower=1)
+    n = len(factored)
+    c, info = _PBTRF(np.vstack([factored, np.full(n, offdiag)]), lower=1)
     if info:
         return None
-    a, b = c[0], c[1, :-1]
-    d = plus_diag - 2.0 * delta
+    a, b, d = c[0], c[1, :-1], other
     band = np.zeros((3, n))  # lower band storage of K
     band[0] = a * a * d
     band[0, :-1] += b * (2.0 * offdiag * a[:-1] + b * d[1:])
@@ -478,38 +430,84 @@ def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
             raise scipy.linalg.LinAlgError(f"banded eigensolve failed (LAPACK info {info})")
         y = np.empty((n, count))
         for k, shift in enumerate(w[:m]):
-            shifted[...] = full
-            shifted[4] -= shift
-            lu, piv, info = _GBTRF(shifted, 2, 2, overwrite_ab=1)
-            if info:  # shift hit an exact pivot zero
-                return None
+            while True:
+                shifted[...] = full
+                shifted[4] -= shift
+                lu, piv, info = _GBTRF(shifted, 2, 2, overwrite_ab=1)
+                if not info:
+                    break
+                shift += np.spacing(max(abs(shift), np.abs(full[4] - shift).min()))
             x, _ = _GBTRS(lu, 2, 2, ones, piv)
             x /= math.sqrt(x.dot(x))  # np.linalg.norm's arithmetic
             x, _ = _GBTRS(lu, 2, 2, x, piv, overwrite_b=1)
             x /= math.sqrt(x.dot(x))
             y[:, k] = x
-        # E^2 as the Rayleigh quotient y^T K y = z^T (L - D) z, z = C y,
-        # taken in factored form: its round-off scales with ||L||, where
-        # eig_banded's eigenvalues carry eps*||K|| ~ eps*||L||^2
+        # E^2 taken in factored form: its round-off scales with ||Q||,
+        # where eig_banded's eigenvalues carry eps*||K|| ~ eps*||Q||^2
         z = a[:, None] * y
         z[1:] += b[:, None] * y[:-1]
-        dz = d[:, None] * z
-        dz[:-1] += offdiag * z[1:]
-        dz[1:] += offdiag * z[:-1]
-        e2 = np.einsum("ik,ik->k", z, dz)
-        if e2.min() < -zero_e2:
-            return None
+        e2 = np.einsum("ik,ik->k", z, _tridiagonal_product(d, offdiag, z))
         zero = np.abs(e2) <= zero_e2
         if count - zero.sum() >= n_modes or count == n:
-            break
+            return c, y, z, e2, zero
         count = min(n, 2 * count)
-    energies = np.sqrt(e2[~zero][:n_modes])
-    y = y[:, ~zero][:, :n_modes]
-    upper = np.empty((2, n))  # C^T in upper band storage
-    upper[0, 0], upper[0, 1:], upper[1] = 0.0, b, a
-    g = _GBSV(0, 1, upper, y)[2]
-    f = z[:, ~zero][:, :n_modes] / energies
-    return energies, (f + g) / 2.0, (f - g) / 2.0, 2 * int(zero.sum()), 0
+
+
+def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
+    """Lowest modes from (L - D)(L + D) g = E^2 g, g = u - v, in the A
+    order: L + D is factored, g = C^-T y and f = u + v = C y / E.
+    Returns (growth rates, energies, chi_u columns, chi_v columns,
+    goldstone): each E^2 < -zero_e2 is an unstable mode, returned as its
+    rate sqrt(-E^2) in place of vectors, and the |E^2| <= zero_e2 pairs
+    are counted in goldstone.  plus_diag is the diagonal of L + D.  None
+    when L + D is not positive definite."""
+    found = _product_form(plus_diag, plus_diag - 2.0 * delta, offdiag, n_modes, zero_e2)
+    if found is None:
+        return None
+    c, y, z, e2, zero = found
+    keep = np.flatnonzero(~zero)[:n_modes]
+    stable = keep[e2[keep] > 0.0]
+    energies = np.sqrt(e2[stable])
+    g = _solve_ct(c, y[:, stable])
+    f = z[:, stable] / energies
+    rates = np.sqrt(-e2[keep[e2[keep] < 0.0]])
+    return rates, energies, (f + g) / 2.0, (f - g) / 2.0, 2 * int(zero.sum())
+
+
+def _swapped_channel(plus_diag, offdiag, delta, n_modes, zero_e2, max_shift):
+    """`_banded_channel` in the B order, (L + D)(L - D) f = E^2 f with
+    M + sigma = C C^T, M = L - D.  sigma = 0 is tried first, then
+    n*eps*||M|| * 4^k to lift M's Goldstone zero above round-off, up to
+    the first rung above max_shift.  E^2 is the Rayleigh quotient of the
+    unshifted blocks, (M f)^T (L + D) (M f) / f^T M f with f = C^-T y and
+    M f = C y - sigma f, so sigma enters it only at second order.  The
+    vectors come from M f alone, g = M f / E and f = (L + D) g / E: C^-T y
+    amplifies M's Goldstone direction.  Same return value as
+    `_banded_channel`; None when no shift factors M."""
+    minus_diag = plus_diag - 2.0 * delta
+    sigma = 0.0
+    while (found := _product_form(minus_diag + sigma, plus_diag, offdiag,
+                                  n_modes, zero_e2)) is None:
+        if sigma > max_shift:
+            return None
+        sigma = 4.0 * sigma if sigma else (
+            len(plus_diag) * np.finfo(float).eps
+            * (np.abs(minus_diag).max() + 2.0 * abs(offdiag)))
+    c, y, z, e2, zero = found
+    keep = np.flatnonzero(~zero)[:n_modes]
+    h = z[:, keep]
+    if sigma:  # at sigma = 0, f^T M f = y^T y = 1 without the ill-conditioned solve
+        f = _solve_ct(c, y[:, keep])
+        h -= sigma * f
+    qh = _tridiagonal_product(plus_diag, offdiag, h)
+    e2 = np.einsum("ik,ik->k", h, qh)
+    if sigma:
+        e2 /= np.einsum("ik,ik->k", f, h)
+    stable = e2 > 0.0
+    energies = np.sqrt(e2[stable])
+    g = h[:, stable] / energies
+    f = qh[:, stable] / energies**2
+    return np.sqrt(-e2[~stable]), energies, (f + g) / 2.0, (f - g) / 2.0, 2 * int(zero.sum())
 
 
 def direct_grid_spectrum(
@@ -519,25 +517,29 @@ def direct_grid_spectrum(
     l: int = 0,
     n_modes: int = 8,
 ) -> tuple[ModeSet, ModeSet]:
-    """Lowest n_modes positive-norm modes per species in channel l; the
-    oracle for the other methods.
+    """Lowest n_modes modes per species in channel l; the oracle for
+    the other methods.
 
-    Each channel takes one of three routes (module docstring): the
-    tridiagonal eigensolve of L when Delta = 0, the banded product form
-    (L - Delta)(L + Delta) g = E^2 g otherwise, and the dense 2n x 2n
-    eigensolve when L + Delta is not positive definite or a mode is
-    unstable.  Modes are normalized to integral(u^2 - v^2) = 1 with the
-    largest |u| entry positive.  The Goldstone pair (|E|^2 at most
-    ZERO_MODE_E2 * (hbar*omega_a)^2 on either route) and modes of the
-    dense route with norm ~ 0 are counted in ModeSet.skipped; the former
-    is expected and logged at DEBUG, the latter at WARNING.  A complex
-    eigenvalue has zero norm, so the dense route counts it in skipped as
-    well, and in practice no returned mode is flagged unstable (ROADMAP
-    item 8).
+    Each channel is banded (module docstring): the eigensolve of L when
+    Delta = 0, else the product form factoring L + Delta or, where that
+    is not positive definite, L - Delta.  Modes come in ascending E^2:
+    an instability (E^2 < 0) first, as a mode with energy 0.0, its
+    growth rate in energy_imag and no vectors, then the positive-norm
+    modes, normalized to integral(u^2 - v^2) = 1 with the largest |u|
+    entry positive.  The Goldstone pair (|E|^2 at most
+    ZERO_MODE_E2 * (hbar*omega_a)^2) is counted in ModeSet.skipped and
+    logged at DEBUG.
+
+    Raises ConfigError unless l is an integer >= 0 and n_modes >= 1,
+    and DomainError when neither L + Delta nor L - Delta is positive
+    definite (E^2 may then be complex).
     """
+    l = require_count("l", l, 0)
+    n_modes = require_count("n_modes", n_modes, 1)
     out = []
     four_pi_h = 4.0 * np.pi * grid.h
-    zero_e2 = ZERO_MODE_E2 * (params.hbar * params.omega_a) ** 2
+    unit = params.hbar * params.omega_a
+    zero_e2 = ZERO_MODE_E2 * unit**2
     for species in (ATOM, MOLECULE):
         plus, delta, mu = _background(species, state, params)
         op = _operator(species, params, grid, plus, l)
@@ -545,35 +547,31 @@ def direct_grid_spectrum(
         if not delta.any():
             # no anomalous term: E = eigenvalues of L, v = 0, signs kept
             energies, chi_u = RadialOperator(plus_diag, op.offdiag).eigensolve(n_modes)
-            found = energies, chi_u, np.zeros_like(chi_u), 0, 0
+            found = np.empty(0), energies, chi_u, np.zeros_like(chi_u), 0
         else:
-            found = _banded_channel(plus_diag, op.offdiag, delta, n_modes, zero_e2)
+            # a Goldstone zero lambda of L - Delta reads as E^2 ~ lambda*hbar*omega,
+            # so shifts past ZERO_MODE_E2*hbar*omega_a exceed round-off of it
+            found = (_banded_channel(plus_diag, op.offdiag, delta, n_modes, zero_e2)
+                     or _swapped_channel(plus_diag, op.offdiag, delta, n_modes, zero_e2,
+                                         ZERO_MODE_E2 * unit))
         if found is None:
-            log.debug("%s l=%d: dense BdG eigensolve", species, l)
-            energies, u, v, goldstone, nonnormalizable = _dense_channel(
-                bdg_matrix(state, params, grid, species, l), four_pi_h, n_modes, zero_e2)
-        else:
-            energies, chi_u, chi_v, goldstone, nonnormalizable = found
-            u, v = _real_rows(chi_u, chi_v, four_pi_h)
+            raise DomainError(
+                f"{species} l={l}: neither L + Delta nor L - Delta is positive "
+                "definite, so the BdG spectrum may be complex")
+        rates, energies, chi_u, chi_v, goldstone = found
+        u, v = _real_rows(chi_u, chi_v, four_pi_h)
         u /= grid.r
         v /= grid.r
-        unstable = np.abs(energies.imag) > 1e-9 * np.maximum(1.0, np.abs(energies.real))
-        modes = [
-            Mode(j=k, branch="+", energy=e, energy_imag=e_imag, u=u_k, v=v_k,
-                 degeneracy=2 * l + 1, norm=1.0, unstable=flag)
-            for k, (e, e_imag, u_k, v_k, flag) in enumerate(zip(
-                energies.real.tolist(), energies.imag.tolist(), u, v, unstable))
+        modes = [Mode(j=k, branch="+", energy=0.0, energy_imag=rate,
+                      degeneracy=2 * l + 1, unstable=True)
+                 for k, rate in enumerate(rates.tolist())]
+        modes += [
+            Mode(j=k, branch="+", energy=e, u=u_k, v=v_k, degeneracy=2 * l + 1, norm=1.0)
+            for k, (e, u_k, v_k) in enumerate(zip(energies.tolist(), u, v), len(modes))
         ]
         if goldstone:
             log.debug("%s l=%d: skipped the Goldstone pair (%d modes)",
                       species, l, goldstone)
-        if nonnormalizable:
-            log.warning(
-                "%s l=%d: skipped %d non-normalizable BdG modes",
-                species, l, nonnormalizable,
-            )
-        out.append(
-            ModeSet(species=species, method="direct-grid", modes=modes,
-                    skipped=goldstone + nonnormalizable)
-        )
+        out.append(ModeSet(species=species, method="direct-grid", modes=modes,
+                           skipped=goldstone))
     return out[0], out[1]

@@ -1,12 +1,18 @@
-"""Per-mode reference implementations of the three spectrum methods.
+"""Reference implementations of the spectrum methods.
 
 `hybridbec.bdg` builds each species' mode block with whole-array numpy
-operations and calls LAPACK directly.  The functions here keep the
-earlier form of the same arithmetic: one loop iteration per level or
+operations and calls LAPACK directly.  The per-mode functions here keep
+the earlier form of the same arithmetic: one loop iteration per level or
 mode, the scipy.linalg wrappers (eigh_tridiagonal, cholesky_banded,
 eig_banded, solve_banded) and the complex phase rotation of every grid
 mode.  The whole-array versions must give the same Mode fields to the
-bit, which `tests/test_bdg.py` checks.
+bit, which `tests/test_bdg.py` checks.  The grid reference covers the
+Delta = 0 route and the stable channels where L + Delta is positive
+definite (the product form's A order); elsewhere it gives None.
+
+`bdg_matrix` and `dense_spectrum` are the independent check of every
+grid channel: the dense 2n x 2n BdG matrix and its full complex
+eigensolve.
 """
 
 from __future__ import annotations
@@ -17,8 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from hybridbec.bdg import (
-    ATOM, MOLECULE, NORM_FLOOR, ZERO_MODE_E2, Mode, ModeSet, _background, bdg_matrix,
-    basis_levels,
+    ATOM, MOLECULE, ZERO_MODE_E2, Mode, ModeSet, _background, basis_levels,
 )
 from hybridbec.gpe import _one_body, _operator
 from hybridbec.grid import RadialOperator, harmonic_potential
@@ -129,22 +134,49 @@ def block_2x2_spectrum(state, params, grid, j_max=16, convention="paper"):
     return out[0], out[1]
 
 
-def dense_channel(mat, four_pi_h, n_modes, zero_e2):
+def bdg_matrix(state, params, grid, species=ATOM, l=0):
+    """Dense 2n x 2n block matrix [[L, -Delta], [Delta, -L]] for one
+    angular channel, acting on stacked reduced functions (r*u, r*v)."""
+    plus, delta, mu = _background(species, state, params)
+    op = _operator(species, params, grid, plus - delta, l)
+    n = grid.n_points
+    l_block = np.diag(op.diag - mu) + op.offdiag * (np.eye(n, k=1) + np.eye(n, k=-1))
+    d_block = np.diag(delta)
+    return np.block([[l_block, -d_block], [d_block, -l_block]])
+
+
+def dense_spectrum(state, params, grid, species, l, n_modes):
+    """The lowest n_modes modes of one channel from the full complex
+    eigensolve of `bdg_matrix`, in the order of direct_grid_spectrum, and
+    the count of skipped eigenvalues: ([(E, u, v), ...], skipped).
+
+    Where Delta != 0, |E|^2 <= ZERO_MODE_E2 (hbar*omega_a)^2 is the
+    Goldstone pair and skipped (without an anomalous term there is none,
+    and a level near mu is a mode).  A purely imaginary pair is one
+    unstable mode, E = i*rate with u = v = None, listed first by
+    decreasing rate; the positive-norm real modes follow in ascending E,
+    normalized to 4*pi*h * sum(|r u|^2 - |r v|^2) = 1 with the largest |u|
+    entry real and positive."""
+    n = grid.n_points
+    mat = bdg_matrix(state, params, grid, species, l)
     vals, vecs = scipy.linalg.eig(mat)
-    n = mat.shape[0] // 2
-    keep = []
-    goldstone = nonnormalizable = 0
+    zero_e2 = ZERO_MODE_E2 * (params.hbar * params.omega_a) ** 2 if mat[:n, n:].any() else -1.0
+    unstable, stable, skipped = [], [], 0
     for k in np.argsort(vals.real):
-        s = four_pi_h * float((np.abs(vecs[:n, k]) ** 2 - np.abs(vecs[n:, k]) ** 2).sum())
-        if abs(vals[k]) ** 2 <= zero_e2:
-            goldstone += 1
-        elif abs(s) <= NORM_FLOOR:
-            nonnormalizable += 1
-        elif s > 0.0:
-            keep.append(k)
-            if len(keep) >= n_modes:
-                break
-    return vals[keep], vecs[:n, keep], vecs[n:, keep], goldstone, nonnormalizable
+        e, cu, cv = vals[k], vecs[:n, k], vecs[n:, k]
+        if abs(e) ** 2 <= zero_e2:
+            skipped += 1
+        elif abs(e.imag) > 1e-9 * max(1.0, abs(e.real)):
+            assert abs(e.real) <= 1e-9 * abs(e.imag), f"complex E = {e}"
+            if e.imag > 0.0:
+                unstable.append((e, None, None))
+        else:
+            norm = 4.0 * np.pi * grid.h * float((np.abs(cu) ** 2 - np.abs(cv) ** 2).sum())
+            if norm > 0.0:
+                phase = np.exp(-1j * np.angle(cu[np.argmax(np.abs(cu))])) / np.sqrt(norm)
+                stable.append((e, (cu * phase).real / grid.r, (cv * phase).real / grid.r))
+    unstable.sort(key=lambda mode: -mode[0].imag)
+    return (unstable + stable)[:n_modes], skipped
 
 
 def banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
@@ -175,7 +207,7 @@ def banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
             shifted[4] -= shift
             lu, piv, info = scipy.linalg.lapack.dgbtrf(shifted, 2, 2, overwrite_ab=1)
             if info:
-                return None
+                return None  # a zero pivot: not covered
             x = np.ones(n)
             for _ in range(2):
                 x, _ = scipy.linalg.lapack.dgbtrs(lu, 2, 2, x, piv)
@@ -188,7 +220,7 @@ def banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
         dz[1:] += offdiag * z[:-1]
         e2 = np.einsum("ik,ik->k", z, dz)
         if e2.min() < -zero_e2:
-            return None
+            return None  # unstable: not covered
         zero = np.abs(e2) <= zero_e2
         if count - zero.sum() >= n_modes or count == n:
             break
@@ -197,7 +229,7 @@ def banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
     y = y[:, ~zero][:, :n_modes]
     g = scipy.linalg.solve_banded((0, 1), np.vstack([np.r_[0.0, b], a]), y)
     f = z[:, ~zero][:, :n_modes] / energies
-    return energies, (f + g) / 2.0, (f - g) / 2.0, 2 * int(zero.sum()), 0
+    return energies, (f + g) / 2.0, (f - g) / 2.0, 2 * int(zero.sum())
 
 
 def direct_grid_spectrum(state, params, grid, l=0, n_modes=8):
@@ -210,26 +242,25 @@ def direct_grid_spectrum(state, params, grid, l=0, n_modes=8):
         plus_diag = op.diag - mu
         if not delta.any():
             energies, chi_u = eigensolve(plus_diag, op.offdiag, n_modes)
-            found = energies, chi_u, np.zeros_like(chi_u), 0, 0
+            found = energies, chi_u, np.zeros_like(chi_u), 0
         else:
             found = banded_channel(plus_diag, op.offdiag, delta, n_modes, zero_e2)
         if found is None:
-            found = dense_channel(
-                bdg_matrix(state, params, grid, species, l), four_pi_h, n_modes, zero_e2)
-        energies, chi_u, chi_v, goldstone, nonnormalizable = found
+            out.append(None)
+            continue
+        energies, chi_u, chi_v, goldstone = found
         modes = []
         for k, e in enumerate(energies):
             cu, cv = chi_u[:, k], chi_v[:, k]
             s = four_pi_h * float((np.abs(cu) ** 2 - np.abs(cv) ** 2).sum())
             scale = 1.0 / math.sqrt(s)
-            unstable = abs(e.imag) > 1e-9 * max(1.0, abs(e.real))
             phase = np.exp(-1j * np.angle(cu[np.argmax(np.abs(cu))]))
             modes.append(Mode(
-                j=k, branch="+", energy=float(e.real), energy_imag=float(e.imag),
+                j=k, branch="+", energy=float(e),
                 u=(cu * phase).real * scale / grid.r,
                 v=(cv * phase).real * scale / grid.r,
-                degeneracy=2 * l + 1, norm=1.0, unstable=unstable,
+                degeneracy=2 * l + 1, norm=1.0,
             ))
         out.append(ModeSet(species=species, method="direct-grid", modes=modes,
-                           skipped=goldstone + nonnormalizable))
+                           skipped=goldstone))
     return out[0], out[1]

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import gc
 import logging
+import math
 import struct
 import weakref
 
@@ -8,15 +10,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hybridbec import ConfigError, PhysicalParams, bdg, build_grid
+from hybridbec import ConfigError, DomainError, PhysicalParams, bdg, build_grid
 from hybridbec.bdg import (
     ATOM,
     MOLECULE,
-    NORM_FLOOR,
-    ZERO_MODE_E2,
     Mode,
     basis_levels,
-    bdg_matrix,
     block_2x2_spectrum,
     direct_grid_spectrum,
     oscillator_basis,
@@ -296,7 +295,7 @@ def test_direct_grid_symmetric_under_energy_reversal():
                        lambda_m=1e-3, alpha=0.05, n_a=1e3, n_m=1e3)
     s = solve_coupled_gpe(p, g)
     for species in (ATOM, MOLECULE):
-        m = bdg_matrix(s, p, g, species, l=0)
+        m = reference.bdg_matrix(s, p, g, species, l=0)
         ev = np.sort_complex(np.linalg.eigvals(m))
         assert np.max(np.abs(ev + ev[::-1])) < 1e-8
 
@@ -409,27 +408,39 @@ EQUIVALENCE_SETS = {
 
 
 def dense_reference(state, p, g, species, l, n_modes):
-    # the full 2n x 2n eigensolve: positive-norm modes in ascending real
-    # part, near-zero norms counted as skipped, and so is |E|^2 <=
-    # ZERO_MODE_E2 (hbar*omega_a)^2 where Delta != 0 (the Goldstone pair;
-    # without an anomalous term there is none, and a level near mu is a
-    # mode); normalized with the largest |u| entry real and positive
-    n = g.n_points
-    mat = bdg_matrix(state, p, g, species, l)
-    vals, vecs = scipy.linalg.eig(mat)
-    zero_e2 = ZERO_MODE_E2 * (p.hbar * p.omega_a) ** 2 if mat[:n, n:].any() else -1.0
-    modes, skipped = [], 0
-    for k in np.argsort(vals.real):
-        cu, cv = vecs[:n, k], vecs[n:, k]
-        norm = 4.0 * np.pi * g.h * float((np.abs(cu) ** 2 - np.abs(cv) ** 2).sum())
-        if abs(vals[k]) ** 2 <= zero_e2 or abs(norm) <= NORM_FLOOR:
-            skipped += 1
-        elif norm > 0.0:
-            phase = np.exp(-1j * np.angle(cu[np.argmax(np.abs(cu))])) / np.sqrt(norm)
-            modes.append((vals[k], (cu * phase).real / g.r, (cv * phase).real / g.r))
-            if len(modes) == n_modes:
-                break
-    return modes, skipped
+    # ([(E, u, v), ...], skipped) from the full 2n x 2n eigensolve
+    return reference.dense_spectrum(state, p, g, species, l, n_modes)
+
+
+def assert_matches_dense(modeset, ref, skipped):
+    # the dense tolerances: energies and growth rates to 1e-8 relative,
+    # vectors to 1e-7 of their largest entry; an unstable mode has no
+    # vectors, energy 0.0 and its growth rate in energy_imag
+    assert modeset.skipped == skipped
+    assert len(modeset.modes) == len(ref)
+    for m, (e, u, v) in zip(modeset.modes, ref):
+        if u is None:
+            assert m.unstable and m.energy == 0.0 and m.u is None and m.v is None
+            assert math.isnan(m.norm)
+            assert m.energy_imag == pytest.approx(e.imag, rel=1e-8)
+        else:
+            assert e.imag == 0.0 and not m.unstable and m.energy_imag == 0.0
+            assert m.energy == pytest.approx(e.real, rel=1e-8)
+            assert np.max(np.abs(m.u - u)) <= 1e-7 * np.max(np.abs(u))
+            assert np.max(np.abs(m.v - v)) <= 1e-7 * np.max(np.abs(v))
+
+
+@contextlib.contextmanager
+def banded_only():
+    # every grid channel takes a banded route: a dense eigensolve fails
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolve called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (scipy.linalg, np.linalg):
+            mp.setattr(module, "eig", refuse)
+            mp.setattr(module, "eigvals", refuse)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -440,31 +451,55 @@ def equivalence_states():
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SETS))
-def test_direct_grid_matches_dense_eigensolve(name, equivalence_states, monkeypatch):
-    # every channel here takes the banded or the Delta = 0 route (the
-    # dense builder must not be called) and reproduces the dense result
+def test_direct_grid_matches_dense_eigensolve(name, equivalence_states):
+    # every channel here takes the A order or the Delta = 0 route and
+    # reproduces the dense result
     g, states = equivalence_states
     p, s = EQUIVALENCE_SETS[name], states[name]
-
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense fallback taken")
-
     for l in (0, 1, 2):
         refs = [dense_reference(s, p, g, sp, l, 8) for sp in (ATOM, MOLECULE)]
-        with monkeypatch.context() as mp:
-            mp.setattr(bdg, "bdg_matrix", no_dense)
+        with banded_only():
             got = direct_grid_spectrum(s, p, g, l=l, n_modes=8)
         for ms, (ref, skipped) in zip(got, refs):
-            assert len(ms.modes) == len(ref) == 8
-            assert ms.skipped == skipped
-            for m, (e, u, v) in zip(ms.modes, ref):
-                assert e.imag == 0.0 and not m.unstable
-                assert m.energy == pytest.approx(e.real, rel=1e-8)
-                scale = np.max(np.abs(u))
-                assert np.max(np.abs(m.u - u)) <= 1e-7 * scale
-                assert np.max(np.abs(m.v - v)) <= 1e-7 * np.max(np.abs(v))
+            assert len(ref) == 8
+            assert_matches_dense(ms, ref, skipped)
         if name == "decoupled" and l == 0:
             assert got[0].skipped == 2  # the Goldstone pair
+
+
+#: one attractive species each, lambda*N = -2, -5, -7 for the atoms
+#: (collapse lies between -7.2 and -7.3) and -2 for the molecules: its
+#: l = 0 L + Delta is indefinite, so that channel takes the B order
+ATTRACTIVE_SETS = {
+    "atoms-2": (ATOM, PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=-0.02, n_a=100.0)),
+    "atoms-5": (ATOM, PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=-0.05, n_a=100.0)),
+    "atoms-7": (ATOM, PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=-0.07, n_a=100.0)),
+    "molecules-2": (MOLECULE, PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_m=-0.02,
+                                             n_a=0.0, n_m=100.0)),
+}
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("name", list(ATTRACTIVE_SETS))
+def test_attractive_channels_match_dense_eigensolve(name, n):
+    # the attractive species' channels equal the dense reference, the
+    # l = 0 one with its Goldstone pair skipped; Kohn's dipole mode sits
+    # at hbar*omega of the species' trap up to the O(h^2) grid error,
+    # checked on the finer grid (1.4e-3 at 200 points for lambda*N = -7)
+    species, p = ATTRACTIVE_SETS[name]
+    g = build_grid(r_max=8.0, n_points=n)
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    k = 0 if species == ATOM else 1
+    for l in (0, 1, 2):
+        ref, skipped = dense_reference(s, p, g, species, l, 8)
+        with banded_only():
+            got = direct_grid_spectrum(s, p, g, l=l, n_modes=8)[k]
+        assert len(ref) == 8
+        assert_matches_dense(got, ref, skipped)
+        assert got.skipped == (2 if l == 0 else 0)
+        if l == 1 and n == 400:
+            omega = p.omega_a if species == ATOM else p.omega_m
+            assert got.modes[0].energy == pytest.approx(p.hbar * omega, abs=1e-3)
 
 
 BITWISE_SETS = {
@@ -479,24 +514,26 @@ BITWISE_SETS = {
 
 
 @pytest.mark.parametrize("name", list(BITWISE_SETS))
-def test_spectra_match_per_mode_reference_bitwise(name, monkeypatch):
+def test_spectra_match_per_mode_reference_bitwise(name):
     # every Mode field and skipped count of the whole-array methods equals
-    # the per-mode loops of tests/spectrum_reference.py to the bit
+    # the per-mode loops of tests/spectrum_reference.py to the bit; the
+    # one channel the per-mode reference does not cover (the attractive
+    # atoms at l = 0, whose L + Delta is indefinite) equals the dense
+    # reference to its tolerances, and no channel calls a dense eigensolve
     p, n = BITWISE_SETS[name]
     g = build_grid(r_max=8.0, n_points=n)
     s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
-    dense = []
-
-    def counted(*args, **kwargs):
-        dense.append(args[3:])
-        return bdg_matrix(*args, **kwargs)
-
-    monkeypatch.setattr(bdg, "bdg_matrix", counted)
+    uncovered = []
     for l in (0, 1, 2):
-        for got, ref in zip(direct_grid_spectrum(s, p, g, l=l),
-                            reference.direct_grid_spectrum(s, p, g, l=l)):
-            assert_same_modes(got, ref)
-    assert dense == ([(ATOM, 0)] if name == "attractive" else [])
+        with banded_only():
+            spectra = direct_grid_spectrum(s, p, g, l=l)
+        for got, ref in zip(spectra, reference.direct_grid_spectrum(s, p, g, l=l)):
+            if ref is None:
+                uncovered.append((got.species, l))
+                assert_matches_dense(got, *dense_reference(s, p, g, got.species, l, 8))
+            else:
+                assert_same_modes(got, ref)
+    assert uncovered == ([(ATOM, 0)] if name == "attractive" else [])
     for convention in ("paper", "oscillator3d"):
         for got, ref in zip(block_2x2_spectrum(s, p, g, convention=convention),
                             reference.block_2x2_spectrum(s, p, g, convention=convention)):
@@ -509,23 +546,46 @@ def test_spectra_match_per_mode_reference_bitwise(name, monkeypatch):
                 assert_same_modes(got, ref)
 
 
+def test_b_order_shift_enters_at_second_order(monkeypatch):
+    # mu_a raised by 1e-7 on attractive atoms gives L - Delta an
+    # eigenvalue near -1e-7, so the B order factors it only at a shift
+    # of a few 1e-7 (eight rungs of the ladder); the shifted eigenvalues
+    # are that far off, the Rayleigh quotient of the unshifted blocks
+    # meets the dense tolerances
+    p, n = BITWISE_SETS["attractive"]
+    g = build_grid(r_max=8.0, n_points=n)
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    raised = CondensateState(grid=g, phi_a=s.phi_a, phi_m=s.phi_m,
+                             mu_a=s.mu_a + 1e-7, mu_m=s.mu_m)
+    factored = []
+    real_form = bdg._product_form
+
+    def counted(*args):
+        found = real_form(*args)
+        factored.append(found is not None)
+        return found
+
+    monkeypatch.setattr(bdg, "_product_form", counted)
+    atoms, _ = direct_grid_spectrum(raised, p, g, l=0)
+    assert factored == [False] * 8 + [True]
+    assert_matches_dense(atoms, *dense_reference(raised, p, g, ATOM, 0, 8))
+
+
 @pytest.mark.parametrize("mu_shift", [0.0, -1e-13, -1e-12, -1e-10])
 def test_dense_route_skips_goldstone_pair(equivalence_states, mu_shift):
     # decoupled atoms, l = 0: round-off leaves the Goldstone pair of the
-    # dense eigensolve imaginary (zero norm) or real with a small norm
-    # (E = 2.1e-7 at a mu_a 1e-13 low); either way the dense route skips
-    # the pair, as the banded route does, and starts at the breathing mode
+    # dense eigensolve imaginary or real with a small norm (E = 2.1e-7 at
+    # a mu_a 1e-13 low); the dense reference counts it as the pair by
+    # |E|^2, as the banded route does, and both start at the breathing mode
     g, states = equivalence_states
     p, s = EQUIVALENCE_SETS["decoupled"], states["decoupled"]
     shifted = CondensateState(grid=g, phi_a=s.phi_a, phi_m=s.phi_m,
                               mu_a=s.mu_a + mu_shift, mu_m=s.mu_m)
-    found = bdg._dense_channel(bdg_matrix(shifted, p, g, ATOM, 0), 4.0 * np.pi * g.h, 8,
-                               ZERO_MODE_E2 * (p.hbar * p.omega_a) ** 2)
+    ref, skipped = dense_reference(shifted, p, g, ATOM, 0, 8)
     banded, _ = direct_grid_spectrum(shifted, p, g, l=0, n_modes=8)
-    assert found[3:] == (2, 0)  # counted as the Goldstone pair, not for its norm
-    assert banded.skipped == 2
-    assert found[0][0].real == pytest.approx(2.08288, abs=1e-5)
-    assert found[0][0].real == pytest.approx(banded.modes[0].energy, rel=1e-8)
+    assert skipped == banded.skipped == 2
+    assert ref[0][0].real == pytest.approx(2.08288, abs=1e-5)
+    assert_matches_dense(banded, ref, skipped)
 
 
 @pytest.mark.parametrize("field", ["phi_a", "mu_m"], ids=["banded", "delta-zero"])
@@ -560,74 +620,107 @@ def test_direct_grid_keeps_sign_without_anomalous_term():
     assert all(np.all(m.v == 0.0) for m in mol.modes)
 
 
-def test_direct_grid_dense_fallback(monkeypatch, caplog):
-    # raising mu_a by 3 hbar*omega_a on the item-2 set makes L + Delta
-    # indefinite; raising it by 0.1 on the decoupled set keeps L + Delta
-    # positive definite but gives E^2 < 0.  Either way the atom channel
-    # falls back to the dense eigensolve and returns exactly its
-    # energies, growth rates, flags and skipped count (the imaginary
-    # pairs have zero norm and land in skipped, with a warning, since
-    # none of them is a Goldstone pair)
+def flipped_item2_state(g):
+    # the stationary state the descent reaches from the item-2 seed with
+    # phi_m of the wrong sign for alpha (E = 837.66 at 8/200): a higher
+    # branch than the ground state
+    p = EQUIVALENCE_SETS["item2"]
+    seed = gaussian_ansatz(p, g)
+    return solve_coupled_gpe(p, g, init=CondensateState(
+        grid=g, phi_a=seed.phi_a, phi_m=-seed.phi_m, mu_a=seed.mu_a, mu_m=seed.mu_m))
+
+
+def test_direct_grid_reports_growth_rates(caplog):
+    # E^2 < 0 is an unstable mode with its growth rate, listed first and
+    # equal to the imaginary part of the dense pair: the decoupled set
+    # with mu_a raised by 0.1 (L + Delta positive definite, the A order)
+    # and the flipped item-2 state, the first sign in the program that it
+    # is not the ground state
     g = build_grid(r_max=8.0, n_points=200)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return bdg_matrix(*args, **kwargs)
-
-    monkeypatch.setattr(bdg, "bdg_matrix", counted)
-    for name, shift, channels in (("item2", 3.0, (0, 1)), ("decoupled", 0.1, (0,))):
-        p = EQUIVALENCE_SETS[name]
-        s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
-        shifted = CondensateState(grid=g, phi_a=s.phi_a, phi_m=s.phi_m,
-                                  mu_a=s.mu_a + shift, mu_m=s.mu_m)
-        for l in channels:
-            calls.clear()
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="hybridbec.bdg"):
-                atoms, _ = direct_grid_spectrum(shifted, p, g, l=l, n_modes=8)
-            assert calls == [ATOM]
-            assert [r.getMessage() for r in caplog.records] == (
-                [f"atom l={l}: skipped {atoms.skipped} non-normalizable BdG modes"]
-                if atoms.skipped else [])
-            ref, skipped = dense_reference(shifted, p, g, ATOM, l, 8)
-            assert [m.energy for m in atoms.modes] == [float(e.real) for e, _, _ in ref]
-            assert [m.energy_imag for m in atoms.modes] == [float(e.imag) for e, _, _ in ref]
-            assert [m.unstable for m in atoms.modes] == [
-                abs(e.imag) > 1e-9 * max(1.0, abs(e.real)) for e, _, _ in ref]
-            assert atoms.skipped == skipped
+    p = EQUIVALENCE_SETS["decoupled"]
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    raised = CondensateState(grid=g, phi_a=s.phi_a, phi_m=s.phi_m,
+                             mu_a=s.mu_a + 0.1, mu_m=s.mu_m)
+    cases = [(raised, p, 0, ATOM, [0.25379192])]
+    flipped = flipped_item2_state(g)
+    p2 = EQUIVALENCE_SETS["item2"]
+    cases += [(flipped, p2, 0, ATOM, [3.28162553]), (flipped, p2, 1, ATOM, [0.8458806]),
+              (flipped, p2, 0, MOLECULE, [0.63435866]), (flipped, p2, 1, MOLECULE, [])]
+    for state, params, l, species, rates in cases:
+        with caplog.at_level(logging.WARNING, logger="hybridbec.bdg"), banded_only():
+            spectra = direct_grid_spectrum(state, params, g, l=l, n_modes=8)
+        got = spectra[0 if species == ATOM else 1]
+        assert not caplog.records
+        assert_matches_dense(got, *dense_reference(state, params, g, species, l, 8))
+        unstable = [m for m in got.modes if m.unstable]
+        assert got.modes[:len(unstable)] == unstable
+        assert [m.energy_imag for m in unstable] == pytest.approx(rates, abs=1e-8)
+        assert all(m.degeneracy == 2 * l + 1 for m in unstable)
+        assert [m.j for m in got.modes] == list(range(8))
 
 
-def test_direct_grid_zero_pivot_falls_back(monkeypatch):
-    # a zero pivot in the inverse iteration's LU factorization (gbtrf
-    # info > 0) sends the channel to the dense eigensolve, as a failed
-    # Cholesky does; the atom channel factors first
+@pytest.mark.parametrize("l", [0, 1])
+def test_direct_grid_rejects_two_indefinite_blocks(l):
+    # mu_a raised by 3 hbar*omega_a on the item-2 set: neither L + Delta
+    # nor L - Delta of the atom channel is positive definite (the dense
+    # eigenvalues form a complex quartet), so no banded order applies
     g = build_grid(r_max=8.0, n_points=200)
     p = EQUIVALENCE_SETS["item2"]
     s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
-    calls, factored = [], []
+    raised = CondensateState(grid=g, phi_a=s.phi_a, phi_m=s.phi_m,
+                             mu_a=s.mu_a + 3.0, mu_m=s.mu_m)
+    with pytest.raises(DomainError, match=f"atom l={l}:"):
+        direct_grid_spectrum(raised, p, g, l=l)
+
+
+@pytest.mark.parametrize("name", ["item2", "attractive"])
+def test_direct_grid_zero_pivot_moves_shift(name, monkeypatch):
+    # a zero pivot in the inverse iteration's LU factorization (gbtrf
+    # info > 0) moves that shift by the least step that changes the
+    # factored diagonal and factors again; the modes equal the unforced
+    # run's to 1e-12.  The first factored channel is the atoms' l = 0:
+    # the A order for item-2, the B order for the attractive set
+    p, n = BITWISE_SETS[name]
+    g = build_grid(r_max=8.0, n_points=n)
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    unforced = direct_grid_spectrum(s, p, g, l=0, n_modes=8)
+    factored, diagonals = [], []
     real_gbtrf = bdg._GBTRF
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return bdg_matrix(*args, **kwargs)
-
     def zero_pivot_first(ab, kl, ku, **kwargs):
+        diagonals.append(ab[4].copy())  # K minus the shift
         lu, piv, info = real_gbtrf(ab, kl, ku, **kwargs)
         if not factored:
             info = 1
         factored.append(info)
         return lu, piv, info
 
-    monkeypatch.setattr(bdg, "bdg_matrix", counted)
     monkeypatch.setattr(bdg, "_GBTRF", zero_pivot_first)
-    atoms, mols = direct_grid_spectrum(s, p, g, l=0, n_modes=8)
-    assert calls == [ATOM]
+    forced = direct_grid_spectrum(s, p, g, l=0, n_modes=8)
     assert factored[0] == 1 and len(factored) > 1 and not any(factored[1:])
-    ref, skipped = dense_reference(s, p, g, ATOM, 0, 8)
-    assert [m.energy for m in atoms.modes] == [float(e.real) for e, _, _ in ref]
-    assert atoms.skipped == skipped
-    assert len(mols.modes) == 8
+    moved = diagonals[0] - diagonals[1]
+    assert moved.any() and np.all(np.abs(moved) <= 1e-12 * np.abs(diagonals[0]).max())
+    for got, ref in zip(forced, unforced):
+        assert got.skipped == ref.skipped and len(got.modes) == len(ref.modes) == 8
+        for m, r in zip(got.modes, ref.modes):
+            assert m.energy == pytest.approx(r.energy, rel=1e-12)
+            assert np.max(np.abs(m.u - r.u)) <= 1e-12 * np.max(np.abs(r.u))
+            assert np.max(np.abs(m.v - r.v)) <= 1e-12 * np.max(np.abs(r.v))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"l": -1}, "l must be"), ({"l": True}, "l must be"), ({"l": 0.5}, "l must be"),
+    ({"n_modes": -3}, "n_modes must be"), ({"n_modes": 0}, "n_modes must be"),
+    ({"n_modes": 2.5}, "n_modes must be"),
+], ids=["l-negative", "l-bool", "l-fraction", "n_modes-negative", "n_modes-zero",
+        "n_modes-fraction"])
+def test_direct_grid_rejects_bad_counts(equivalence_states, kwargs, message):
+    # l = -1 used to run as l = 0 with degeneracy -1, l = True as l = 1,
+    # l = 0.5 with degeneracy 2.0, and n_modes = -3 raised an untyped
+    # LAPACK error
+    g, states = equivalence_states
+    with pytest.raises(ConfigError, match=message):
+        direct_grid_spectrum(states["decoupled"], EQUIVALENCE_SETS["decoupled"], g, **kwargs)
 
 
 def test_direct_grid_kohn_mode_and_second_order():

@@ -182,29 +182,30 @@ def oscillator_basis(
     return bases[key]
 
 
-def _background(species: str, state: CondensateState, params: PhysicalParams):
-    """Local part of L + Delta (beyond the one-body operator and -mu),
-    the off-diagonal Delta(r) and mu.  L + Delta is the diagonal block of
-    the ground-state solver's Jacobian, read from `gpe._second_variation`;
-    L itself carries W = (L + Delta) - Delta."""
+def _backgrounds(state: CondensateState, params: PhysicalParams):
+    """(species, plus, delta, mu) for ATOM and then MOLECULE: the local
+    part of L + Delta (beyond the one-body operator and -mu), the
+    off-diagonal Delta(r) and mu.  L + Delta is the diagonal block of
+    the ground-state solver's Jacobian, read for both species from one
+    `gpe._second_variation` call; L itself carries W = (L + Delta) - Delta."""
     p = params
     k_a, k_m, _ = _second_variation(p, state.phi_a, state.phi_m)
-    if species == ATOM:
-        return k_a, p.lambda_a * state.phi_a**2 + 2.0 * p.alpha * state.phi_m, state.mu_a
-    return k_m, p.lambda_m * state.phi_m**2, state.mu_m
+    return (
+        (ATOM, k_a, p.lambda_a * state.phi_a**2 + 2.0 * p.alpha * state.phi_m, state.mu_a),
+        (MOLECULE, k_m, p.lambda_m * state.phi_m**2, state.mu_m),
+    )
 
 
-def _projection(species, state, params, grid, j_max, convention):
+def _projection(species, plus, delta, params, grid, j_max, convention):
     """Common setup of the basis methods: level ladder, basis chi, the
     background with the one-body offset (eps for molecules) folded into
     W, and the density-normalized amplitude of each basis state.  chi and
     the amplitudes come one contiguous row per basis state."""
     levels = basis_levels(species, params, j_max, convention)
     chi = np.ascontiguousarray(oscillator_basis(species, params, grid, j_max)[1].T)
-    plus, delta, mu = _background(species, state, params)
     w = plus - delta + _one_body(species, params)[2]
     amp = chi / (grid.r * math.sqrt(4.0 * np.pi * grid.h))
-    return levels, chi, w, delta, mu, amp
+    return levels, chi, w, amp
 
 
 def _weighted_averages(rows: np.ndarray, weights: np.ndarray, total: float) -> list[float]:
@@ -249,9 +250,8 @@ def paper_literal_spectrum(
     if averaging not in AVERAGINGS:
         raise ConfigError(f"unknown averaging '{averaging}'")
     out = []
-    for species in (ATOM, MOLECULE):
-        levels, _, w, delta, mu, amp = _projection(
-            species, state, params, grid, j_max, convention)
+    for species, plus, delta, mu in _backgrounds(state, params):
+        levels, _, w, amp = _projection(species, plus, delta, params, grid, j_max, convention)
         if species == MOLECULE and strict_literal:
             w -= params.lambda_am * state.phi_a**2
         dens = state.phi_a**2 if species == ATOM else state.phi_m**2
@@ -309,9 +309,8 @@ def block_2x2_spectrum(
     the positive-norm branch energy is negative, reported as sign(h)*|E|.
     """
     out = []
-    for species in (ATOM, MOLECULE):
-        levels, chi, w, delta, mu, amp = _projection(
-            species, state, params, grid, j_max, convention)
+    for species, plus, delta, mu in _backgrounds(state, params):
+        levels, chi, w, amp = _projection(species, plus, delta, params, grid, j_max, convention)
         chi2 = chi**2  # the |j> densities; one np.dot per matrix element
         modes = []
         for j, level in enumerate(levels.tolist()):
@@ -540,8 +539,7 @@ def direct_grid_spectrum(
     four_pi_h = 4.0 * np.pi * grid.h
     unit = params.hbar * params.omega_a
     zero_e2 = ZERO_MODE_E2 * unit**2
-    for species in (ATOM, MOLECULE):
-        plus, delta, mu = _background(species, state, params)
+    for species, plus, delta, mu in _backgrounds(state, params):
         op = _operator(species, params, grid, plus, l)
         plus_diag = op.diag - mu
         if not delta.any():

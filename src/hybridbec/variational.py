@@ -31,22 +31,26 @@ bounded Nelder-Mead polish; v = 0 is a legitimate symmetry point (the
 couplings-zero minimum), but a minimizer pinned to the omega edges or
 to v_max means the box failed to bracket and raises instead of
 returning a truncated answer, as does a functional that overflows in
-the box.  Each call builds its mode's energy once with the parameter
-constants hoisted; the scan evaluates it on numpy arrays and the polish
-on Python floats.  Every factor of the energy depends on v alone or on
+the box.  Each call builds its mode's energy once, with the parameter
+constants hoisted from the point's N_a and N_m (no PhysicalParams per
+point) and the shape factors written inline, so one evaluation is one
+Python call; the scan evaluates it on numpy arrays and the polish on
+Python floats.  Every factor of the energy depends on v alone or on
 omega alone, so the scan passes open grids (a column of v, a row of
-omega): the v and omega factors run on `coarse` values each and only
-the final products and sums fill the coarse x coarse table, through the
-same IEEE operations per cell as on a full meshgrid.  The polish is a
-two-variable port of scipy's bounded Nelder-Mead with identical
-iterates, so its minima are scipy's to the last bit without scipy's
-per-step array overhead on a 3x2 simplex.
+omega), which each SearchBox builds once: the v and omega factors run
+on `coarse` values each and only the final products and sums fill the
+coarse x coarse table, through the same IEEE operations per cell as on
+a full meshgrid.  The polish is a two-variable port of scipy's bounded
+Nelder-Mead with identical iterates, so its minima are scipy's to the
+last bit without scipy's per-step array overhead on a 3x2 simplex; it
+is most of a call's cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 # unused; perfbench/run.py --trace 1 needs its -X importtime line (ROADMAP item 9)
@@ -66,50 +70,69 @@ def shape_factor(x, y):
     """f(x, y) = (3/2)s^{3/2} - 3 s^{5/2} + (5/2)s^{7/2} with s = x/(x+y).
 
     Positive for all x, y > 0; tends to 1 as y -> 0 and to 0 as x -> 0.
+    The breathing-mode energy writes the same operations inline.
     """
     s = x / (x + y)
     return s**1.5 * (1.5 + s * (-3.0 + 2.5 * s))
 
 
-def _mode_energy(mode: str, p: PhysicalParams):
+def _mode_energy(mode: str, p: PhysicalParams, n_a=None, n_m=None):
     """E(v, omega, sqrt) of one mode with its parameter constants hoisted.
 
-    The same operation order serves numpy arrays (coarse scan, with
-    sqrt = np.sqrt) and Python floats (polish, with math.sqrt).  No
+    n_a and n_m, when given, stand in for p.n_a and p.n_m.  The same
+    expression serves numpy arrays (coarse scan, with sqrt = np.sqrt)
+    and Python floats (polish, with math.sqrt); its shape factors are
+    those of `shape_factor` (breathing) or (x/(x+y))**2.5 (surface),
+    written inline with the same operations in the same order.  No
     omega > 0 check: callers pass omega inside a positive box or check.
     """
+    n_a = p.n_a if n_a is None else n_a
+    n_m = p.n_m if n_m is None else n_m
     hb, m = p.hbar, p.mass
     # mode-shape-independent coupling strengths
-    c_lam = p.lambda_am * p.n_m * p.omega_m**1.5 * (2.0 * m / (math.pi * hb)) ** 1.5
-    c_lama = p.n_a * p.omega_a**1.5 * (m / (math.pi * hb)) ** 1.5
+    c_lam = p.lambda_am * n_m * p.omega_m**1.5 * (2.0 * m / (math.pi * hb)) ** 1.5
+    c_lama = n_a * p.omega_a**1.5 * (m / (math.pi * hb)) ** 1.5
     c_alpha = (
-        4.0 * p.alpha * math.sqrt(p.n_m) * p.omega_m**0.75
+        4.0 * p.alpha * math.sqrt(n_m) * p.omega_m**0.75
         * (2.0 * m / (math.pi * hb)) ** 0.75
     )
     hb_wa2, two_lam_a = hb * p.omega_a**2, 2.0 * p.lambda_a
     w_lam, w_lama, w_alpha = 2.0 * p.omega_m, p.omega_a, p.omega_m
     if mode == MODE_SURFACE:
-        pre, shape = 1.25, lambda x, y: (x / (x + y)) ** 2.5
+        def energy(v, omega, sqrt=math.sqrt):
+            quad = 1.0 + 2.0 * v * v
+            mix = v * sqrt(1.0 + v * v)
+            osc = hb * omega + hb_wa2 / omega
+            return (
+                quad * 1.25 * osc
+                + c_lam * quad * (omega / (omega + w_lam)) ** 2.5
+                + two_lam_a * (quad - mix) * c_lama * (omega / (omega + w_lama)) ** 2.5
+                - c_alpha * mix * (omega / (omega + w_alpha)) ** 2.5
+            )
     else:
-        pre, shape = 1.75, shape_factor
-
-    def energy(v, omega, sqrt=math.sqrt):
-        quad = 1.0 + 2.0 * v * v
-        mix = v * sqrt(1.0 + v * v)
-        osc = hb * omega + hb_wa2 / omega
-        return (
-            quad * pre * osc
-            + c_lam * quad * shape(omega, w_lam)
-            + two_lam_a * (quad - mix) * c_lama * shape(omega, w_lama)
-            - c_alpha * mix * shape(omega, w_alpha)
-        )
+        def energy(v, omega, sqrt=math.sqrt):
+            quad = 1.0 + 2.0 * v * v
+            mix = v * sqrt(1.0 + v * v)
+            osc = hb * omega + hb_wa2 / omega
+            s_lam = omega / (omega + w_lam)
+            s_lama = omega / (omega + w_lama)
+            s_alpha = omega / (omega + w_alpha)
+            return (
+                quad * 1.75 * osc
+                + c_lam * quad * (s_lam**1.5 * (1.5 + s_lam * (-3.0 + 2.5 * s_lam)))
+                + two_lam_a * (quad - mix) * c_lama
+                * (s_lama**1.5 * (1.5 + s_lama * (-3.0 + 2.5 * s_lama)))
+                - c_alpha * mix * (s_alpha**1.5 * (1.5 + s_alpha * (-3.0 + 2.5 * s_alpha)))
+            )
 
     return energy
 
 
 def _checked_energy(mode: str, v, omega, params: PhysicalParams):
-    if (np.asarray(omega) <= 0.0).any():
-        raise DomainError("trial frequency must be positive")
+    # the public energies' domain: every omega positive and finite
+    w = np.asarray(omega)
+    if not (np.isfinite(w) & (w > 0.0)).all():
+        raise DomainError("trial frequency must be positive and finite")
     return _mode_energy(mode, params)(v, omega, np.sqrt)
 
 
@@ -216,7 +239,12 @@ def _nelder_mead(f, v, w, lo, hi, xatol=1e-10, fatol=1e-12, maxiter=4000):
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Variational search domain; defaults bracket the analytic limits."""
+    """Variational search domain; defaults bracket the analytic limits.
+
+    A box builds its coarse-scan grids on first use and keeps them; they
+    are no field, so repr, equality, hash and the config hash see only
+    the four numbers.
+    """
 
     v_max: float = 5.0
     omega_lo: float = 0.2
@@ -232,6 +260,14 @@ class SearchBox:
             raise ConfigError("need v_max > 0")
         # an integral float (64.0) is kept as the int np.linspace needs
         object.__setattr__(self, "coarse", require_count("coarse", self.coarse, 2))
+
+    @cached_property
+    def _scan_grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coarse scan's v and omega grids, read-only."""
+        vs = np.linspace(0.0, self.v_max, self.coarse)
+        ws = np.linspace(self.omega_lo, self.omega_hi, self.coarse)
+        vs.flags.writeable = ws.flags.writeable = False
+        return vs, ws
 
 
 @dataclass(frozen=True)
@@ -253,23 +289,22 @@ def minimize_mode(
     """Global minimum of the mode functional over the search box.
 
     n_atoms replaces N_a; N_m follows it unless the configuration fixes
-    a molecule number of its own (n_m > 0).  Coarse scan picks the basin,
-    a bounded simplex polish finds the minimizer; deterministic.  A
-    minimizer pinned against omega_lo, omega_hi or v_max, or a minimum
-    that is not finite (the functional overflowed in the box), raises
-    BoundaryMinimumError carrying the point (v = 0 is allowed).
+    a molecule number of its own (n_m > 0).  n_atoms must be a finite
+    real number > 0, not a bool, else ConfigError.  Coarse scan over the
+    box's grids picks the basin, a bounded simplex polish finds the
+    minimizer; deterministic.  A minimizer pinned against omega_lo,
+    omega_hi or v_max, or a minimum that is not finite (the functional
+    overflowed in the box), raises BoundaryMinimumError carrying the
+    point (v = 0 is allowed).
     """
     if mode not in (MODE_SURFACE, MODE_BREATHING):
         raise ConfigError(f"unknown mode '{mode}'; expected '010' or '100'")
-    if not (math.isfinite(n_atoms) and n_atoms > 0):
+    n_a = require_finite("n_atoms", n_atoms)
+    if not n_a > 0:
         raise ConfigError(f"n_atoms must be positive and finite, got {n_atoms!r}")
     box = box if box is not None else SearchBox()
-    n_m = params.n_m if params.n_m > 0 else float(n_atoms)
-    p = replace(params, n_a=float(n_atoms), n_m=n_m)
-
-    vs = np.linspace(0.0, box.v_max, box.coarse)
-    ws = np.linspace(box.omega_lo, box.omega_hi, box.coarse)
-    energy_of = _mode_energy(mode, p)
+    vs, ws = box._scan_grids
+    energy_of = _mode_energy(mode, params, n_a, params.n_m if params.n_m > 0 else n_a)
     coarse = energy_of(vs[:, None], ws, np.sqrt)  # open grids: see module docstring
     i, j = divmod(int(np.argmin(coarse)), box.coarse)
     v_opt, w_opt, energy = _nelder_mead(
@@ -296,7 +331,7 @@ def minimize_mode(
         )
     return VariationalResult(
         mode=mode, v_opt=v_opt, omega_opt=w_opt, energy=energy,
-        n_atoms=float(n_atoms), resonant=(p.alpha != 0.0 or p.lambda_am != 0.0),
+        n_atoms=n_a, resonant=(params.alpha != 0.0 or params.lambda_am != 0.0),
     )
 
 

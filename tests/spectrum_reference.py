@@ -8,7 +8,9 @@ eig_banded, solve_banded) and the complex phase rotation of every grid
 mode.  The whole-array versions must give the same Mode fields to the
 bit, which `tests/test_bdg.py` checks.  The grid reference covers the
 Delta = 0 route and the stable channels where L + Delta is positive
-definite (the product form's A order); elsewhere it gives None.
+definite (the product form's A order); elsewhere it gives None.  Each
+species reads its background from a `gpe._second_variation` call of its
+own, where `bdg` makes one call per spectrum for both species.
 
 `bdg_matrix` and `dense_spectrum` are the independent check of every
 grid channel: the dense 2n x 2n BdG matrix and its full complex
@@ -23,9 +25,9 @@ import numpy as np
 import scipy.linalg
 
 from hybridbec.bdg import (
-    ATOM, MOLECULE, ZERO_MODE_E2, Mode, ModeSet, _background, basis_levels,
+    ATOM, MOLECULE, ZERO_MODE_E2, Mode, ModeSet, basis_levels,
 )
-from hybridbec.gpe import _one_body, _operator
+from hybridbec.gpe import _one_body, _operator, _second_variation
 from hybridbec.grid import RadialOperator, harmonic_potential
 
 
@@ -38,13 +40,22 @@ def eigensolve(diag, offdiag, n_modes):
     return vals, vecs * np.where(vecs[0] < 0.0, -1.0, 1.0)
 
 
+def background(species, state, params):
+    """(plus, delta, mu) of one species, from its own second variation."""
+    p = params
+    k_a, k_m, _ = _second_variation(p, state.phi_a, state.phi_m)
+    if species == ATOM:
+        return k_a, p.lambda_a * state.phi_a**2 + 2.0 * p.alpha * state.phi_m, state.mu_a
+    return k_m, p.lambda_m * state.phi_m**2, state.mu_m
+
+
 def projection(species, state, params, grid, j_max, convention):
     levels = basis_levels(species, params, j_max, convention)
     mass, omega, _ = _one_body(species, params)
     op = RadialOperator.build(grid, mass, harmonic_potential(grid, mass, omega),
                               hbar=params.hbar)
     _, chi = eigensolve(op.diag, op.offdiag, j_max)
-    plus, delta, mu = _background(species, state, params)
+    plus, delta, mu = background(species, state, params)
     w = plus - delta + _one_body(species, params)[2]
     amp = chi / (grid.r[:, None] * math.sqrt(4.0 * np.pi * grid.h))
     return levels, chi, w, delta, mu, amp
@@ -137,7 +148,7 @@ def block_2x2_spectrum(state, params, grid, j_max=16, convention="paper"):
 def bdg_matrix(state, params, grid, species=ATOM, l=0):
     """Dense 2n x 2n block matrix [[L, -Delta], [Delta, -L]] for one
     angular channel, acting on stacked reduced functions (r*u, r*v)."""
-    plus, delta, mu = _background(species, state, params)
+    plus, delta, mu = background(species, state, params)
     op = _operator(species, params, grid, plus - delta, l)
     n = grid.n_points
     l_block = np.diag(op.diag - mu) + op.offdiag * (np.eye(n, k=1) + np.eye(n, k=-1))
@@ -237,7 +248,7 @@ def direct_grid_spectrum(state, params, grid, l=0, n_modes=8):
     four_pi_h = 4.0 * np.pi * grid.h
     zero_e2 = ZERO_MODE_E2 * (params.hbar * params.omega_a) ** 2
     for species in (ATOM, MOLECULE):
-        plus, delta, mu = _background(species, state, params)
+        plus, delta, mu = background(species, state, params)
         op = _operator(species, params, grid, plus, l)
         plus_diag = op.diag - mu
         if not delta.any():

@@ -546,6 +546,33 @@ def test_spectra_match_per_mode_reference_bitwise(name):
                 assert_same_modes(got, ref)
 
 
+def test_one_second_variation_per_spectrum_call(equivalence_states, monkeypatch):
+    # both species' backgrounds come from one gpe._second_variation call
+    # per spectrum call (the four calls of an l_max = 1 spectrum --compare
+    # case make four), and equal the per-species reference to the bit
+    g, states = equivalence_states
+    calls = []
+    real = bdg._second_variation
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bdg, "_second_variation", counting)
+    for name, s in states.items():
+        p = EQUIVALENCE_SETS[name]
+        del calls[:]
+        paper_literal_spectrum(s, p, g)
+        block_2x2_spectrum(s, p, g)
+        for l in (0, 1):
+            direct_grid_spectrum(s, p, g, l=l)
+        assert len(calls) == 4, name
+        for species, *got in bdg._backgrounds(s, p):
+            want = reference.background(species, s, p)
+            assert got[2] == want[2]
+            assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]], name
+
+
 def test_b_order_shift_enters_at_second_order(monkeypatch):
     # mu_a raised by 1e-7 on attractive atoms gives L - Delta an
     # eigenvalue near -1e-7, so the B order factors it only at a shift

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from hybridbec import ConfigError, DomainError, PhysicalParams, variational
+from hybridbec import ConfigError, DomainError, PhysicalParams, load_config, variational
 from hybridbec.errors import BoundaryMinimumError
 from hybridbec.variational import (
     SearchBox,
@@ -50,6 +52,10 @@ def test_energy_rejects_nonpositive_frequency():
             fn(0.1, -1.0, ZERO)
         with pytest.raises(DomainError):
             fn(0.1, np.array([0.5, 0.0]), ZERO)
+        # a non-finite frequency is outside the domain too, not a NaN energy
+        for omega in (math.nan, math.inf, np.array([0.5, math.nan]), np.array([math.inf, 1.0])):
+            with pytest.raises(DomainError):
+                fn(0.1, omega, ZERO)
 
 
 def test_zero_coupling_closed_form():
@@ -213,9 +219,12 @@ def test_strong_quartic_coupling_raises_both_modes():
 def test_bad_mode_and_population_rejected():
     with pytest.raises(ConfigError):
         minimize_mode("011", ZERO, 10.0)
-    for n in (0.0, math.nan, math.inf):
+    # a bool is not a population (True ran as N = 1), nor is a string or None
+    for n in (0.0, -5.0, math.nan, math.inf, True, "100", None):
         with pytest.raises(ConfigError):
             minimize_mode("010", ZERO, n)
+    # an integer or numpy population is its float
+    assert minimize_mode("010", ZERO, 10) == minimize_mode("010", ZERO, np.float64(10.0))
     with pytest.raises(ConfigError):
         SearchBox(omega_lo=-1.0)
     for coarse in (1, 2.5, True, "64"):
@@ -344,3 +353,158 @@ def test_nelder_mead_matches_scipy_on_nan_and_plateau_objectives():
             assert [x.hex() for x in got] == want, (kind, maxiter, v0, w0)
             nan_minima += math.isnan(res.fun)
     assert nan_minima > 0
+
+
+def _surface_shape(x, y):
+    """(x/(x+y))^{5/2}, the surface mode's shape factor as a function."""
+    return (x / (x + y)) ** 2.5
+
+
+def _energy_before_inline(mode, p):
+    """`_mode_energy` before its shape factors were written inline: one
+    closure of both modes, calling `_surface_shape` or `shape_factor`
+    per term."""
+    hb, m = p.hbar, p.mass
+    c_lam = p.lambda_am * p.n_m * p.omega_m**1.5 * (2.0 * m / (math.pi * hb)) ** 1.5
+    c_lama = p.n_a * p.omega_a**1.5 * (m / (math.pi * hb)) ** 1.5
+    c_alpha = (
+        4.0 * p.alpha * math.sqrt(p.n_m) * p.omega_m**0.75
+        * (2.0 * m / (math.pi * hb)) ** 0.75
+    )
+    hb_wa2, two_lam_a = hb * p.omega_a**2, 2.0 * p.lambda_a
+    w_lam, w_lama, w_alpha = 2.0 * p.omega_m, p.omega_a, p.omega_m
+    if mode == "010":
+        pre, shape = 1.25, _surface_shape
+    else:
+        pre, shape = 1.75, shape_factor
+
+    def energy(v, omega, sqrt=math.sqrt):
+        quad = 1.0 + 2.0 * v * v
+        mix = v * sqrt(1.0 + v * v)
+        osc = hb * omega + hb_wa2 / omega
+        return (
+            quad * pre * osc
+            + c_lam * quad * shape(omega, w_lam)
+            + two_lam_a * (quad - mix) * c_lama * shape(omega, w_lama)
+            - c_alpha * mix * shape(omega, w_alpha)
+        )
+
+    return energy
+
+
+def _minimize_before_inline(mode, params, n_atoms, box):
+    """(v, omega, E) of minimize_mode's kernel as it was: a PhysicalParams
+    per point, the scan grids built per call, `_energy_before_inline`."""
+    n_m = params.n_m if params.n_m > 0 else float(n_atoms)
+    p = replace(params, n_a=float(n_atoms), n_m=n_m)
+    vs = np.linspace(0.0, box.v_max, box.coarse)
+    ws = np.linspace(box.omega_lo, box.omega_hi, box.coarse)
+    energy_of = _energy_before_inline(mode, p)
+    i, j = divmod(int(np.argmin(energy_of(vs[:, None], ws, np.sqrt))), box.coarse)
+    return _nelder_mead(
+        energy_of, float(vs[i]), float(ws[j]),
+        (0.0, float(box.omega_lo)), (float(box.v_max), float(box.omega_hi)),
+    )
+
+
+def _mode_sweeps_cases():
+    """The benchmark's variational family: N from 1e4 to 1e6 (9 points,
+    ends jittered by 20%), both modes, the widened box, each jittered
+    resonant set with its alpha = lambda = 0 counterpart, and the free gas."""
+    rng = np.random.default_rng(23)
+    wide = SearchBox(omega_lo=0.005)
+    sets = [ZERO]
+    for _ in range(3):
+        res = PhysicalParams(
+            omega_a=1.0, omega_m=1.4, lambda_a=0.1 * rng.uniform(0.8, 1.2),
+            lambda_am=0.1 * rng.uniform(0.8, 1.2), alpha=0.5 * rng.uniform(0.8, 1.2),
+        )
+        sets += [res, replace(res, alpha=0.0, lambda_am=0.0)]
+    cases = []
+    for params in sets:
+        n_list = np.geomspace(1e4 * rng.uniform(0.8, 1.2), 1e6 * rng.uniform(0.8, 1.2), 9)
+        cases += [(mode, params, n, wide) for mode in ("010", "100") for n in n_list.tolist()]
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_minimize_mode_matches_the_per_point_kernel_bit_for_bit():
+    # inline shape factors, no per-point PhysicalParams and the box's
+    # cached grids give the minima of the per-call kernel to the last bit,
+    # pinned and overflowing minima included
+    for mode, params, n, box in _parity_cases() + _mode_sweeps_cases():
+        try:
+            r = minimize_mode(mode, params, n, box)
+            got = (r.v_opt, r.omega_opt, r.energy)
+        except BoundaryMinimumError as exc:
+            got = (exc.v, exc.omega, exc.energy)
+        want = _minimize_before_inline(mode, params, n, box)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (mode, params, n, box)
+
+
+# v * sqrt(1 + v^2) is 1.0 to the bit at this v
+GOLDEN_V = math.sqrt((math.sqrt(5.0) - 1.0) / 2.0)
+TINY_HBAR = 2.0**-300
+
+
+@pytest.mark.parametrize("mode", ["010", "100"])
+def test_inline_shape_factors_equal_the_called_ones_bit_for_bit(mode):
+    # each parameter set keeps one coupling term and makes its constant
+    # exactly 1.0 (powers of two throughout), while hbar = 2^-300 puts the
+    # oscillator term far below the last bit: E(v, omega) is then that
+    # term's shape factor itself, on arrays and on floats alike
+    assert GOLDEN_V * math.sqrt(1.0 + GOLDEN_V * GOLDEN_V) == 1.0
+    hb = TINY_HBAR
+    terms = [  # (params, v, width, sign of the term)
+        (PhysicalParams(omega_a=1.0, omega_m=4.0, lambda_am=2.0**-6, n_m=1.0,
+                        mass=2.0 * math.pi * hb, hbar=hb), 0.0, 8.0, 1.0),
+        (PhysicalParams(omega_a=4.0, omega_m=1.0, lambda_a=0.5, n_a=2.0**-6,
+                        mass=4.0 * math.pi * hb, hbar=hb), 0.0, 4.0, 1.0),
+        (PhysicalParams(omega_a=1.0, omega_m=16.0, alpha=2.0**-8, n_m=1.0,
+                        mass=8.0 * math.pi * hb, hbar=hb), GOLDEN_V, 16.0, -1.0),
+    ]
+    called = _surface_shape if mode == "010" else shape_factor
+    ratios = np.geomspace(1e-12, 1e12, 481)
+    for p, v, width, sign in terms:
+        energy = _mode_energy(mode, p)
+        omega = ratios * width
+        want = called(omega, width)
+        assert (sign * energy(v, omega, np.sqrt)).tobytes() == want.tobytes(), p
+        floats = np.array([sign * energy(v, w) for w in omega.tolist()])
+        assert floats.tobytes() == np.array([called(w, width) for w in omega.tolist()]).tobytes()
+
+
+def test_scan_grids_are_cached_read_only_linspaces():
+    for box in (SearchBox(), SearchBox(v_max=1e200, omega_lo=0.005, coarse=7)):
+        vs, ws = box._scan_grids
+        assert vs.tobytes() == np.linspace(0.0, box.v_max, box.coarse).tobytes()
+        assert ws.tobytes() == np.linspace(box.omega_lo, box.omega_hi, box.coarse).tobytes()
+        assert not vs.flags.writeable and not ws.flags.writeable
+        with pytest.raises(ValueError):
+            vs[0] = 1.0
+        again = box._scan_grids
+        assert again[0] is vs and again[1] is ws
+        assert replace(box)._scan_grids[0] is not vs
+
+
+def test_search_box_record_unchanged_by_its_grids():
+    # the grids are no field: repr, asdict, equality and hash are those of
+    # the four fields, before and after the first scan
+    box, fresh = SearchBox(omega_lo=0.005), SearchBox(omega_lo=0.005)
+    before = (repr(box), dataclasses.asdict(box), hash(box))
+    minimize_mode("010", WEAK, 100.0, box)
+    assert "_scan_grids" in vars(box) and "_scan_grids" not in vars(fresh)
+    assert (repr(box), dataclasses.asdict(box), hash(box)) == before
+    assert repr(box) == "SearchBox(v_max=5.0, omega_lo=0.005, omega_hi=5.0, coarse=64)"
+    assert dataclasses.asdict(box) == {"v_max": 5.0, "omega_lo": 0.005, "omega_hi": 5.0,
+                                       "coarse": 64}
+    assert hash(box) == hash((5.0, 0.005, 5.0, 64))
+    assert box == fresh and hash(box) == hash(fresh)
+    assert [f.name for f in dataclasses.fields(box)] == ["v_max", "omega_lo", "omega_hi", "coarse"]
+
+
+def test_bundled_variational_sweep_keeps_its_config_hash():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "variational_sweep.json")
+    assert cfg.config_hash() == "d714e5fb37a21b35"
+    minimize_mode("010", cfg.params, 1e4, cfg.search_box())
+    assert cfg.config_hash() == "d714e5fb37a21b35"

@@ -542,6 +542,20 @@ def test_variational_pinned_minimum_exits_5(tmp_path, capsys):
         assert err["error"] == "BoundaryMinimumError"
 
 
+def test_variational_unbounded_trial_energy_exits_5(tmp_path, capsys):
+    # at alpha = 5 and N = 1e4 the conversion term outweighs the quadratic
+    # one somewhere in the widened box: no stable trial mode, and no CSV
+    data = json.loads((CONFIGS / "variational_sweep.json").read_text())
+    data["params"]["alpha"] = 5.0
+    data["sweep"]["values"] = [1e4]
+    cfg = write_config(tmp_path, "unbounded.json", data)
+    assert main(["variational", "--config", cfg, "--out", str(tmp_path / "out")]) == 5
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "BoundaryMinimumError"
+    assert "unbounded below" in err["message"] and "S/2 >= P" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_jobs_do_not_change_artifacts(tmp_path):
     cfg = write_config(tmp_path, "var.json", {
         "params": {"omega_a": 1.0, "omega_m": 1.4, "lambda_a": 0.05,

@@ -5,14 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from hybridbec import ConfigError, DomainError, PhysicalParams, load_config, variational
 from hybridbec.errors import BoundaryMinimumError
 from hybridbec.variational import (
+    EDGE_TOL,
     SearchBox,
-    _mode_energy,
-    _nelder_mead,
+    _mode_parts,
     energy_010,
     energy_100,
     minimize_mode,
@@ -160,6 +159,10 @@ def test_sweep_pairs_and_validation():
         sweep_spectrum("010", WEAK, [])
     with pytest.raises(ConfigError):
         sweep_spectrum("010", WEAK, [100.0, 100.0])
+    # each entry is checked before the order, so a string is no TypeError
+    for bad in ([100.0, "200"], ["100"], [100.0, None], [True, 2.0]):
+        with pytest.raises(ConfigError):
+            sweep_spectrum("010", WEAK, bad)
 
 
 @pytest.mark.parametrize("params, per_point", [
@@ -235,40 +238,26 @@ def test_bad_mode_and_population_rejected():
     assert minimize_mode("010", ZERO, 10.0, SearchBox(coarse=64.0)) == minimize_mode("010", ZERO, 10.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_overflowing_box_is_reported_as_overflow():
-    # 1 + 2v^2 overflows for v_max above about 1.3e154: the minimum is
-    # NaN, and the message names the overflow rather than asking for a
-    # wider box
-    with pytest.raises(BoundaryMinimumError) as info:
-        minimize_mode("010", WEAK, 1e4, SearchBox(v_max=1e200, omega_lo=0.005))
+    # v is in closed form, so a huge v_max evaluates no huge v: the box
+    # gives the v_max = 5 minimum
+    r = minimize_mode("010", WEAK, 1e4, SearchBox(v_max=1e200, omega_lo=0.005))
+    assert r == minimize_mode("010", WEAK, 1e4, SearchBox(omega_lo=0.005))
+    # hbar w_a^2 / w overflows for subnormal w: the minimum is inf, and
+    # the message names the overflow rather than asking for a wider box
+    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+        with pytest.raises(BoundaryMinimumError) as info:
+            minimize_mode("010", WEAK, 1e4, SearchBox(omega_lo=1e-320, omega_hi=1e-310))
     assert "overflowed" in str(info.value) and "widen" not in str(info.value)
-    assert math.isnan(info.value.energy)
-    r = minimize_mode("010", WEAK, 1e4, SearchBox(v_max=1e100, omega_lo=0.005))
-    assert math.isfinite(r.energy) and r.v_opt < 5.0
-
-
-def _scipy_polish(mode, params, n_atoms, box):
-    """The polish as scipy ran it: bounded Nelder-Mead from the coarse minimum."""
-    p = replace(params, n_a=float(n_atoms), n_m=params.n_m if params.n_m > 0 else float(n_atoms))
-    fn = energy_010 if mode == "010" else energy_100
-    vv, ww = np.meshgrid(
-        np.linspace(0.0, box.v_max, box.coarse),
-        np.linspace(box.omega_lo, box.omega_hi, box.coarse), indexing="ij",
-    )
-    i, j = np.unravel_index(int(np.argmin(fn(vv, ww, p))), vv.shape)
-    res = minimize(
-        lambda x: fn(x[0], x[1], p), x0=[vv[i, j], ww[i, j]], method="Nelder-Mead",
-        bounds=[(0.0, box.v_max), (box.omega_lo, box.omega_hi)],
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
-    )
-    return float(res.x[0]), float(res.x[1]), float(res.fun)
+    assert info.value.energy == math.inf
 
 
 def _parity_cases():
+    """Random resonant sets, N from 10 to 1e6, in the default and the
+    widened box, with the free gas, minima pinned to omega_lo and a
+    v_max = 1e200 box (1 + 2v^2 overflows on any grid that reaches it)."""
     rng = np.random.default_rng(20)
     wide = SearchBox(omega_lo=0.005)
-    # v_max = 1e200 overflows 1 + 2v^2: the polish follows scipy through NaN energies
     cases = [("010", ZERO, 10.0, SearchBox()), ("100", ZERO, 1e4, wide),
              ("010", STRONG, 1e6, SearchBox()), ("100", STRONG, 1e6, SearchBox()),
              ("010", WEAK, 1e4, SearchBox(v_max=1e200, omega_lo=0.005))]
@@ -282,129 +271,6 @@ def _parity_cases():
         n = float(10.0 ** rng.uniform(1.0, 6.0))
         cases.append(("010" if k % 2 else "100", params, n, wide if k % 3 else SearchBox()))
     return cases
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_polish_matches_scipy_nelder_mead_bit_for_bit():
-    # the float port of the bounded Nelder-Mead must return scipy's
-    # minimizer and minimum to the last bit, pinned minima included
-    outcomes = {"free": 0, "pinned": 0, "interior": 0}
-    for mode, params, n, box in _parity_cases():
-        try:
-            r = minimize_mode(mode, params, n, box)
-            got = (r.v_opt, r.omega_opt, r.energy)
-        except BoundaryMinimumError as exc:
-            got = (exc.v, exc.omega, exc.energy)
-            outcomes["pinned"] += 1
-        else:
-            outcomes["free" if r.v_opt == 0.0 else "interior"] += 1
-        want = _scipy_polish(mode, params, n, box)
-        assert [x.hex() for x in got] == [x.hex() for x in want], (mode, params, n, box)
-    assert min(outcomes.values()) > 0, outcomes
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_open_grid_scan_equals_meshgrid():
-    # the scan's column-of-v times row-of-omega evaluation is the full
-    # meshgrid evaluation, bit for bit (NaN cells of the overflow case too)
-    for mode, params, n, box in _parity_cases():
-        p = replace(params, n_a=n, n_m=params.n_m if params.n_m > 0 else n)
-        vs = np.linspace(0.0, box.v_max, box.coarse)
-        ws = np.linspace(box.omega_lo, box.omega_hi, box.coarse)
-        vv, ww = np.meshgrid(vs, ws, indexing="ij")
-        mesh = (energy_010 if mode == "010" else energy_100)(vv, ww, p)
-        open_grid = _mode_energy(mode, p)(vs[:, None], ws, np.sqrt)
-        assert open_grid.shape == mesh.shape
-        assert open_grid.tobytes() == mesh.tobytes(), (mode, params, n, box)
-
-
-def _awkward_objectives():
-    """Bowls with a NaN wall or hole next to the start, and a stepped bowl."""
-    rng = np.random.default_rng(5)
-    for _ in range(12):
-        v0, w0 = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
-        cv, cw = rng.uniform(0.0, 2.0), rng.uniform(0.3, 3.0)
-        wall = v0 * rng.uniform(1.01, 1.04)  # between the start and its +5% vertex
-        hole, radius = 1.05 * v0, 0.01 * v0  # around the +5% vertex
-
-        def bowl(v, w, cv=cv, cw=cw):
-            return (v - cv) ** 2 + 2.0 * (w - cw) ** 2 + 1.0
-
-        yield "wall", lambda v, w, b=bowl, c=wall: b(v, w) if v <= c else math.nan, v0, w0
-        yield "hole", (lambda v, w, b=bowl, h=hole, r=radius, w0=w0:
-                       math.nan if (v - h) ** 2 + (w - w0) ** 2 < r * r else b(v, w)), v0, w0
-        yield "plateau", lambda v, w, b=bowl: math.floor(4.0 * b(v, w)) / 4.0, v0, w0
-
-
-def test_nelder_mead_matches_scipy_on_nan_and_plateau_objectives():
-    # NaN energies sort last, as in np.argsort, and a NaN vertex left at
-    # maxiter makes the minimum NaN, as np.min does; plateau ties keep
-    # scipy's stable order
-    nan_minima = 0
-    for maxiter in (1, 25, 400):
-        for kind, f, v0, w0 in _awkward_objectives():
-            res = minimize(
-                lambda x: f(x[0], x[1]), x0=[v0, w0], method="Nelder-Mead",
-                bounds=[(0.0, 2.0), (0.3, 3.0)],
-                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": maxiter},
-            )
-            want = [float(x).hex() for x in (res.x[0], res.x[1], res.fun)]
-            got = _nelder_mead(f, v0, w0, (0.0, 0.3), (2.0, 3.0), maxiter=maxiter)
-            assert [x.hex() for x in got] == want, (kind, maxiter, v0, w0)
-            nan_minima += math.isnan(res.fun)
-    assert nan_minima > 0
-
-
-def _surface_shape(x, y):
-    """(x/(x+y))^{5/2}, the surface mode's shape factor as a function."""
-    return (x / (x + y)) ** 2.5
-
-
-def _energy_before_inline(mode, p):
-    """`_mode_energy` before its shape factors were written inline: one
-    closure of both modes, calling `_surface_shape` or `shape_factor`
-    per term."""
-    hb, m = p.hbar, p.mass
-    c_lam = p.lambda_am * p.n_m * p.omega_m**1.5 * (2.0 * m / (math.pi * hb)) ** 1.5
-    c_lama = p.n_a * p.omega_a**1.5 * (m / (math.pi * hb)) ** 1.5
-    c_alpha = (
-        4.0 * p.alpha * math.sqrt(p.n_m) * p.omega_m**0.75
-        * (2.0 * m / (math.pi * hb)) ** 0.75
-    )
-    hb_wa2, two_lam_a = hb * p.omega_a**2, 2.0 * p.lambda_a
-    w_lam, w_lama, w_alpha = 2.0 * p.omega_m, p.omega_a, p.omega_m
-    if mode == "010":
-        pre, shape = 1.25, _surface_shape
-    else:
-        pre, shape = 1.75, shape_factor
-
-    def energy(v, omega, sqrt=math.sqrt):
-        quad = 1.0 + 2.0 * v * v
-        mix = v * sqrt(1.0 + v * v)
-        osc = hb * omega + hb_wa2 / omega
-        return (
-            quad * pre * osc
-            + c_lam * quad * shape(omega, w_lam)
-            + two_lam_a * (quad - mix) * c_lama * shape(omega, w_lama)
-            - c_alpha * mix * shape(omega, w_alpha)
-        )
-
-    return energy
-
-
-def _minimize_before_inline(mode, params, n_atoms, box):
-    """(v, omega, E) of minimize_mode's kernel as it was: a PhysicalParams
-    per point, the scan grids built per call, `_energy_before_inline`."""
-    n_m = params.n_m if params.n_m > 0 else float(n_atoms)
-    p = replace(params, n_a=float(n_atoms), n_m=n_m)
-    vs = np.linspace(0.0, box.v_max, box.coarse)
-    ws = np.linspace(box.omega_lo, box.omega_hi, box.coarse)
-    energy_of = _energy_before_inline(mode, p)
-    i, j = divmod(int(np.argmin(energy_of(vs[:, None], ws, np.sqrt))), box.coarse)
-    return _nelder_mead(
-        energy_of, float(vs[i]), float(ws[j]),
-        (0.0, float(box.omega_lo)), (float(box.v_max), float(box.omega_hi)),
-    )
 
 
 def _mode_sweeps_cases():
@@ -427,73 +293,117 @@ def _mode_sweeps_cases():
     return cases
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_minimize_mode_matches_the_per_point_kernel_bit_for_bit():
-    # inline shape factors, no per-point PhysicalParams and the box's
-    # cached grids give the minima of the per-call kernel to the last bit,
-    # pinned and overflowing minima included
+def _at(params, n):
+    """The parameter set minimize_mode evaluates at atom number n."""
+    return replace(params, n_a=n, n_m=params.n_m if params.n_m > 0 else n)
+
+
+def _outcome(mode, params, n, box):
+    """(kind, v, omega, E) of minimize_mode: kind is "interior", or where
+    the minimizer left the box, "v_max" or "omega_edge"."""
+    try:
+        r = minimize_mode(mode, params, n, box)
+    except BoundaryMinimumError as exc:
+        return "v_max" if exc.v > box.v_max else "omega_edge", exc.v, exc.omega, exc.energy
+    return "interior", r.v_opt, r.omega_opt, r.energy
+
+
+def _brute_force(mode, params, n, box, cells=400, zooms=20):
+    """(kind, v, omega, E) of the least E(v, omega) on a cells x cells grid
+    over the box, even in asinh(v) and omega, zoomed `zooms` times around
+    its best cell; kind as in `_outcome`, from where that cell sits."""
+    energy, p = (energy_010 if mode == "010" else energy_100), _at(params, n)
+    t_max = math.asinh(box.v_max)
+    t_lo, t_hi, w_lo, w_hi = 0.0, t_max, box.omega_lo, box.omega_hi
+    for size in [cells] + [21] * zooms:
+        ts, ws = np.linspace(t_lo, t_hi, size), np.linspace(w_lo, w_hi, size)
+        with np.errstate(over="ignore", invalid="ignore"):  # v_max = 1e200: NaN cells
+            e = energy(np.sinh(ts)[:, None], ws, p)
+        i, j = np.unravel_index(np.nanargmin(e), e.shape)
+        t_lo, t_hi = ts[max(i - 1, 0)], ts[min(i + 1, size - 1)]
+        w_lo, w_hi = ws[max(j - 1, 0)], ws[min(j + 1, size - 1)]
+    v, w = math.sinh(ts[i]), float(ws[j])
+    if v > box.v_max * (1.0 - EDGE_TOL):
+        kind = "v_max"
+    elif w < box.omega_lo * (1.0 + EDGE_TOL) or w > box.omega_hi * (1.0 - EDGE_TOL):
+        kind = "omega_edge"
+    else:
+        kind = "interior"
+    return kind, v, w, float(e[i, j])
+
+
+def test_minimum_is_no_higher_than_the_brute_force_minimum():
+    # the 1-D search over omega with v in closed form finds the 2-D
+    # minimum: it leaves the box where the brute force does, and inside
+    # it is no higher, and its point has its energy, to round-off
+    kinds = []
     for mode, params, n, box in _parity_cases() + _mode_sweeps_cases():
+        got = _outcome(mode, params, n, box)
+        want = _brute_force(mode, params, n, box)
+        assert got[0] == want[0], (mode, params, n, box, got, want)
+        kinds.append(got[0])
+        if got[0] == "interior":
+            kind, v, w, e = got
+            assert e <= want[3] + 1e-14 * abs(want[3]), (mode, params, n, box)
+            energy = energy_010 if mode == "010" else energy_100
+            assert energy(v, w, _at(params, n)) == pytest.approx(e, rel=1e-14)
+    assert "interior" in kinds and "omega_edge" in kinds
+
+
+def test_closed_form_v_is_stationary():
+    # dE/dv = 4 v P - S (1 + 2v^2) / sqrt(1 + v^2) vanishes at the
+    # returned v to round-off; v = 0 only where S <= 0, where E rises from v = 0
+    free = 0
+    for mode, params, n, box in _parity_cases() + _mode_sweeps_cases():
+        kind, v, w, _ = _outcome(mode, params, n, box)
+        if kind != "interior":
+            continue
+        quad, mix = _mode_parts(mode, _at(params, n))(w)
+        if v == 0.0:
+            assert mix <= 0.0
+            free += 1
+            continue
+        pull = mix * (1.0 + 2.0 * v * v) / math.sqrt(1.0 + v * v)
+        assert abs(4.0 * v * quad - pull) <= 1e-14 * pull, (mode, params, n, box)
+    assert free > 0
+
+
+def _instability_cases():
+    """WEAK with alpha from 0.5 to 20, N = 1e4 to 1e6, both modes, the
+    widened box: the large-alpha, small-N sets have S/2 >= P in the box."""
+    wide = SearchBox(omega_lo=0.005)
+    return [(mode, replace(WEAK, alpha=alpha), n, wide)
+            for alpha in (0.5, 2.0, 5.0, 20.0) for n in (1e4, 1e5, 1e6)
+            for mode in ("010", "100")]
+
+
+def test_unbounded_trial_energy_fires_where_brute_force_runs_to_v_max():
+    fired = 0
+    for case in _instability_cases():
         try:
-            r = minimize_mode(mode, params, n, box)
-            got = (r.v_opt, r.omega_opt, r.energy)
+            minimize_mode(*case)
+            unbounded = False
         except BoundaryMinimumError as exc:
-            got = (exc.v, exc.omega, exc.energy)
-        want = _minimize_before_inline(mode, params, n, box)
-        assert [x.hex() for x in got] == [x.hex() for x in want], (mode, params, n, box)
-
-
-# v * sqrt(1 + v^2) is 1.0 to the bit at this v
-GOLDEN_V = math.sqrt((math.sqrt(5.0) - 1.0) / 2.0)
-TINY_HBAR = 2.0**-300
-
-
-@pytest.mark.parametrize("mode", ["010", "100"])
-def test_inline_shape_factors_equal_the_called_ones_bit_for_bit(mode):
-    # each parameter set keeps one coupling term and makes its constant
-    # exactly 1.0 (powers of two throughout), while hbar = 2^-300 puts the
-    # oscillator term far below the last bit: E(v, omega) is then that
-    # term's shape factor itself, on arrays and on floats alike
-    assert GOLDEN_V * math.sqrt(1.0 + GOLDEN_V * GOLDEN_V) == 1.0
-    hb = TINY_HBAR
-    terms = [  # (params, v, width, sign of the term)
-        (PhysicalParams(omega_a=1.0, omega_m=4.0, lambda_am=2.0**-6, n_m=1.0,
-                        mass=2.0 * math.pi * hb, hbar=hb), 0.0, 8.0, 1.0),
-        (PhysicalParams(omega_a=4.0, omega_m=1.0, lambda_a=0.5, n_a=2.0**-6,
-                        mass=4.0 * math.pi * hb, hbar=hb), 0.0, 4.0, 1.0),
-        (PhysicalParams(omega_a=1.0, omega_m=16.0, alpha=2.0**-8, n_m=1.0,
-                        mass=8.0 * math.pi * hb, hbar=hb), GOLDEN_V, 16.0, -1.0),
-    ]
-    called = _surface_shape if mode == "010" else shape_factor
-    ratios = np.geomspace(1e-12, 1e12, 481)
-    for p, v, width, sign in terms:
-        energy = _mode_energy(mode, p)
-        omega = ratios * width
-        want = called(omega, width)
-        assert (sign * energy(v, omega, np.sqrt)).tobytes() == want.tobytes(), p
-        floats = np.array([sign * energy(v, w) for w in omega.tolist()])
-        assert floats.tobytes() == np.array([called(w, width) for w in omega.tolist()]).tobytes()
-
-
-def test_scan_grids_are_cached_read_only_linspaces():
-    for box in (SearchBox(), SearchBox(v_max=1e200, omega_lo=0.005, coarse=7)):
-        vs, ws = box._scan_grids
-        assert vs.tobytes() == np.linspace(0.0, box.v_max, box.coarse).tobytes()
-        assert ws.tobytes() == np.linspace(box.omega_lo, box.omega_hi, box.coarse).tobytes()
-        assert not vs.flags.writeable and not ws.flags.writeable
-        with pytest.raises(ValueError):
-            vs[0] = 1.0
-        again = box._scan_grids
-        assert again[0] is vs and again[1] is ws
-        assert replace(box)._scan_grids[0] is not vs
+            unbounded = exc.v == math.inf
+            assert unbounded and exc.energy == -math.inf, case
+            assert "unbounded below" in str(exc) and "S/2 >= P" in str(exc)
+        assert unbounded == (_brute_force(*case)[0] == "v_max"), case
+        fired += unbounded
+    assert 0 < fired < len(_instability_cases())
+    # a bounded minimum with v above v_max raises too, carrying that v
+    small = SearchBox(v_max=0.05, omega_lo=0.005)
+    with pytest.raises(BoundaryMinimumError) as info:
+        minimize_mode("010", WEAK, 1e4, small)
+    assert 0.05 < info.value.v < 5.0 and "widen the box" in str(info.value)
+    assert _brute_force("010", WEAK, 1e4, small)[0] == "v_max"
 
 
 def test_search_box_record_unchanged_by_its_grids():
-    # the grids are no field: repr, asdict, equality and hash are those of
-    # the four fields, before and after the first scan
+    # repr, asdict, equality and hash are those of the four fields, before
+    # and after a search in the box
     box, fresh = SearchBox(omega_lo=0.005), SearchBox(omega_lo=0.005)
     before = (repr(box), dataclasses.asdict(box), hash(box))
     minimize_mode("010", WEAK, 100.0, box)
-    assert "_scan_grids" in vars(box) and "_scan_grids" not in vars(fresh)
     assert (repr(box), dataclasses.asdict(box), hash(box)) == before
     assert repr(box) == "SearchBox(v_max=5.0, omega_lo=0.005, omega_hi=5.0, coarse=64)"
     assert dataclasses.asdict(box) == {"v_max": 5.0, "omega_lo": 0.005, "omega_hi": 5.0,

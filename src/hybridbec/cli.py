@@ -47,7 +47,9 @@ from .gpe import solve_coupled_gpe
 from .params import chemical_equilibrium_gap
 from .thermal import density_profile, density_profiles, total_numbers
 from .uniform import figure3_curve
-from .variational import minimize_mode
+from .variational import MODE_BREATHING, MODE_SURFACE, sweep_spectrum
+# not called here: perfbench/tracing.py wraps this name in every traced case
+from .variational import minimize_mode  # noqa: F401
 
 MODE_COLUMNS = ("method", "species", "j", "branch", "energy_re", "energy_im", "norm")
 
@@ -224,25 +226,17 @@ def cmd_density(cfg: RunConfig, outdir: Path) -> list[Path]:
 def cmd_variational(cfg: RunConfig, outdir: Path) -> list[Path]:
     if not (cfg.sweep and cfg.sweep["variable"] == "N"):
         raise ConfigError("variational requires a sweep over N")
-    n_list = cfg.sweep["values"]
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ConfigError("sweep.values must be strictly ascending for N")
     box = cfg.search_box()
-    bare = replace(cfg.params, alpha=0.0, lambda_am=0.0)
-    # a decoupled set is its own bare counterpart: solve it once
-    decoupled = bare == cfg.params
-    cols = {"n_atoms": [], "mode": [], "resonant": [], "v_opt": [],
-            "omega_opt": [], "energy": []}
-    for mode in ("010", "100"):
-        for n in n_list:
-            res = minimize_mode(mode, cfg.params, n, box)
-            for r in (res, res if decoupled else minimize_mode(mode, bare, n, box)):
-                cols["n_atoms"].append(r.n_atoms)
-                cols["mode"].append(r.mode)
-                cols["resonant"].append(int(r.resonant))
-                cols["v_opt"].append(r.v_opt)
-                cols["omega_opt"].append(r.omega_opt)
-                cols["energy"].append(r.energy)
+    rows = [r for mode in (MODE_SURFACE, MODE_BREATHING)
+            for r in sweep_spectrum(mode, cfg.params, cfg.sweep["values"], box)]
+
+    def floats(name):
+        return np.array([getattr(r, name) for r in rows], dtype=float)
+
+    # float64 arrays take write_csv's whole-column formatting
+    cols = {"n_atoms": floats("n_atoms"), "mode": [r.mode for r in rows],
+            "resonant": [str(int(r.resonant)) for r in rows], "v_opt": floats("v_opt"),
+            "omega_opt": floats("omega_opt"), "energy": floats("energy")}
     head = provenance(
         cfg.config_hash(), v_max=box.v_max, omega_lo=box.omega_lo,
         omega_hi=box.omega_hi, coarse=box.coarse,

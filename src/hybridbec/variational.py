@@ -45,6 +45,17 @@ minimum), but a minimizer pinned to an omega edge or a v above v_max
 means the box failed to bracket and raises instead of returning a
 truncated answer, as do a scan point with S/2 >= P and a functional
 that overflows in the box.
+
+P and S are sums of terms that depend on omega alone (the oscillator
+term and the shape factors), the last three times coupling strengths
+that carry the populations and couplings.  An N sweep scans once per
+mode: its lanes, one per (N, parameter set), share those terms, so G on
+the scan is one lanes x coarse table.  The terms are evaluated once on
+the scan, and each lane's strengths, computed by the same scalar
+expressions as for a lane alone, are one row of the columns that
+multiply them; every cell is thus the single-lane scan's to the bit.
+The lanes are then refined one by one, in order, on Python floats, and
+a single minimization is a sweep of one lane.
 """
 
 from __future__ import annotations
@@ -68,6 +79,9 @@ EDGE_TOL = 1e-6
 #: round-off in G hides the minimum's curvature
 OMEGA_RTOL = 1e-9
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: most cells of a sweep's scan table built at once; a box with more
+#: scan points than this is scanned one lane at a time
+SCAN_BLOCK_CELLS = 4096
 
 
 def shape_factor(x, y):
@@ -83,29 +97,33 @@ def _surface_factor(x, y):
     return (x / (x + y)) ** 2.5
 
 
-def _mode_parts(mode: str, p: PhysicalParams, n_a=None, n_m=None):
-    """omega -> (P, S) of one mode, with its parameter constants hoisted.
-
-    E(v, omega) = (1+2v^2) P(omega) - v sqrt(1+v^2) S(omega).  n_a and
-    n_m, when given, stand in for p.n_a and p.n_m.  The closure takes
-    numpy arrays and Python floats alike.  No omega > 0 check: callers
-    pass omega inside a positive box or check.
-    """
-    n_a = p.n_a if n_a is None else n_a
-    n_m = p.n_m if n_m is None else n_m
+def _couplings(p: PhysicalParams, n_a: float, n_m: float):
+    """(c_lam, c_lama, c_alpha), the coupling strengths of P and S at
+    populations n_a and n_m, as Python floats."""
     hb, m = p.hbar, p.mass
-    # mode-shape-independent coupling strengths
-    c_lam = p.lambda_am * n_m * p.omega_m**1.5 * (2.0 * m / (math.pi * hb)) ** 1.5
-    c_lama = 2.0 * p.lambda_a * n_a * p.omega_a**1.5 * (m / (math.pi * hb)) ** 1.5
-    c_alpha = (
+    return (
+        p.lambda_am * n_m * p.omega_m**1.5 * (2.0 * m / (math.pi * hb)) ** 1.5,
+        2.0 * p.lambda_a * n_a * p.omega_a**1.5 * (m / (math.pi * hb)) ** 1.5,
         4.0 * p.alpha * math.sqrt(n_m) * p.omega_m**0.75
-        * (2.0 * m / (math.pi * hb)) ** 0.75
+        * (2.0 * m / (math.pi * hb)) ** 0.75,
     )
-    hb_wa2 = hb * p.omega_a**2
+
+
+def _mode_kernel(mode: str, p: PhysicalParams):
+    """(omega, c_lam, c_lama, c_alpha) -> (P, S) of one mode, with
+    E(v, omega) = (1+2v^2) P - v sqrt(1+v^2) S.
+
+    Only hbar and the trap frequencies of p enter; the populations and
+    couplings come in as the strengths of `_couplings`.  Takes Python floats, or a scan
+    of omega with columns (lanes x 1) of strengths, which gives P and S
+    as lanes x scan tables with each shape factor evaluated once.  No
+    omega > 0 check: callers pass omega inside a positive box or check.
+    """
+    hb, hb_wa2 = p.hbar, p.hbar * p.omega_a**2
     w_lam, w_lama, w_alpha = 2.0 * p.omega_m, p.omega_a, p.omega_m
     pre, shape = (1.25, _surface_factor) if mode == MODE_SURFACE else (1.75, shape_factor)
 
-    def parts(omega):
+    def parts(omega, c_lam, c_lama, c_alpha):
         lama = c_lama * shape(omega, w_lama)
         quad = pre * (hb * omega + hb_wa2 / omega) + c_lam * shape(omega, w_lam) + lama
         return quad, lama + c_alpha * shape(omega, w_alpha)
@@ -118,7 +136,8 @@ def _checked_energy(mode: str, v, omega, params: PhysicalParams):
     w = np.asarray(omega)
     if not (np.isfinite(w) & (w > 0.0)).all():
         raise DomainError("trial frequency must be positive and finite")
-    quad, mix = _mode_parts(mode, params)(omega)
+    quad, mix = _mode_kernel(mode, params)(
+        omega, *_couplings(params, params.n_a, params.n_m))
     return (1.0 + 2.0 * v * v) * quad - v * np.sqrt(1.0 + v * v) * mix
 
 
@@ -190,6 +209,91 @@ def _unbounded(mode: str, omega: float) -> BoundaryMinimumError:
     )
 
 
+def _scan_table(parts, ws, strengths):
+    """(G, first) on the scan ws for a block of lanes.
+
+    parts is the mode's kernel and strengths the lanes' coupling strengths
+    as rows (lanes x 3).  G is lanes x scan; first[k] is the index of lane k's
+    first scan point with S/2 >= P, or -1.  Such a lane is set aside
+    before the square root, so its G row is P, not G.
+    """
+    quad, mix = parts(ws, *strengths.T[:, :, None])
+    h = 0.5 * mix
+    over = h >= quad
+    first = np.where(over.any(axis=1), over.argmax(axis=1), -1)
+    h[first >= 0] = 0.0
+    h = np.maximum(h, 0.0)  # h = 0 where G = P
+    return np.where(h > 0.0, np.sqrt((quad - h) * (quad + h)), quad), first
+
+
+def _minimize_lanes(mode: str, lanes, box: SearchBox | None):
+    """Minimize one mode for each (params, n_atoms) lane; yields each
+    lane's VariationalResult in order, and raises a lane's error when it
+    is reached.
+
+    The lanes must share hbar, mass, omega_a and omega_m, as a set and
+    its alpha = lambda = 0 counterpart do.  Every lane is checked, then G
+    is scanned for all of them at once (`_scan_table`, in blocks of at
+    most SCAN_BLOCK_CELLS cells, or one lane), and each lane is refined.
+    """
+    if mode not in (MODE_SURFACE, MODE_BREATHING):
+        raise ConfigError(f"unknown mode '{mode}'; expected '010' or '100'")
+    populations, couplings = [], []
+    for params, n_atoms in lanes:
+        n_a = require_finite("n_atoms", n_atoms)
+        if not n_a > 0:
+            raise ConfigError(f"n_atoms must be positive and finite, got {n_atoms!r}")
+        populations.append(n_a)
+        couplings.append(_couplings(params, n_a, params.n_m if params.n_m > 0 else n_a))
+    box = box if box is not None else SearchBox()
+    parts = _mode_kernel(mode, lanes[0][0])
+
+    ws = np.linspace(box.omega_lo, box.omega_hi, box.coarse)
+    strengths = np.array(couplings)
+    step = max(1, SCAN_BLOCK_CELLS // box.coarse)
+    unbounded_at, basin = [], []
+    for k in range(0, len(lanes), step):
+        g, first = _scan_table(parts, ws, strengths[k:k + step])
+        unbounded_at += first.tolist()
+        basin += g.argmin(axis=1).tolist()
+        del g  # so that no two blocks' tables are alive at once
+
+    for (params, _), n_a, (c_lam, c_lama, c_alpha), j, i in zip(
+            lanes, populations, couplings, unbounded_at, basin):
+        if j >= 0:
+            raise _unbounded(mode, float(ws[j]))
+
+        def lowest(omega):
+            quad, mix = parts(omega, c_lam, c_lama, c_alpha)
+            h = 0.5 * mix
+            if h >= quad:
+                raise _unbounded(mode, omega)
+            return math.sqrt((quad - h) * (quad + h)) if h > 0.0 else quad
+
+        w_opt, energy = _golden_min(
+            lowest, float(ws[max(i - 1, 0)]), float(ws[min(i + 1, box.coarse - 1)]))
+        quad, mix = parts(w_opt, c_lam, c_lama, c_alpha)
+        v_opt = math.sinh(0.5 * math.atanh(0.5 * mix / quad)) if mix > 0.0 else 0.0
+
+        if not math.isfinite(energy):
+            raise BoundaryMinimumError(
+                f"mode {mode} energy functional overflowed in the search box at "
+                f"omega = {w_opt:.6g}; shrink the box",
+                v=v_opt, omega=w_opt, energy=energy,
+            )
+        if (v_opt > box.v_max or w_opt < box.omega_lo * (1.0 + EDGE_TOL)
+                or w_opt > box.omega_hi * (1.0 - EDGE_TOL)):
+            raise BoundaryMinimumError(
+                f"mode {mode} minimizer at or beyond the search boundary at "
+                f"(v, omega) = ({v_opt:.6g}, {w_opt:.6g}); widen the box",
+                v=v_opt, omega=w_opt, energy=energy,
+            )
+        yield VariationalResult(
+            mode=mode, v_opt=v_opt, omega_opt=w_opt, energy=energy,
+            n_atoms=n_a, resonant=(params.alpha != 0.0 or params.lambda_am != 0.0),
+        )
+
+
 def minimize_mode(
     mode: str,
     params: PhysicalParams,
@@ -207,52 +311,10 @@ def minimize_mode(
     a minimizer pinned against omega_lo or omega_hi, a v above v_max, or
     a minimum that is not finite (the functional overflowed in the box)
     raises BoundaryMinimumError carrying the point (v = 0 is allowed).
+    This is a sweep's path with one lane: a point of a sweep is this
+    call's result to the bit.
     """
-    if mode not in (MODE_SURFACE, MODE_BREATHING):
-        raise ConfigError(f"unknown mode '{mode}'; expected '010' or '100'")
-    n_a = require_finite("n_atoms", n_atoms)
-    if not n_a > 0:
-        raise ConfigError(f"n_atoms must be positive and finite, got {n_atoms!r}")
-    box = box if box is not None else SearchBox()
-    parts = _mode_parts(mode, params, n_a, params.n_m if params.n_m > 0 else n_a)
-
-    ws = np.linspace(box.omega_lo, box.omega_hi, box.coarse)
-    quad, mix = parts(ws)
-    unbounded = 0.5 * mix >= quad
-    if unbounded.any():
-        raise _unbounded(mode, float(ws[unbounded.argmax()]))
-    h = np.maximum(0.5 * mix, 0.0)  # h = 0 where G = P
-    i = int(np.argmin(np.where(h > 0.0, np.sqrt((quad - h) * (quad + h)), quad)))
-
-    def lowest(omega):
-        quad, mix = parts(omega)
-        h = 0.5 * mix
-        if h >= quad:
-            raise _unbounded(mode, omega)
-        return math.sqrt((quad - h) * (quad + h)) if h > 0.0 else quad
-
-    w_opt, energy = _golden_min(
-        lowest, float(ws[max(i - 1, 0)]), float(ws[min(i + 1, box.coarse - 1)]))
-    quad, mix = parts(w_opt)
-    v_opt = math.sinh(0.5 * math.atanh(0.5 * mix / quad)) if mix > 0.0 else 0.0
-
-    if not math.isfinite(energy):
-        raise BoundaryMinimumError(
-            f"mode {mode} energy functional overflowed in the search box at "
-            f"omega = {w_opt:.6g}; shrink the box",
-            v=v_opt, omega=w_opt, energy=energy,
-        )
-    if (v_opt > box.v_max or w_opt < box.omega_lo * (1.0 + EDGE_TOL)
-            or w_opt > box.omega_hi * (1.0 - EDGE_TOL)):
-        raise BoundaryMinimumError(
-            f"mode {mode} minimizer at or beyond the search boundary at "
-            f"(v, omega) = ({v_opt:.6g}, {w_opt:.6g}); widen the box",
-            v=v_opt, omega=w_opt, energy=energy,
-        )
-    return VariationalResult(
-        mode=mode, v_opt=v_opt, omega_opt=w_opt, energy=energy,
-        n_atoms=n_a, resonant=(params.alpha != 0.0 or params.lambda_am != 0.0),
-    )
+    return next(_minimize_lanes(mode, [(params, n_atoms)], box))
 
 
 def sweep_spectrum(
@@ -266,7 +328,11 @@ def sweep_spectrum(
     For each N the resonant parameter set and its alpha = lambda = 0
     counterpart are minimized; output is [res(N1), bare(N1), res(N2), ...]
     of length 2*len(n_list).  A set that is already decoupled is its own
-    counterpart: it is minimized once per N and listed twice.
+    counterpart: it is minimized once per N and listed twice.  One scan
+    table serves every (N, set) lane; the lanes are then refined in that
+    order, and the first that fails raises, its message prefixed with
+    "sweep failed at N = ...".  Each result is minimize_mode's at that
+    N and set, to the bit.
     """
     n_list = [require_finite("n_list entry", n) for n in n_list]
     if not n_list:
@@ -275,11 +341,13 @@ def sweep_spectrum(
         raise ConfigError("n_list must be strictly ascending")
     bare = replace(params, alpha=0.0, lambda_am=0.0)
     decoupled = bare == params
+    sets = (params,) if decoupled else (params, bare)
+    minima = _minimize_lanes(mode, [(p, n) for n in n_list for p in sets], box)
     out: list[VariationalResult] = []
     for n in n_list:
         try:
-            res = minimize_mode(mode, params, n, box)
-            out += (res, res if decoupled else minimize_mode(mode, bare, n, box))
+            res = next(minima)
+            out += (res, res if decoupled else next(minima))
         except BoundaryMinimumError as exc:
             raise BoundaryMinimumError(
                 f"sweep failed at N = {n:g}: {exc}",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hybridbec.cli as cli
+import hybridbec.variational as variational
 from hybridbec import ConfigError
 from hybridbec.bdg import block_2x2_spectrum
 from hybridbec.cli import _solve_ground, main
@@ -471,20 +472,21 @@ def test_spectrum_compare_calls_the_methods_the_tracer_times(tmp_path, monkeypat
 ], ids=["decoupled", "resonant"])
 def test_variational_solves_decoupled_points_once(tmp_path, monkeypatch, params, per_point):
     # a decoupled set is its own alpha = lambda = 0 counterpart, so each
-    # (mode, N) point is minimized once and written as both rows
-    calls = []
-    real = cli.minimize_mode
+    # (mode, N) point is one lane of its mode's batch, written as both rows
+    batches = []
+    real = variational._minimize_lanes
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(mode, lanes, box):
+        batches.append((mode, len(lanes)))
+        return real(mode, lanes, box)
 
-    monkeypatch.setattr(cli, "minimize_mode", counting)
+    monkeypatch.setattr(variational, "_minimize_lanes", counting)
     n_list = [50.0, 100.0, 200.0]
     cfg = write_config(tmp_path, "var.json", {
         "params": params, "sweep": {"variable": "N", "values": n_list}})
     assert main(["variational", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert len(calls) == per_point * len(n_list)
+    assert [mode for mode, _ in batches] == ["010", "100"]
+    assert sum(lanes for _, lanes in batches) == per_point * len(n_list)
     rows = read_csv(tmp_path / "variational.csv")
     assert len(rows["energy"]) == 4 * len(n_list)
     same = rows["energy"][0::2] == rows["energy"][1::2]
@@ -554,6 +556,31 @@ def test_variational_unbounded_trial_energy_exits_5(tmp_path, capsys):
     assert err["error"] == "BoundaryMinimumError"
     assert "unbounded below" in err["message"] and "S/2 >= P" in err["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_variational_failure_names_its_population(tmp_path, capsys):
+    # the CLI sweeps through sweep_spectrum, so a failing point says at
+    # which N it failed: at alpha = 20 the bundled set is unstable at its
+    # first N in the widened box
+    data = json.loads((CONFIGS / "variational_sweep.json").read_text())
+    data["params"]["alpha"] = 20.0
+    cfg = write_config(tmp_path, "alpha20.json", data)
+    capsys.readouterr()
+    assert main(["variational", "--config", cfg, "--out", str(tmp_path / "out")]) == 5
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "BoundaryMinimumError"
+    assert err["message"].startswith("sweep failed at N = 10000: mode 010 trial energy")
+    assert "S/2 >= P" in err["message"]
+    assert not (tmp_path / "out").exists()
+    # a descending N list is still a config error
+    data = json.loads((CONFIGS / "variational_sweep.json").read_text())
+    data["sweep"]["values"] = data["sweep"]["values"][::-1]
+    cfg = write_config(tmp_path, "descending.json", data)
+    capsys.readouterr()
+    assert main(["variational", "--config", cfg, "--out", str(tmp_path / "desc")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "ascending" in err["message"]
+    assert not (tmp_path / "desc").exists()
 
 
 def test_jobs_do_not_change_artifacts(tmp_path):
@@ -645,7 +672,7 @@ def test_invalid_value_fails_at_load_whatever_the_command(
     # command never reads: exit 2 naming the key, before any solve, sweep
     # point or field curve starts, and no --out directory
     started = []
-    for name in ("solve_coupled_gpe", "minimize_mode", "figure3_curve"):
+    for name in ("solve_coupled_gpe", "sweep_spectrum", "figure3_curve"):
         monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: started.append(_name))
     data = json.loads((CONFIGS / config).read_text())
     data.setdefault(section, {})[key] = value

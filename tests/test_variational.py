@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from hybridbec.errors import BoundaryMinimumError
 from hybridbec.variational import (
     EDGE_TOL,
     SearchBox,
-    _mode_parts,
+    _couplings,
+    _mode_kernel,
     energy_010,
     energy_100,
     minimize_mode,
@@ -170,23 +172,25 @@ def test_sweep_pairs_and_validation():
     (WEAK, 2),
 ], ids=["decoupled", "resonant"])
 def test_sweep_minimizes_a_decoupled_set_once(monkeypatch, params, per_point):
-    # a decoupled set is its own alpha = lambda = 0 counterpart: one
-    # minimization per N, listed twice, and the rows are those of the two
-    # separate minimizations to the bit
-    calls = []
-    real = variational.minimize_mode
+    # a decoupled set is its own alpha = lambda = 0 counterpart: one lane
+    # per N in the sweep's one batch, listed twice, and the rows are those
+    # of the two separate minimizations to the bit
+    batches = []
+    real = variational._minimize_lanes
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(mode, lanes, box):
+        batches.append(list(lanes))
+        return real(mode, lanes, box)
 
-    monkeypatch.setattr(variational, "minimize_mode", counting)
+    monkeypatch.setattr(variational, "_minimize_lanes", counting)
     n_list = [50.0, 100.0, 200.0]
     out = sweep_spectrum("100", params, n_list)
-    assert len(calls) == per_point * len(n_list)
+    assert [len(lanes) for lanes in batches] == [per_point * len(n_list)]
     bare = replace(params, alpha=0.0, lambda_am=0.0)
+    sets = [params] if per_point == 1 else [params, bare]
+    assert batches[0] == [(p, n) for n in n_list for p in sets]
     expected = [r for n in n_list
-                for r in (real("100", params, n), real("100", bare, n))]
+                for r in (minimize_mode("100", params, n), minimize_mode("100", bare, n))]
     assert out == expected
 
 
@@ -358,7 +362,8 @@ def test_closed_form_v_is_stationary():
         kind, v, w, _ = _outcome(mode, params, n, box)
         if kind != "interior":
             continue
-        quad, mix = _mode_parts(mode, _at(params, n))(w)
+        p = _at(params, n)
+        quad, mix = _mode_kernel(mode, p)(w, *_couplings(p, p.n_a, p.n_m))
         if v == 0.0:
             assert mix <= 0.0
             free += 1
@@ -418,3 +423,216 @@ def test_bundled_variational_sweep_keeps_its_config_hash():
     assert cfg.config_hash() == "d714e5fb37a21b35"
     minimize_mode("010", cfg.params, 1e4, cfg.search_box())
     assert cfg.config_hash() == "d714e5fb37a21b35"
+
+
+def _reference_parts(mode, p, n_a, n_m):
+    """The single-lane kernel the sweep's scan table must reproduce: omega
+    -> (P, S) with every constant of the lane hoisted into a closure."""
+    hb, m = p.hbar, p.mass
+    c_lam = p.lambda_am * n_m * p.omega_m**1.5 * (2.0 * m / (math.pi * hb)) ** 1.5
+    c_lama = 2.0 * p.lambda_a * n_a * p.omega_a**1.5 * (m / (math.pi * hb)) ** 1.5
+    c_alpha = (
+        4.0 * p.alpha * math.sqrt(n_m) * p.omega_m**0.75
+        * (2.0 * m / (math.pi * hb)) ** 0.75
+    )
+    hb_wa2 = hb * p.omega_a**2
+    w_lam, w_lama, w_alpha = 2.0 * p.omega_m, p.omega_a, p.omega_m
+    pre, shape = ((1.25, lambda x, y: (x / (x + y)) ** 2.5) if mode == "010"
+                  else (1.75, shape_factor))
+
+    def parts(omega):
+        lama = c_lama * shape(omega, w_lama)
+        quad = pre * (hb * omega + hb_wa2 / omega) + c_lam * shape(omega, w_lam) + lama
+        return quad, lama + c_alpha * shape(omega, w_alpha)
+
+    return parts
+
+
+def _reference_scan(mode, params, n, box):
+    """(parts, ws, G, first) of one lane scanned on its own: a per-call
+    linspace, and G None with first the first S/2 >= P point if any."""
+    parts = _reference_parts(mode, params, n, params.n_m if params.n_m > 0 else n)
+    ws = np.linspace(box.omega_lo, box.omega_hi, box.coarse)
+    quad, mix = parts(ws)
+    unbounded = 0.5 * mix >= quad
+    if unbounded.any():
+        return parts, ws, None, int(unbounded.argmax())
+    h = np.maximum(0.5 * mix, 0.0)
+    return parts, ws, np.where(h > 0.0, np.sqrt((quad - h) * (quad + h)), quad), -1
+
+
+def _reference_minimum(mode, params, n, box):
+    """One lane minimized on its own: its scan, then the golden section
+    between the scan points next to the best one, and v in closed form."""
+    parts, ws, g, first = _reference_scan(mode, params, n, box)
+    if g is None:
+        raise variational._unbounded(mode, float(ws[first]))
+    i = int(np.argmin(g))
+
+    def lowest(omega):
+        quad, mix = parts(omega)
+        h = 0.5 * mix
+        if h >= quad:
+            raise variational._unbounded(mode, omega)
+        return math.sqrt((quad - h) * (quad + h)) if h > 0.0 else quad
+
+    w_opt, energy = variational._golden_min(
+        lowest, float(ws[max(i - 1, 0)]), float(ws[min(i + 1, box.coarse - 1)]))
+    quad, mix = parts(w_opt)
+    v_opt = math.sinh(0.5 * math.atanh(0.5 * mix / quad)) if mix > 0.0 else 0.0
+    if not math.isfinite(energy):
+        raise BoundaryMinimumError(
+            f"mode {mode} energy functional overflowed in the search box at "
+            f"omega = {w_opt:.6g}; shrink the box",
+            v=v_opt, omega=w_opt, energy=energy,
+        )
+    if (v_opt > box.v_max or w_opt < box.omega_lo * (1.0 + EDGE_TOL)
+            or w_opt > box.omega_hi * (1.0 - EDGE_TOL)):
+        raise BoundaryMinimumError(
+            f"mode {mode} minimizer at or beyond the search boundary at "
+            f"(v, omega) = ({v_opt:.6g}, {w_opt:.6g}); widen the box",
+            v=v_opt, omega=w_opt, energy=energy,
+        )
+    return variational.VariationalResult(
+        mode=mode, v_opt=v_opt, omega_opt=w_opt, energy=energy, n_atoms=float(n),
+        resonant=(params.alpha != 0.0 or params.lambda_am != 0.0),
+    )
+
+
+def _reference_sweep(mode, params, n_list, box):
+    bare = replace(params, alpha=0.0, lambda_am=0.0)
+    out = []
+    for n in n_list:
+        try:
+            out += [_reference_minimum(mode, p, n, box) for p in (params, bare)]
+        except BoundaryMinimumError as exc:
+            raise BoundaryMinimumError(
+                f"sweep failed at N = {n:g}: {exc}",
+                v=exc.v, omega=exc.omega, energy=exc.energy,
+            ) from exc
+    return out
+
+
+def _fingerprint(call):
+    """What a call returned or raised, with every float as its .hex()."""
+    try:
+        out = call()
+    except BoundaryMinimumError as exc:
+        return ("raised", type(exc).__name__, str(exc),
+                exc.v.hex(), exc.omega.hex(), exc.energy.hex())
+    return ("returned", [(r.mode, r.v_opt.hex(), r.omega_opt.hex(), r.energy.hex(),
+                          r.n_atoms.hex(), r.resonant)
+                         for r in (out if isinstance(out, list) else [out])])
+
+
+def _sweeps():
+    """The parity, mode_sweeps and instability cases as sweeps: (mode,
+    params, box) -> its N values, ascending."""
+    sweeps = {}
+    for mode, params, n, box in _parity_cases() + _mode_sweeps_cases() + _instability_cases():
+        sweeps.setdefault((mode, params, box), []).append(n)
+    return [(mode, params, sorted(set(ns)), box) for (mode, params, box), ns in sweeps.items()]
+
+
+def test_minimize_mode_is_the_single_lane_kernel_bit_for_bit():
+    kinds = set()
+    for mode, params, n, box in _parity_cases() + _mode_sweeps_cases() + _instability_cases():
+        got = _fingerprint(lambda: minimize_mode(mode, params, n, box))
+        assert got == _fingerprint(lambda: _reference_minimum(mode, params, n, box)), \
+            (mode, params, n, box)
+        kinds.add(got[0] if got[0] == "returned" else got[2].split(" ")[2])
+    # minima, unbounded trial energies, pins and overflowing v all occur
+    assert kinds == {"returned", "trial", "minimizer"}
+
+
+@pytest.mark.parametrize("block_cells", [variational.SCAN_BLOCK_CELLS, 5 * 64],
+                         ids=["one-block", "blocks-of-five-lanes"])
+def test_sweep_is_the_single_lane_kernel_bit_for_bit(monkeypatch, block_cells):
+    # every lane of a sweep, whatever the blocking of its table, returns
+    # or raises what it does scanned and refined on its own
+    monkeypatch.setattr(variational, "SCAN_BLOCK_CELLS", block_cells)
+    outcomes = set()
+    for mode, params, n_list, box in _sweeps():
+        got = _fingerprint(lambda: sweep_spectrum(mode, params, n_list, box))
+        assert got == _fingerprint(lambda: _reference_sweep(mode, params, n_list, box)), \
+            (mode, params, n_list, box)
+        outcomes.add(got[0])
+    assert outcomes == {"returned", "raised"}
+
+
+def test_scan_table_rows_are_the_single_lane_scans_bit_for_bit(monkeypatch):
+    # the tables a sweep builds, row by row, against each lane scanned on
+    # its own: G of a bounded lane, and the first S/2 >= P point otherwise
+    tables = []
+    real = variational._scan_table
+
+    def recording(parts, ws, couplings):
+        g, first = real(parts, ws, couplings)
+        tables.append((ws, g, first))
+        return g, first
+
+    monkeypatch.setattr(variational, "_scan_table", recording)
+    bounded = unbounded = 0
+    for mode, params, n_list, box in _sweeps():
+        bare = replace(params, alpha=0.0, lambda_am=0.0)
+        lanes = [(p, n) for n in n_list for p in ((params,) if bare == params else (params, bare))]
+        tables.clear()
+        try:
+            sweep_spectrum(mode, params, n_list, box)
+        except BoundaryMinimumError:
+            pass
+        rows = [(ws, row, j) for ws, g, first in tables for row, j in zip(g, first.tolist())]
+        assert len(rows) == len(lanes)
+        for (p, n), (ws, row, j) in zip(lanes, rows):
+            _, ref_ws, g, ref_first = _reference_scan(mode, p, n, box)
+            assert ws.tobytes() == ref_ws.tobytes() and j == ref_first
+            if g is not None:
+                assert row.tobytes() == g.tobytes(), (mode, p, n, box)
+                bounded += 1
+            unbounded += g is None
+    assert bounded and unbounded
+
+
+def test_sweep_raises_its_first_failing_lane():
+    # alpha alone: S/2 grows as sqrt(N) against a fixed P, so in a box
+    # above the free minimum the first N pins at omega_lo and the last
+    # is unbounded; the table sees both, the first lane's error is raised
+    params = PhysicalParams(omega_a=1.0, omega_m=1.4, alpha=0.01)
+    box = SearchBox(omega_lo=3.0, omega_hi=5.0)
+    with pytest.raises(BoundaryMinimumError) as last:
+        minimize_mode("010", params, 1e6, box)
+    assert "unbounded below" in str(last.value)
+    with pytest.raises(BoundaryMinimumError) as first:
+        minimize_mode("010", params, 10.0, box)
+    assert "widen the box" in str(first.value)
+    with pytest.raises(BoundaryMinimumError) as info:
+        sweep_spectrum("010", params, [10.0, 1e6], box)
+    assert str(info.value) == f"sweep failed at N = 10: {first.value}"
+    assert info.value.omega == first.value.omega
+
+
+def test_sweep_of_unbounded_lanes_raises_without_a_warning():
+    # an attractive lambda_a makes the bare counterpart unbounded too, and
+    # alpha = 20 puts |P| < S/2 on the resonant lanes, where the square
+    # root of P^2 - S^2/4 would be of a negative number
+    params = replace(WEAK, lambda_a=-0.1, alpha=20.0)
+    box = SearchBox(omega_lo=0.005)
+    for mode in ("010", "100"):
+        for p in (params, replace(params, alpha=0.0, lambda_am=0.0)):
+            with pytest.raises(BoundaryMinimumError, match="unbounded below"):
+                minimize_mode(mode, p, 1e4, box)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(BoundaryMinimumError, match="sweep failed at N = 10000: .*unbounded"):
+                sweep_spectrum(mode, params, [1e4, 1e5], box)
+        assert seen == []
+
+
+def test_sweep_over_a_fine_scan_is_its_single_lane_calls():
+    # 2**20 points: the table is built one lane at a time
+    box = SearchBox(omega_lo=0.005, coarse=2**20)
+    assert variational.SCAN_BLOCK_CELLS // box.coarse == 0
+    n_list = [1e4, 1e6]
+    bare = replace(WEAK, alpha=0.0, lambda_am=0.0)
+    assert sweep_spectrum("100", WEAK, n_list, box) == [
+        minimize_mode("100", p, n, box) for n in n_list for p in (WEAK, bare)]

@@ -50,13 +50,25 @@ Basis-level conventions: "paper" uses hbar*omega*(j + 1/2) for the
 auxiliary level ladder; "oscillator3d" uses the true s-wave 3D oscillator
 levels hbar*omega*(2j + 3/2).  The former is the default, the latter is
 what actually matches the direct grid spectrum.
+
+Both basis methods need each species' oscillator basis on the grid.
+Where neither is there and the process may run on two CPUs, one
+module-level worker thread builds the molecule basis while the calling
+thread builds the atom basis; the tridiagonal eigensolve releases the
+GIL, so the two run side by side, with the bits of a serial build.  An
+atom error is raised after the worker finishes, so a call raises what
+the serial order (atoms first) raised.  There is no option: on one CPU
+both are built in turn.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
 import weakref
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +163,11 @@ def basis_levels(
 _BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _basis_key(species: str, params: PhysicalParams, j_max: int) -> tuple:
+    mass, omega, _ = _one_body(species, params)
+    return mass, omega, params.hbar, j_max
+
+
 def oscillator_basis(
     species: str, params: PhysicalParams, grid: RadialGrid, j_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -163,12 +180,15 @@ def oscillator_basis(
     The arrays are read-only: each basis is built once per grid object
     and (mass, omega, hbar, j_max), and handed out again for as long as
     that grid lives, so `spectrum --compare` solves it once for both
-    basis methods.
+    basis methods.  The basis methods build a grid's two missing bases
+    at once, the molecule's on a worker thread (`_build_both_bases`),
+    and raise an atom error only after the worker is done.  Raises
+    ConfigError when the grid holds fewer than j_max states.
     """
-    mass, omega, _ = _one_body(species, params)
-    key = (mass, omega, params.hbar, j_max)
+    key = _basis_key(species, params, j_max)
     bases = _BASES.setdefault(grid, {})
     if key not in bases:
+        mass, omega = key[:2]
         op = RadialOperator.build(
             grid, mass, harmonic_potential(grid, mass, omega), hbar=params.hbar
         )
@@ -180,6 +200,46 @@ def oscillator_basis(
         vals.flags.writeable = vecs.flags.writeable = False
         bases[key] = vals, vecs
     return bases[key]
+
+
+@functools.cache
+def _basis_worker() -> futures.ThreadPoolExecutor:
+    """The one thread that builds molecule bases, started at first use."""
+    return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="hybridbec-basis")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_basis_worker.cache_clear)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _build_both_bases(params: PhysicalParams, grid: RadialGrid, j_max: int) -> None:
+    """Build the atom and molecule bases on grid at once where both are
+    missing: the molecule's on the basis worker, the atom's on this
+    thread.  The eigensolve releases the GIL, so the two run side by
+    side on two CPUs; with one CPU, or one basis already on the grid,
+    nothing is dispatched and `oscillator_basis` builds what is missing
+    when asked.  The grid's `_BASES` entry is made here, before the
+    worker reads it.  Errors come as in the serial order: an atom error
+    is raised once the worker is done, else a molecule error."""
+    bases = _BASES.setdefault(grid, {})
+    if (_basis_key(ATOM, params, j_max) in bases
+            or _basis_key(MOLECULE, params, j_max) in bases
+            or _cpus() < 2):
+        return
+    molecule = _basis_worker().submit(oscillator_basis, MOLECULE, params, grid, j_max)
+    try:
+        oscillator_basis(ATOM, params, grid, j_max)
+    except BaseException:
+        molecule.exception()  # waits; the atom error wins, as in the serial order
+        raise
+    molecule.result()
 
 
 def _backgrounds(state: CondensateState, params: PhysicalParams):
@@ -202,6 +262,8 @@ def _projection(species, plus, delta, params, grid, j_max, convention):
     W, and the density-normalized amplitude of each basis state.  chi and
     the amplitudes come one contiguous row per basis state."""
     levels = basis_levels(species, params, j_max, convention)
+    if species == ATOM:  # the first projection of a spectrum call
+        _build_both_bases(params, grid, j_max)
     chi = np.ascontiguousarray(oscillator_basis(species, params, grid, j_max)[1].T)
     w = plus - delta + _one_body(species, params)[2]
     amp = chi / (grid.r * math.sqrt(4.0 * np.pi * grid.h))

@@ -13,11 +13,13 @@ the standard 3-point Laplacian, second-order accurate in h.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .errors import require_count, require_finite, require_positive
 
@@ -67,8 +69,31 @@ def harmonic_potential(grid: RadialGrid, mass: float, omega: float) -> np.ndarra
     return 0.5 * mass * omega**2 * grid.r**2
 
 
-_STEBZ, _STEIN, _GTSV = scipy.linalg.get_lapack_funcs(
-    ("stebz", "stein", "gtsv"), dtype=np.float64)
+_GTSV, = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack(name: str, n_chars: int, n_pointers: int):
+    """LAPACK routine `name` of scipy.linalg.cython_lapack as a ctypes
+    function of n_chars character and then n_pointers pointer arguments.
+    ctypes releases the GIL for the length of each call."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    address = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
+    return ctypes.CFUNCTYPE(
+        None, *[ctypes.c_char_p] * n_chars, *[ctypes.c_void_p] * n_pointers)(address)
+
+
+_STEBZ = _lapack("dstebz", 2, 16)
+_STEIN = _lapack("dstein", 0, 13)
+#: stebz's vl, vu and abstol, then il, as scipy's stebz wrapper passes
+#: them for eigh_tridiagonal(select="i")
+_STEBZ_REALS = np.array([0.0, 1.0, 0.0])
+_STEBZ_IL = np.array([1], dtype=np.int32)
+_VL, _VU, _ABSTOL = (_STEBZ_REALS.ctypes.data + 8 * k for k in range(3))
+_IL = _STEBZ_IL.ctypes.data
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +133,15 @@ class RadialOperator:
         """Lowest eigenpairs; columns of the second return are chi vectors
         normalized to sum(chi^2) = 1 with chi[0] >= 0.
 
-        Calls LAPACK stebz (bisection, block order) and stein (inverse
-        iteration) directly, the routines eigh_tridiagonal(select="i")
-        runs, so the pairs are the same to the bit without the wrapper's
-        argument handling.  Its finiteness check is kept: stebz returns
+        Calls LAPACK stebz (bisection by index, block order, abstol 0) and
+        stein (inverse iteration), the routines and arguments of
+        eigh_tridiagonal(select="i"), so the pairs are the same to the bit.
+        They are called through ctypes from scipy.linalg.cython_lapack,
+        the same routines in the same library as scipy's wrappers, because
+        ctypes releases the GIL for each call where the wrappers hold it:
+        eigensolves on two threads run side by side.  Every array of both
+        calls lives in one float64 workspace, so its address is looked up
+        once.  The wrappers' finiteness check is kept: stebz returns
         eigenvalues for a NaN diagonal without an error.
         """
         n = len(self.diag)
@@ -120,14 +150,31 @@ class RadialOperator:
             raise ValueError(f"n_modes must be >= 1, got {n_modes}")
         if not (np.isfinite(self.diag).all() and math.isfinite(self.offdiag)):
             raise ValueError("array must not contain infs or NaNs")
-        off = np.full(n - 1, self.offdiag)
-        m, vals, block, split, info = _STEBZ(self.diag, off, 2, 0.0, 1.0, 1, n_modes, 0.0, "B")
+        # doubles d, e, w (n each), work (5n) and z (n x n_modes, Fortran
+        # order), then int32 n, iu, m, nsplit, info, iblock, isplit (n
+        # each), iwork (3n) and ifail (n_modes); stebz finds m = n_modes
+        # levels unless its info is set
+        zend = 8 * n + n * n_modes
+        space = np.empty(zend + (5 * n + n_modes + 6) // 2)
+        space[:n] = self.diag
+        space[n:2 * n - 1] = self.offdiag
+        ints = space[zend:].view(np.int32)
+        ints[:2] = n, n_modes
+        base = space.ctypes.data
+        d, e, w, work, z = (base + 8 * k for k in (0, n, 2 * n, 3 * n, 8 * n))
+        n_, iu, m_, nsplit, info_, iblock, isplit, iwork, ifail = (
+            base + 8 * zend + 4 * k for k in (0, 1, 2, 3, 4, 5, 5 + n, 5 + 2 * n, 5 + 5 * n))
+        _STEBZ(b"I", b"B", n_, _VL, _VU, _IL, iu, _ABSTOL, d, e, m_, nsplit, w,
+               iblock, isplit, work, iwork, info_)
+        m, info = int(ints[2]), ints[4]
         if not info:
-            vecs, info = _STEIN(self.diag, off, vals[:m], block, split)
+            _STEIN(n_, d, e, m_, w, iblock, isplit, z, n_, work, iwork, ifail, info_)
+            info = ints[4]
         if info:
             raise scipy.linalg.LinAlgError(f"tridiagonal eigensolve failed (LAPACK info {info})")
-        order = np.argsort(vals[:m])  # block order to ascending order
-        vals, vecs = vals[:m][order], vecs[:, order]
+        vals, vecs = space[2 * n:2 * n + m], space[8 * n:8 * n + n * m].reshape(m, n).T
+        order = np.argsort(vals)  # block order to ascending order
+        vals, vecs = vals[order], vecs[:, order]
         signs = np.where(vecs[0] < 0.0, -1.0, 1.0)
         return vals, vecs * signs
 

@@ -50,6 +50,10 @@ NORM_TOL = 1e-4
 def bose_occupation(energy: float, beta: float) -> float:
     """1/(exp(beta*E) - 1); beta = inf gives 0 for any E > 0.
 
+    Past beta*E ~ 709.78, where expm1 overflows, the occupation is
+    exp(-beta*E), equal to 1/(exp(beta*E) - 1) in double precision there
+    (subnormal, then 0.0).
+
     Raises DomainError for E <= 0: the occupation is undefined there and
     such modes must be excluded upstream.
     """
@@ -57,7 +61,10 @@ def bose_occupation(energy: float, beta: float) -> float:
         raise DomainError(f"Bose occupation undefined for E = {energy} <= 0")
     if math.isinf(beta):
         return 0.0
-    return 1.0 / math.expm1(beta * energy)
+    try:
+        return 1.0 / math.expm1(beta * energy)
+    except OverflowError:
+        return math.exp(-beta * energy)
 
 
 @dataclass(eq=False)

@@ -12,6 +12,9 @@ definite (the product form's A order); elsewhere it gives None.  Each
 species reads its background from a `gpe._second_variation` call of its
 own, where `bdg` makes one call per spectrum for both species.
 
+`lapack_eigensolve` is `RadialOperator.eigensolve` through scipy's f2py
+`stebz` and `stein` wrappers, which `hybridbec.grid` calls through ctypes.
+
 `bdg_matrix` and `dense_spectrum` are the independent check of every
 grid channel: the dense 2n x 2n BdG matrix and its full complex
 eigensolve.
@@ -37,6 +40,25 @@ def eigensolve(diag, offdiag, n_modes):
     n_modes = min(n_modes, n)
     vals, vecs = scipy.linalg.eigh_tridiagonal(
         diag, np.full(n - 1, offdiag), select="i", select_range=(0, n_modes - 1))
+    return vals, vecs * np.where(vecs[0] < 0.0, -1.0, 1.0)
+
+
+_STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+
+
+def lapack_eigensolve(diag, offdiag, n_modes):
+    """RadialOperator.eigensolve through scipy's f2py stebz and stein
+    wrappers, with the arguments eigh_tridiagonal(select="i") passes."""
+    n = len(diag)
+    n_modes = min(n_modes, n)
+    off = np.full(n - 1, offdiag)
+    m, vals, block, split, info = _STEBZ(diag, off, 2, 0.0, 1.0, 1, n_modes, 0.0, "B")
+    if not info:
+        vecs, info = _STEIN(diag, off, vals[:m], block, split)
+    if info:
+        raise scipy.linalg.LinAlgError(f"tridiagonal eigensolve failed (LAPACK info {info})")
+    order = np.argsort(vals[:m])
+    vals, vecs = vals[:m][order], vecs[:, order]
     return vals, vecs * np.where(vecs[0] < 0.0, -1.0, 1.0)
 
 

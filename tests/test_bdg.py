@@ -4,6 +4,9 @@ import gc
 import logging
 import math
 import struct
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -22,6 +25,7 @@ from hybridbec.bdg import (
     paper_literal_spectrum,
 )
 from hybridbec.gpe import CondensateState, SolverOptions, gaussian_ansatz, solve_coupled_gpe
+from hybridbec.grid import RadialOperator
 
 import spectrum_reference as reference
 
@@ -149,6 +153,144 @@ def test_basis_spectra_on_reused_grid_match_fresh_grid():
         fresh = digest(fn(s, p, build_grid(r_max=8.0, n_points=200), **kw))
         assert reused == fresh
     assert len(bdg._BASES[g]) == 2  # one basis per species for all five calls
+
+
+ITEM2 = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
+                       lambda_am=0.1, alpha=0.5, n_a=200.0, n_m=100.0)
+
+
+def record_basis_threads(monkeypatch, fail=None):
+    # (thread kind, n_modes) of every basis eigensolve, with the kind
+    # "main" or "worker", and the species of every basis the worker was
+    # handed, built or not; `fail` maps a thread kind to the error its
+    # eigensolve raises
+    solved, dispatched = [], []
+    solve = RadialOperator.eigensolve
+    basis = bdg.oscillator_basis
+
+    def dispatch_recording(species, *args):
+        if threading.current_thread() is not threading.main_thread():
+            dispatched.append(species)
+        return basis(species, *args)
+
+    def recording(op, n_modes):
+        kind = "main" if threading.current_thread() is threading.main_thread() else "worker"
+        if kind == "worker":
+            time.sleep(0.05)  # finish after the calling thread
+        solved.append((kind, n_modes))
+        if fail and kind in fail:
+            raise fail[kind]
+        return solve(op, n_modes)
+
+    monkeypatch.setattr(RadialOperator, "eigensolve", recording)
+    monkeypatch.setattr(bdg, "oscillator_basis", dispatch_recording)
+    return solved, dispatched
+
+
+@pytest.mark.parametrize("method", [block_2x2_spectrum, paper_literal_spectrum])
+@pytest.mark.parametrize("n", [200, 400])
+def test_basis_spectra_built_side_by_side_match_serial_build(monkeypatch, method, n):
+    # a fresh grid builds the molecule basis on the worker and the atom
+    # basis on the calling thread; the modes are those of a serial build
+    monkeypatch.setattr(bdg, "_cpus", lambda: 2)
+    s = gaussian_ansatz(ITEM2, build_grid(r_max=8.0, n_points=n))
+    serial = build_grid(r_max=8.0, n_points=n)
+    for species in (ATOM, MOLECULE):
+        oscillator_basis(species, ITEM2, serial, 32)
+    ref = method(s, ITEM2, serial, j_max=32)
+    solved, dispatched = record_basis_threads(monkeypatch)
+    fresh = build_grid(r_max=8.0, n_points=n)
+    for got, want in zip(method(s, ITEM2, fresh, j_max=32), ref):
+        assert_same_modes(got, want)
+    assert sorted(solved) == [("main", 32), ("worker", 32)]
+    assert dispatched == [MOLECULE]
+    method(s, ITEM2, fresh, j_max=32)
+    block_2x2_spectrum(s, ITEM2, fresh, j_max=32)  # as --compare's second method
+    assert len(solved) == 2 and dispatched == [MOLECULE]  # both bases there: none sent
+    fresh_ref = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert fresh_ref() is None  # the worker keeps no reference to the grid
+
+
+def test_basis_spectra_build_inline_with_one_cpu_or_one_basis_missing(monkeypatch):
+    s = gaussian_ansatz(ITEM2, build_grid(r_max=8.0, n_points=200))
+    solved, dispatched = record_basis_threads(monkeypatch)
+    monkeypatch.setattr(bdg, "_cpus", lambda: 1)
+    block_2x2_spectrum(s, ITEM2, build_grid(r_max=8.0, n_points=200), j_max=8)
+    assert solved == [("main", 8), ("main", 8)]
+    monkeypatch.setattr(bdg, "_cpus", lambda: 2)
+    g = build_grid(r_max=8.0, n_points=200)
+    oscillator_basis(ATOM, ITEM2, g, 8)
+    paper_literal_spectrum(s, ITEM2, g, j_max=8)
+    assert solved == [("main", 8)] * 4 and dispatched == []
+
+
+def test_basis_spectra_raise_the_atom_error_after_the_worker(monkeypatch):
+    monkeypatch.setattr(bdg, "_cpus", lambda: 2)
+    s = gaussian_ansatz(ITEM2, build_grid(r_max=8.0, n_points=200))
+    fail = {"main": ValueError("atom"), "worker": ValueError("molecule")}
+    solved, _ = record_basis_threads(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^atom$"):
+        block_2x2_spectrum(s, ITEM2, build_grid(r_max=8.0, n_points=200), j_max=8)
+    assert sorted(solved) == [("main", 8), ("worker", 8)]  # the worker had finished
+    del fail["main"]
+    g = build_grid(r_max=8.0, n_points=200)
+    with pytest.raises(ValueError, match="^molecule$"):
+        paper_literal_spectrum(s, ITEM2, g, j_max=8)
+    assert list(bdg._BASES[g]) == [bdg._basis_key(ATOM, ITEM2, 8)]
+
+
+def test_basis_spectra_from_many_threads_match_serial(monkeypatch):
+    # more callers than CPUs, switching threads every microsecond, each on
+    # fresh grids and on one shared grid: every call gives the serial
+    # modes and every grid ends with one basis per species
+    monkeypatch.setattr(bdg, "_cpus", lambda: 2)
+    s = gaussian_ansatz(ITEM2, build_grid(r_max=8.0, n_points=200))
+    calls = [(block_2x2_spectrum, {}), (paper_literal_spectrum, {"averaging": "volume"})]
+    want = [fn(s, ITEM2, build_grid(r_max=8.0, n_points=200), j_max=8, **kw)
+            for fn, kw in calls]
+    shared = build_grid(r_max=8.0, n_points=200)
+    grids, errors = [], []
+
+    def run():
+        try:
+            for k in range(3):
+                g = shared if k == 1 else build_grid(r_max=8.0, n_points=200)
+                grids.append(g)
+                for (fn, kw), ref in zip(calls, want):
+                    for got, expected in zip(fn(s, ITEM2, g, j_max=8, **kw), ref):
+                        assert_same_modes(got, expected)
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(grids) == 18
+    assert all(sorted(bdg._BASES[g]) == sorted(bdg._basis_key(sp, ITEM2, 8)
+                                                for sp in (ATOM, MOLECULE)) for g in grids)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("method", [block_2x2_spectrum, paper_literal_spectrum])
+def test_basis_spectra_reject_j_max_above_grid_size(monkeypatch, method, cpus):
+    monkeypatch.setattr(bdg, "_cpus", lambda: cpus)
+    g = build_grid(r_max=8.0, n_points=16)
+    s = gaussian_ansatz(ITEM2, g)
+    with pytest.raises(ConfigError) as err:
+        method(s, ITEM2, g, j_max=20)
+    assert str(err.value) == "grid supports only 16 basis states, j_max=20"
+    assert bdg._BASES[g] == {}
 
 
 def test_paper_literal_zero_coupling_sign_structure():

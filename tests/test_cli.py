@@ -385,7 +385,8 @@ def per_temperature_density(cfg, outdir):
     (None, True),
     ([0.5, 0.5, 0.2], True),
     (None, False),
-], ids=["bundled", "repeated-T", "no-depletion"])
+    ([0.0, 0.05], True),  # beta*E past expm1's overflow: exited 5 with OverflowError
+], ids=["bundled", "repeated-T", "no-depletion", "cold"])
 def test_density_sweep_matches_per_temperature_files(tmp_path, values, include):
     # one mode sum over the sweep and the temperature-independent columns
     # formatted once must write the bytes of the per-temperature route

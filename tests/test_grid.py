@@ -1,9 +1,16 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hybridbec import ConfigError, build_grid
+from hybridbec import ConfigError, PhysicalParams, build_grid
+from hybridbec.bdg import ATOM, MOLECULE
+from hybridbec.gpe import _one_body
 from hybridbec.grid import RadialGrid, RadialOperator, harmonic_potential, solve_banded_shifted
+
+import spectrum_reference as reference
 
 
 def test_grid_layout():
@@ -79,6 +86,72 @@ def test_oscillator_molecule_mass_scaling():
     op = RadialOperator.build(g, mass=2.0, potential=harmonic_potential(g, 2.0, 1.4))
     vals, _ = op.eigensolve(2)
     assert vals == pytest.approx([1.4 * 1.5, 1.4 * 3.5], abs=2e-3)
+
+
+def oscillator(species, n, l=0):
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4)
+    g = build_grid(r_max=8.0, n_points=n)
+    mass, omega, _ = _one_body(species, p)
+    return RadialOperator.build(g, mass, harmonic_potential(g, mass, omega), l=l)
+
+
+def same_arrays(a, b):
+    return (a.dtype, a.shape, a.strides, a.tobytes()) == (b.dtype, b.shape, b.strides, b.tobytes())
+
+
+@pytest.mark.parametrize("n", [16, 200, 400])
+@pytest.mark.parametrize("l", [0, 1, 3])
+@pytest.mark.parametrize("species", [ATOM, MOLECULE])
+def test_eigensolve_bit_identical_to_lapack_wrappers(species, l, n):
+    # the ctypes stebz/stein calls must give the f2py wrappers' pairs, and
+    # those of eigh_tridiagonal, to the bit and in the same memory layout
+    op = oscillator(species, n, l)
+    for n_modes in (1, 8, 32, n):
+        got = op.eigensolve(n_modes)
+        assert len(got[0]) == min(n_modes, n)
+        for ref in (reference.lapack_eigensolve(op.diag, op.offdiag, n_modes),
+                    reference.eigensolve(op.diag, op.offdiag, n_modes)):
+            assert same_arrays(got[0], ref[0]) and same_arrays(got[1], ref[1])
+
+
+def test_eigensolve_sorts_split_blocks_like_the_lapack_wrappers():
+    # a diagonal past 1/eps times the off-diagonal splits the matrix into
+    # 1x1 blocks, and stebz returns the levels block by block, unsorted
+    rng = np.random.default_rng(5)
+    op = RadialOperator(diag=rng.uniform(1e17, 1e18, 40), offdiag=-1.0)
+    vals, vecs = op.eigensolve(8)
+    assert np.all(np.diff(vals) > 0.0) and np.all(vecs[0] >= 0.0)
+    for ref in (reference.lapack_eigensolve(op.diag, op.offdiag, 8),
+                reference.eigensolve(op.diag, op.offdiag, 8)):
+        assert same_arrays(vals, ref[0]) and same_arrays(vecs, ref[1])
+
+
+def test_eigensolve_rejects_non_finite_operator_and_no_modes():
+    op = oscillator(ATOM, 200)
+    bad = op.diag.copy()
+    bad[7] = np.nan
+    for broken in (RadialOperator(bad, op.offdiag), RadialOperator(op.diag, np.inf)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            broken.eigensolve(4)
+    for n_modes in (0, -3):
+        with pytest.raises(ValueError, match="n_modes must be >= 1"):
+            op.eigensolve(n_modes)
+
+
+def test_eigensolve_on_two_threads_gives_serial_bytes():
+    ops = [oscillator(ATOM, 400), oscillator(MOLECULE, 400, l=1)]
+    serial = [op.eigensolve(32) for op in ops]
+    start = threading.Barrier(2)
+
+    def solve(op):
+        start.wait()
+        return [op.eigensolve(32) for _ in range(4)]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(solve, ops))
+    for (vals, vecs), results in zip(serial, runs):
+        for got_vals, got_vecs in results:
+            assert same_arrays(got_vals, vals) and same_arrays(got_vecs, vecs)
 
 
 def test_apply_matches_dense_matvec():

@@ -43,6 +43,16 @@ def test_occupation_classical_limit():
     assert bose_occupation(x, 1.0) == pytest.approx(1.0 / x - 0.5, rel=1e-3)
 
 
+def test_occupation_past_expm1_overflow():
+    # expm1 overflows past beta*E ~ 709.78; exp(-beta*E) is the occupation
+    # there, subnormal and then 0.0
+    assert bose_occupation(720.0, 1.0) == math.exp(-720.0)
+    assert 0.0 < bose_occupation(7.2, 100.0) < 2.3e-308
+    assert bose_occupation(8.0, 100.0) == 0.0
+    for x in (1.0, 40.0, 700.0, 709.78):
+        assert bose_occupation(x, 1.0) == 1.0 / math.expm1(x)
+
+
 def test_occupation_rejects_nonpositive_energy():
     with pytest.raises(DomainError):
         bose_occupation(0.0, 1.0)

@@ -2,37 +2,25 @@
 
 Three interchangeable methods solve the linearized fluctuation problem
 
-    L u - Delta v = E u,   Delta u - L v = E v,
+    L u - Delta v = E u,   Delta u - L v = E v
 
-with, for the atom sector,
-    L = -hbar^2 grad^2/2M + V_a + lambda*phi_m^2 + 2*lambda_a*phi_a^2 - mu_a
-    Delta(r) = lambda_a*phi_a^2 + 2*alpha*phi_m,
-and for the molecule sector (mass 2M, trap V_m, detuning eps)
-    L = -hbar^2 grad^2/4M + V_m + eps + lambda*phi_a^2 + 2*lambda_m*phi_m^2 - mu_m
-    Delta(r) = lambda_m*phi_m^2.
-This is the sector-decoupled approximation, and all three methods solve
-it: the a-m blocks, which couple atom and molecule fluctuations through
-lambda*phi_a*phi_m and the conversion amplitude alpha*phi_a, are
-dropped, so alpha enters only through the atom off-diagonal term.  The
-energy that `gpe` minimises does couple the sectors at this order; the
-coupled problem is ROADMAP item 2.
+of each species, where L + Delta and L - Delta are the species' blocks
+of the amplitude block A and the phase block B of the energy's second
+variation, which `gpe._second_variation` writes out.  This is the
+sector-decoupled approximation, and all three methods solve it: the a-m
+couplings of A and B are dropped, so alpha enters only through the atom
+Delta.  The energy that `gpe` minimises does couple the sectors at this
+order; the coupled problem is ROADMAP item 2.
 
 Methods:
 
 * ``direct_grid_spectrum``: the grid BdG problem per angular channel,
   with no approximation beyond the sector decoupling; this is the oracle
   the other two are judged against.  With g = u - v and f = u + v it reads
-  (L - Delta)(L + Delta) g = E^2 g.  In the A order the tridiagonal
-  L + Delta is factored as C C^T (C bidiagonal), and the lowest
-  eigenpairs of the symmetric pentadiagonal C^T (L - Delta) C give E^2,
-  g = C^-T y and f = C y / E.  Where L + Delta is not positive definite
-  (the l = 0 channel of an attractive species) the B order runs the
-  same algorithm on (L + Delta)(L - Delta) f = E^2 f, factoring
-  L - Delta, shifted above round-off where its Goldstone zero needs it.
-  E^2 ~ 0 is the Goldstone mode and is skipped; E^2 < 0 is a dynamical
-  instability, reported with its growth rate; a channel where neither
-  block is positive definite raises DomainError.  Where Delta = 0 the
-  modes are the eigenpairs of L itself, negative levels included.
+  (L - Delta)(L + Delta) g = E^2 g, a product of tridiagonal blocks
+  (`_product_form`).  In the A order L + Delta is factored; where it is
+  not positive definite (the l = 0 channel of an attractive species) the
+  B order factors L - Delta (`_swapped_channel`).
 
 * ``block_2x2_spectrum``: project onto auxiliary oscillator levels |j>
   and solve the standard symplectic 2x2 problem per level,
@@ -76,7 +64,8 @@ import scipy.linalg
 
 from .errors import ConfigError, DomainError, require_count
 from .gpe import (
-    ATOM, MOLECULE, CondensateState, _one_body, _operator, _second_variation,
+    ATOM, MOLECULE, CondensateState, _block_diagonals, _general_band, _one_body, _operator,
+    _second_variation,
 )
 from .grid import RadialGrid, RadialOperator, harmonic_potential
 from .params import PhysicalParams
@@ -243,17 +232,11 @@ def _build_both_bases(params: PhysicalParams, grid: RadialGrid, j_max: int) -> N
 
 
 def _backgrounds(state: CondensateState, params: PhysicalParams):
-    """(species, plus, delta, mu) for ATOM and then MOLECULE: the local
-    part of L + Delta (beyond the one-body operator and -mu), the
-    off-diagonal Delta(r) and mu.  L + Delta is the diagonal block of
-    the ground-state solver's Jacobian, read for both species from one
-    `gpe._second_variation` call; L itself carries W = (L + Delta) - Delta."""
-    p = params
-    k_a, k_m, _ = _second_variation(p, state.phi_a, state.phi_m)
-    return (
-        (ATOM, k_a, p.lambda_a * state.phi_a**2 + 2.0 * p.alpha * state.phi_m, state.mu_a),
-        (MOLECULE, k_m, p.lambda_m * state.phi_m**2, state.mu_m),
-    )
+    """(species, plus, delta, mu) for ATOM and then MOLECULE from one
+    `gpe._second_variation` call: the local part of L + Delta (beyond the
+    one-body operator and -mu), Delta(r) and mu; L carries W = plus - delta."""
+    k_a, k_m, _, delta_a, delta_m = _second_variation(params, state.phi_a, state.phi_m)
+    return (ATOM, k_a, delta_a, state.mu_a), (MOLECULE, k_m, delta_m, state.mu_m)
 
 
 def _projection(species, plus, delta, params, grid, j_max, convention):
@@ -420,14 +403,6 @@ def _real_rows(chi_u, chi_v, four_pi_h):
     return u * factor + 0.0, v * factor + 0.0
 
 
-def _tridiagonal_product(diag, offdiag, z):
-    """T z, T symmetric tridiagonal with a constant off-diagonal."""
-    tz = diag[:, None] * z
-    tz[:-1] += offdiag * z[1:]
-    tz[1:] += offdiag * z[:-1]
-    return tz
-
-
 def _solve_ct(c, y):
     """C^-T y for pbtrf's bidiagonal factor c, as solve_banded((0, 1), ...)."""
     upper = np.empty_like(c)  # C^T in upper band storage
@@ -471,12 +446,8 @@ def _product_form(factored, other, offdiag, n_modes, zero_e2):
     band[2, :-2] = offdiag * a[2:] * b[:-1]
     if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    # K in gbtrf's general band storage (two extra rows for the fill-in
-    # of partial pivoting), Fortran order so that gbtrf factors each
-    # shifted copy in place
-    full = np.zeros((7, n), order="F")
-    full[2, 2:], full[3, 1:] = band[2, :-2], band[1, :-1]
-    full[4:] = band
+    # gbtrf factors each shifted copy of K in place
+    full = _general_band(band)
     shifted = np.empty_like(full)
     ones = np.ones(n)
     count = min(n, n_modes + 2)
@@ -507,22 +478,22 @@ def _product_form(factored, other, offdiag, n_modes, zero_e2):
         # where eig_banded's eigenvalues carry eps*||K|| ~ eps*||Q||^2
         z = a[:, None] * y
         z[1:] += b[:, None] * y[:-1]
-        e2 = np.einsum("ik,ik->k", z, _tridiagonal_product(d, offdiag, z))
+        e2 = np.einsum("ik,ik->k", z, RadialOperator(d, offdiag).apply(z))
         zero = np.abs(e2) <= zero_e2
         if count - zero.sum() >= n_modes or count == n:
             return c, y, z, e2, zero
         count = min(n, 2 * count)
 
 
-def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
+def _banded_channel(plus_diag, minus_diag, offdiag, n_modes, zero_e2):
     """Lowest modes from (L - D)(L + D) g = E^2 g, g = u - v, in the A
     order: L + D is factored, g = C^-T y and f = u + v = C y / E.
     Returns (growth rates, energies, chi_u columns, chi_v columns,
     goldstone): each E^2 < -zero_e2 is an unstable mode, returned as its
     rate sqrt(-E^2) in place of vectors, and the |E^2| <= zero_e2 pairs
-    are counted in goldstone.  plus_diag is the diagonal of L + D.  None
-    when L + D is not positive definite."""
-    found = _product_form(plus_diag, plus_diag - 2.0 * delta, offdiag, n_modes, zero_e2)
+    are counted in goldstone.  plus_diag and minus_diag are the diagonals
+    of L + D and L - D.  None when L + D is not positive definite."""
+    found = _product_form(plus_diag, minus_diag, offdiag, n_modes, zero_e2)
     if found is None:
         return None
     c, y, z, e2, zero = found
@@ -535,7 +506,7 @@ def _banded_channel(plus_diag, offdiag, delta, n_modes, zero_e2):
     return rates, energies, (f + g) / 2.0, (f - g) / 2.0, 2 * int(zero.sum())
 
 
-def _swapped_channel(plus_diag, offdiag, delta, n_modes, zero_e2, max_shift):
+def _swapped_channel(plus_diag, minus_diag, offdiag, n_modes, zero_e2, max_shift):
     """`_banded_channel` in the B order, (L + D)(L - D) f = E^2 f with
     M + sigma = C C^T, M = L - D.  sigma = 0 is tried first, then
     n*eps*||M|| * 4^k to lift M's Goldstone zero above round-off, up to
@@ -545,7 +516,6 @@ def _swapped_channel(plus_diag, offdiag, delta, n_modes, zero_e2, max_shift):
     vectors come from M f alone, g = M f / E and f = (L + D) g / E: C^-T y
     amplifies M's Goldstone direction.  Same return value as
     `_banded_channel`; None when no shift factors M."""
-    minus_diag = plus_diag - 2.0 * delta
     sigma = 0.0
     while (found := _product_form(minus_diag + sigma, plus_diag, offdiag,
                                   n_modes, zero_e2)) is None:
@@ -560,7 +530,7 @@ def _swapped_channel(plus_diag, offdiag, delta, n_modes, zero_e2, max_shift):
     if sigma:  # at sigma = 0, f^T M f = y^T y = 1 without the ill-conditioned solve
         f = _solve_ct(c, y[:, keep])
         h -= sigma * f
-    qh = _tridiagonal_product(plus_diag, offdiag, h)
+    qh = RadialOperator(plus_diag, offdiag).apply(h)
     e2 = np.einsum("ik,ik->k", h, qh)
     if sigma:
         e2 /= np.einsum("ik,ik->k", f, h)
@@ -581,13 +551,12 @@ def direct_grid_spectrum(
     """Lowest n_modes modes per species in channel l; the oracle for
     the other methods.
 
-    Each channel is banded (module docstring): the eigensolve of L when
-    Delta = 0, else the product form factoring L + Delta or, where that
-    is not positive definite, L - Delta.  Modes come in ascending E^2:
-    an instability (E^2 < 0) first, as a mode with energy 0.0, its
-    growth rate in energy_imag and no vectors, then the positive-norm
-    modes, normalized to integral(u^2 - v^2) = 1 with the largest |u|
-    entry positive.  The Goldstone pair (|E|^2 at most
+    Each channel is banded (module docstring), and where Delta = 0 its
+    modes are the eigenpairs of L, negative levels included.  Modes come
+    in ascending E^2: an instability (E^2 < 0) first, as a mode with
+    energy 0.0, its growth rate in energy_imag and no vectors, then the
+    positive-norm modes, normalized to integral(u^2 - v^2) = 1 with the
+    largest |u| entry positive.  The Goldstone pair (|E|^2 at most
     ZERO_MODE_E2 * (hbar*omega_a)^2) is counted in ModeSet.skipped and
     logged at DEBUG.
 
@@ -602,8 +571,8 @@ def direct_grid_spectrum(
     unit = params.hbar * params.omega_a
     zero_e2 = ZERO_MODE_E2 * unit**2
     for species, plus, delta, mu in _backgrounds(state, params):
-        op = _operator(species, params, grid, plus, l)
-        plus_diag = op.diag - mu
+        op = _operator(species, params, grid, l)
+        plus_diag, minus_diag = _block_diagonals(op, plus, delta, mu)
         if not delta.any():
             # no anomalous term: E = eigenvalues of L, v = 0, signs kept
             energies, chi_u = RadialOperator(plus_diag, op.offdiag).eigensolve(n_modes)
@@ -611,8 +580,8 @@ def direct_grid_spectrum(
         else:
             # a Goldstone zero lambda of L - Delta reads as E^2 ~ lambda*hbar*omega,
             # so shifts past ZERO_MODE_E2*hbar*omega_a exceed round-off of it
-            found = (_banded_channel(plus_diag, op.offdiag, delta, n_modes, zero_e2)
-                     or _swapped_channel(plus_diag, op.offdiag, delta, n_modes, zero_e2,
+            found = (_banded_channel(plus_diag, minus_diag, op.offdiag, n_modes, zero_e2)
+                     or _swapped_channel(plus_diag, minus_diag, op.offdiag, n_modes, zero_e2,
                                          ZERO_MODE_E2 * unit))
         if found is None:
             raise DomainError(

@@ -43,7 +43,7 @@ from .errors import (
     ConvergenceError,
     SimulationError,
 )
-from .gpe import solve_coupled_gpe
+from .gpe import negative_phase_modes, solve_coupled_gpe
 from .params import chemical_equilibrium_gap
 from .thermal import density_profile, density_profiles, total_numbers
 from .uniform import figure3_curve
@@ -79,6 +79,7 @@ def cmd_ground(cfg: RunConfig, outdir: Path) -> list[Path]:
         "iterations": state.iterations,
         "n_a": cfg.params.n_a,
         "n_m": cfg.params.n_m,
+        "negative_phase_modes": negative_phase_modes(state, cfg.params, grid),
     }
     p = outdir / "ground_summary.json"
     p.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

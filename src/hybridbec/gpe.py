@@ -14,23 +14,20 @@ conversion terms reflects pair conversion: two atoms per molecule.
 Solver: energy descent, preconditioned Riemannian conjugate gradient on
 the energy at fixed norms (Antoine, Levitt & Tang, J. Comput. Phys. 343,
 92 (2017)): one tridiagonal solve per species and step and an Armijo
-line search, with no time step to tune; it replaced an imaginary-time
-flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) that stalled on
-dense clouds.  Once a check finds the defect below START_TOL, each step
-first tries the Newton step of the stationary equations bordered by the
-two norms as its search direction.  Newton alone converges to whatever
-stationary state is near; here the line search shortens a Newton step
-until it lowers the energy, and every step of that phase is checked for
-collapse.
+line search, with no time step to tune.  Once a check finds the defect
+below START_TOL, each step first tries the Newton step of the stationary
+equations bordered by the two norms as its search direction.  Newton
+alone converges to whatever stationary state is near; here the line
+search shortens a Newton step until it lowers the energy, and every step
+of that phase is checked for collapse.
 
 Sign convention: fields are real.  For alpha > 0 the energy term
 2*alpha*phi_a^2*phi_m is minimized by phi_m <= 0 (phi_m >= 0 for
 alpha < 0).  The descent does not find that branch by itself: started
-with the wrong molecular sign it can stop on a higher stationary
-state.  The default start (`gaussian_ansatz`) therefore seeds phi_m with
-the sign -sign(alpha); the solver then reports the natural sign rather
-than forcing phi_m >= 0.  (The gauge phi_m -> -phi_m, alpha -> -alpha is
-physically equivalent.)
+with the wrong molecular sign it can stop on a higher stationary state,
+a saddle that `negative_phase_modes` flags.  The default start
+(`gaussian_ansatz`) therefore seeds phi_m with the sign -sign(alpha).
+(The gauge phi_m -> -phi_m, alpha -> -alpha is physically equivalent.)
 """
 
 from __future__ import annotations
@@ -59,7 +56,10 @@ ARMIJO = 1e-4
 #: an RMS width below COLLAPSE_WIDTH*h raises CollapseError
 COLLAPSE_WIDTH = 4.0
 
-_GBSV = scipy.linalg.get_lapack_funcs("gbsv", dtype=np.float64)
+#: `negative_phase_modes` counts B eigenvalues below -PHASE_TOL*hbar*omega_a
+PHASE_TOL = 1e-6
+_GBSV, _PBTRF, _SBEVX = scipy.linalg.get_lapack_funcs(
+    ("gbsv", "pbtrf", "sbevx"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,11 @@ def _one_body(species: str, params: PhysicalParams) -> tuple[float, float, float
     raise ConfigError(f"unknown species '{species}'")
 
 
-def _operator(species: str, params: PhysicalParams, grid: RadialGrid, w=0.0, l=0):
-    """The species' one-body operator plus an optional local potential w."""
+def _operator(species: str, params: PhysicalParams, grid: RadialGrid, l=0):
+    """The species' one-body operator in angular channel l."""
     mass, omega, offset = _one_body(species, params)
     v = harmonic_potential(grid, mass, omega) + offset
-    return RadialOperator.build(grid, mass, v + w, hbar=params.hbar, l=l)
+    return RadialOperator.build(grid, mass, v, hbar=params.hbar, l=l)
 
 
 def _mean_fields(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarray):
@@ -139,19 +139,78 @@ def _mean_fields(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarray):
 
 def _second_variation(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarray,
                       c=None):
-    """Local part of the stationary equations' Jacobian in chi = r*phi:
-    (k_a, k_m, k_am).  Species s has the diagonal block H_s + k_s - mu_s,
-    which is also the BdG L + Delta of that species, and k_am couples
-    chi_a and chi_m.  c, the mean fields of `_gradients` at these fields,
-    spares recomputing them; a None mean field gives None for its block
-    and for k_am."""
+    """Local terms (k_a, k_m, k_am, delta_a, delta_m), in chi = r*phi, of
+    the energy's second variation about real fields psi = phi + x + i*y:
+    its amplitude block A on x has A_s = H_s + k_s - mu_s on species s and
+    the coupling k_am, its phase block B on y has B_s = A_s - 2*delta_s
+    and the coupling 2*alpha*phi_a (Timmermans et al., Phys. Rep. 315, 199
+    (1999)).  A is the Jacobian of the stationary equations; B (phi_a,
+    2*phi_m) = 0 at a stationary state (the Goldstone mode); A_s and B_s
+    are the BdG L + Delta and L - Delta.  c, the mean fields of
+    `_gradients` at these fields, spares recomputing them; a None mean
+    field gives None for the species' terms and k_am."""
     p = params
     c_a, c_m = _mean_fields(p, phi_a, phi_m) if c is None else c
     k_a = None if c_a is None else c_a + 2.0 * p.lambda_a * phi_a * phi_a
     k_m = None if c_m is None else c_m + 2.0 * p.lambda_m * phi_m * phi_m
     k_am = None if k_a is None or k_m is None else \
         2.0 * (p.lambda_am * phi_m + p.alpha) * phi_a
-    return k_a, k_m, k_am
+    delta_a = None if c_a is None else p.lambda_a * phi_a**2 + 2.0 * p.alpha * phi_m
+    delta_m = None if c_m is None else p.lambda_m * phi_m**2
+    return k_a, k_m, k_am, delta_a, delta_m
+
+
+def _block_diagonals(op: RadialOperator, k, delta, mu: float):
+    """Diagonals (A_s, B_s) of one species' blocks, op its one-body
+    operator in the channel wanted; A_s is summed in Newton's order."""
+    a = op.diag + k - mu
+    return a, a - 2.0 * delta
+
+
+def _band(params, ops, phi, mu, species, block="A", c=None):
+    """Block "A" or "B" with the two species' grid points interleaved (a_0,
+    m_0, a_1, ...), a band with two diagonals each side, in the lower band
+    storage of pbtrf and sbevx (3 rows of 2n).  A species not in `species`
+    gets identity rows and no coupling."""
+    k_a, k_m, k_am, *delta = _second_variation(params, phi[0], phi[1], c)
+    phase = block == "B"
+    band = np.zeros((3, 2 * len(phi[0])))
+    band[0] = 1.0
+    for s in species:
+        band[0, s::2] = _block_diagonals(ops[s], (k_a, k_m)[s], delta[s], mu[s])[phase]
+        band[2, s:-2:2] = ops[s].offdiag
+    if len(species) == 2:
+        band[1, 0::2] = 2.0 * params.alpha * phi[0] if phase else k_am
+    return band
+
+
+def _general_band(band: np.ndarray) -> np.ndarray:
+    """`_band`'s storage turned into the general band storage of gbsv and
+    gbtrf for kl = ku = 2: seven rows, the top two for the fill-in of
+    partial pivoting, in Fortran order so either routine works in place."""
+    full = np.zeros((7, band.shape[1]), order="F")
+    full[2, 2:], full[3, 1:] = band[2, :-2], band[1, :-1]
+    full[4:] = band
+    return full
+
+
+def negative_phase_modes(state: CondensateState, params: PhysicalParams,
+                         grid: RadialGrid) -> int:
+    """Eigenvalues of the phase block B below -PHASE_TOL*hbar*omega_a over
+    the populated species (an empty one keeps the start's mu): 0 on a
+    ground state, whose Goldstone zero stays above that, and 2 on the
+    phi_m >= 0 branch that an alpha > 0 descent reaches from a start of
+    that sign.  One pbtrf of B + PHASE_TOL*hbar*omega_a shows a count of
+    0; sbevx counts only when it fails."""
+    p = params
+    populated = [s for s, n in enumerate((p.n_a, p.n_m)) if n > 0.0]
+    ops = [_operator(s, p, grid) for s in (ATOM, MOLECULE)]
+    band = _band(p, ops, (state.phi_a, state.phi_m), (state.mu_a, state.mu_m), populated, "B")
+    tol = PHASE_TOL * p.hbar * p.omega_a
+    if not _PBTRF(band + [[tol], [0.0], [0.0]], lower=1)[1]:
+        return 0
+    floor = -1.0 - np.abs(band).max(axis=1) @ (1.0, 2.0, 2.0)  # below every eigenvalue
+    return int(_SBEVX(band, floor, -tol, 1, 1, compute_v=0, mmax=1, range=1, lower=1)[2])
 
 
 def gaussian_ansatz(params: PhysicalParams, grid: RadialGrid) -> CondensateState:
@@ -470,33 +529,19 @@ def _newton_step(params, grid, ops, phi, chi, c, mu, res, active):
     """Newton step {species: d} on the stationary equations with the
     norms as constraints, at mean fields c (from `_gradients`), chemical
     potentials mu and residuals res, or None when the bordered system is
-    singular.
-
-    The unknowns are chi_a, chi_m (interleaved a_0, m_0, a_1, ... so the
-    symmetric Jacobian is a band with two diagonals each side) and the mu
-    updates.  One banded solve for -res and the two border columns chi_a,
-    chi_m, then a 2x2 Schur system for the mu updates keeps
-    chi_s . d_s = 0.  An absent species' rows are the identity with zero
-    right-hand side.
-
-    The banded solve calls LAPACK gbsv as solve_banded((2, 2), ...) does:
-    the band in rows 2-6 of seven, the top two left for the fill-in of
-    the factorization, so the step is the same to the bit without the
-    checks and copies around the call.
-    """
+    singular.  The Jacobian is `_band`'s block A, identity rows with zero
+    right-hand side for an absent species.  One banded solve for -res and
+    the border columns chi_a, chi_m, then a 2x2 Schur system for the mu
+    updates keeps chi_s . d_s = 0.  gbsv is called as solve_banded((2,
+    2), ...) calls it, so the step is the same to the bit without the
+    checks and copies around the call."""
     n = grid.n_points
-    k = _second_variation(params, phi[0], phi[1], c)
+    ab = _general_band(_band(params, ops, phi, mu, active, c=c))
     # Fortran order, as gbsv takes its arrays, so neither is copied
-    ab = np.zeros((7, 2 * n), order="F")
-    ab[4] = 1.0
     rhs = np.zeros((2 * n, 3), order="F")
     for s in active:
-        ab[2, 2 + s::2] = ab[6, s:-2:2] = ops[s].offdiag
-        ab[4, s::2] = ops[s].diag + k[s] - mu[s]
         rhs[s::2, 0] = -res[s]
         rhs[s::2, 1 + s] = chi[s]
-    if len(active) == 2:
-        ab[3, 1::2] = ab[5, 0::2] = k[2]
     _, _, x, info = _GBSV(2, 2, ab, rhs, overwrite_ab=True, overwrite_b=True)
     if info > 0:
         return None

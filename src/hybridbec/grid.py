@@ -124,7 +124,8 @@ class RadialOperator:
         return cls(diag=diag, offdiag=-k)
 
     def apply(self, chi: np.ndarray) -> np.ndarray:
-        out = self.diag * chi
+        """The operator on chi, one vector or one per column."""
+        out = (self.diag if chi.ndim == 1 else self.diag[:, None]) * chi
         out[:-1] += self.offdiag * chi[1:]
         out[1:] += self.offdiag * chi[:-1]
         return out

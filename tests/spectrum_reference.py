@@ -9,8 +9,12 @@ mode.  The whole-array versions must give the same Mode fields to the
 bit, which `tests/test_bdg.py` checks.  The grid reference covers the
 Delta = 0 route and the stable channels where L + Delta is positive
 definite (the product form's A order); elsewhere it gives None.  Each
-species reads its background from a `gpe._second_variation` call of its
-own, where `bdg` makes one call per spectrum for both species.
+species reads its L + Delta terms from a `gpe._second_variation` call
+of its own, where `bdg` makes one call per spectrum for both species, and
+its Delta from the formulas written out here.  The grid reference sums
+the diagonals of L + Delta and L - Delta in the order `bdg` takes from
+`gpe._block_diagonals`: one-body operator, then the local terms, then
+-mu; L - Delta is L + Delta - 2 Delta.
 
 `lapack_eigensolve` is `RadialOperator.eigensolve` through scipy's f2py
 `stebz` and `stein` wrappers, which `hybridbec.grid` calls through ctypes.
@@ -63,9 +67,9 @@ def lapack_eigensolve(diag, offdiag, n_modes):
 
 
 def background(species, state, params):
-    """(plus, delta, mu) of one species, from its own second variation."""
+    """(plus, delta, mu) of one species, plus from its own second variation."""
     p = params
-    k_a, k_m, _ = _second_variation(p, state.phi_a, state.phi_m)
+    k_a, k_m = _second_variation(p, state.phi_a, state.phi_m)[:2]
     if species == ATOM:
         return k_a, p.lambda_a * state.phi_a**2 + 2.0 * p.alpha * state.phi_m, state.mu_a
     return k_m, p.lambda_m * state.phi_m**2, state.mu_m
@@ -171,9 +175,10 @@ def bdg_matrix(state, params, grid, species=ATOM, l=0):
     """Dense 2n x 2n block matrix [[L, -Delta], [Delta, -L]] for one
     angular channel, acting on stacked reduced functions (r*u, r*v)."""
     plus, delta, mu = background(species, state, params)
-    op = _operator(species, params, grid, plus - delta, l)
+    op = _operator(species, params, grid, l)
     n = grid.n_points
-    l_block = np.diag(op.diag - mu) + op.offdiag * (np.eye(n, k=1) + np.eye(n, k=-1))
+    l_block = np.diag(op.diag + (plus - delta) - mu) \
+        + op.offdiag * (np.eye(n, k=1) + np.eye(n, k=-1))
     d_block = np.diag(delta)
     return np.block([[l_block, -d_block], [d_block, -l_block]])
 
@@ -271,8 +276,8 @@ def direct_grid_spectrum(state, params, grid, l=0, n_modes=8):
     zero_e2 = ZERO_MODE_E2 * (params.hbar * params.omega_a) ** 2
     for species in (ATOM, MOLECULE):
         plus, delta, mu = background(species, state, params)
-        op = _operator(species, params, grid, plus, l)
-        plus_diag = op.diag - mu
+        op = _operator(species, params, grid, l)
+        plus_diag = op.diag + plus - mu
         if not delta.any():
             energies, chi_u = eigensolve(plus_diag, op.offdiag, n_modes)
             found = energies, chi_u, np.zeros_like(chi_u), 0

@@ -689,9 +689,10 @@ def test_spectra_match_per_mode_reference_bitwise(name):
 
 
 def test_one_second_variation_per_spectrum_call(equivalence_states, monkeypatch):
-    # both species' backgrounds come from one gpe._second_variation call
-    # per spectrum call (the four calls of an l_max = 1 spectrum --compare
-    # case make four), and equal the per-species reference to the bit
+    # both species' backgrounds, L + Delta's local terms and Delta, come
+    # from one gpe._second_variation call per spectrum call (the four
+    # calls of an l_max = 1 spectrum --compare case make four), and equal
+    # the per-species reference, whose Delta is its own formula, to the bit
     g, states = equivalence_states
     calls = []
     real = bdg._second_variation

@@ -84,6 +84,7 @@ def test_ground_noninteracting_summary(tmp_path):
     summary = json.loads((tmp_path / "ground_summary.json").read_text())
     assert summary["mu_a"] == pytest.approx(1.5, abs=1e-3)
     assert summary["residual"] < 1e-7
+    assert summary["negative_phase_modes"] == 0
     data = read_csv(tmp_path / "condensate.csv")
     assert data["r"].size == 400
     assert np.all(data["phi_m"] == 0.0)

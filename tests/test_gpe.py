@@ -75,14 +75,16 @@ def test_solve_thomas_fermi_limit():
 
 def test_solve_strong_coupling_regression():
     # omega_m = 1.4, alpha = 5*lambda_a, lambda_a = 0.1, N = 1e6 each;
-    # mu values are frozen regression anchors from this solver
+    # the anchors are the converged mu of this set, from a solve at
+    # SolverOptions(tol=1e-12, max_iters=60000) (residual 4.2e-15, 110
+    # steps); the default tol stops 2.1e-9 and 2.5e-10 from them
     g = build_grid(r_max=16.0, n_points=800)
     p = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, alpha=0.5,
                        lambda_am=0.1, lambda_m=0.05, n_a=1e6, n_m=1e6)
     s = solve_coupled_gpe(p, g, SolverOptions(max_iters=60000))
     assert s.residual < 1e-8
-    assert s.mu_a == pytest.approx(60.3663015446, rel=1e-8)
-    assert s.mu_m == pytest.approx(99.4505082335, rel=1e-8)
+    assert s.mu_a == pytest.approx(60.36630119894684, rel=1e-8)
+    assert s.mu_m == pytest.approx(99.45050798942498, rel=1e-8)
     # for alpha > 0 the energy term 2*alpha*phi_a^2*phi_m picks phi_m <= 0
     assert np.all(s.phi_m <= 1e-12)
     assert np.all(s.phi_a >= -1e-12)
@@ -91,7 +93,9 @@ def test_solve_strong_coupling_regression():
 def test_default_start_reaches_lowest_energy_branch():
     # alpha > 0: a phi_m >= 0 start stops on a stationary state at
     # E = 837.84; the default start, signed against alpha, reaches the
-    # phi_m <= 0 ground state with default options
+    # phi_m <= 0 ground state with default options.  The phase block B
+    # certifies the one (no negative eigenvalue) and flags the other (two,
+    # -3.171 and -0.225)
     g = build_grid(r_max=8.0, n_points=400)
     p = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
                        lambda_am=0.1, alpha=0.5, n_a=200.0, n_m=100.0)
@@ -99,6 +103,7 @@ def test_default_start_reaches_lowest_energy_branch():
     assert s.residual < 1e-8
     assert s.energy == pytest.approx(368.7505269, rel=1e-9)
     assert np.all(s.phi_m <= 0.0)
+    assert gpe.negative_phase_modes(s, p, g) == 0
 
     seed = gaussian_ansatz(p, g)
     assert np.all(seed.phi_m <= 0.0)
@@ -108,6 +113,7 @@ def test_default_start_reaches_lowest_energy_branch():
                               init=flipped)
     assert np.max(other.phi_m) > 0.0
     assert s.energy <= other.energy
+    assert gpe.negative_phase_modes(other, p, g) == 2
 
 
 def test_conversion_term_couples_equations():
@@ -526,6 +532,36 @@ def test_empty_species_terms_turn_tail_zeros_positive():
     (_, _), (c_a, c_m) = gpe._gradients(p, full_ops(p, WIDE), phi, chi, zero)
     assert c_m is None and not np.signbit(c_a[tail]).any()
     assert bits(c_a) == bits(gpe._mean_fields(p, *phi)[0])
+
+
+def band_product(band, x):
+    # the symmetric matrix of lower band storage `band` times x
+    y = band[0] * x
+    for k in (1, 2):
+        y[k:] += band[k, :-k] * x[:-k]
+        y[:-k] += band[k, :-k] * x[k:]
+    return y
+
+
+@pytest.mark.parametrize("name", ["item2", "density_sweep"])
+def test_phase_block_goldstone_mode(name):
+    # B (chi_a, 2 chi_m) = 0 at a stationary state: the one check of B's
+    # coupling 2*alpha*phi_a and of the -4*alpha*phi_m in B_a, which the
+    # decoupled oracle never reads
+    p, g = STAGE_SETS[name]
+    s = solve_coupled_gpe(p, g)
+    band = gpe._band(p, full_ops(p, g), (s.phi_a, s.phi_m), (s.mu_a, s.mu_m), [0, 1], "B")
+    x = np.empty(2 * g.n_points)
+    x[0::2], x[1::2] = g.r * s.phi_a, 2.0 * g.r * s.phi_m
+    assert np.linalg.norm(band_product(band, x)) / np.linalg.norm(x) < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_SETS))
+def test_ground_states_have_no_negative_phase_mode(name):
+    # the empty molecules of "decoupled" keep the start's mu_m, 2.5e-4 above
+    # the lowest level of their one-body operator: their rows are left out
+    p, g = STAGE_SETS[name]
+    assert gpe.negative_phase_modes(solve_coupled_gpe(p, g), p, g) == 0
 
 
 def newton_by_solve_banded(params, grid, ops, phi, chi, c, mu, res, active):

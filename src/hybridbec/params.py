@@ -148,11 +148,14 @@ class PhysicalParams:
         return d
 
 
-def _field_offset(params: PhysicalParams) -> float:
-    res = params.resonance
-    if res is None:
+def _resonance(params: PhysicalParams) -> FeshbachResonance:
+    if params.resonance is None:
         raise ConfigError("params.resonance is required for field-dependent quantities")
-    off = res.b - res.b0
+    return params.resonance
+
+
+def _field_offset(res: FeshbachResonance, b) -> float:
+    off = b - res.b0
     if abs(off) < SINGULARITY_FLOOR * res.delta:
         raise ResonanceSingularityError(
             f"|B - B0| = {abs(off):.3e} is below the singularity floor "
@@ -161,11 +164,17 @@ def _field_offset(params: PhysicalParams) -> float:
     return off
 
 
+def _scattering_length_at(res: FeshbachResonance, b) -> float:
+    """a_eff of `res` at the field b, which is checked finite as
+    resonance.b is; a field sweep needs no record per point."""
+    require_finite("resonance.b", b)
+    return res.a0 * (1.0 + res.delta / (-_field_offset(res, b)))
+
+
 def effective_scattering_length(params: PhysicalParams) -> float:
     """a_eff = a0 * (1 + Delta/(B0 - B)); may be negative (attraction)."""
-    off = _field_offset(params)
-    res = params.resonance
-    return res.a0 * (1.0 + res.delta / (-off))
+    res = _resonance(params)
+    return _scattering_length_at(res, res.b)
 
 
 def conversion_amplitude(params: PhysicalParams) -> float:
@@ -173,8 +182,8 @@ def conversion_amplitude(params: PhysicalParams) -> float:
 
     Monotonically increasing toward the resonant field, -> 0 far from it.
     """
-    off = _field_offset(params)
-    res = params.resonance
+    res = _resonance(params)
+    off = _field_offset(res, res.b)
     return math.sqrt(params.lambda_a * res.delta**2 / (2.0 * abs(off)))
 
 

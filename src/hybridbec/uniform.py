@@ -22,10 +22,10 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
-from .params import PhysicalParams, effective_scattering_length
+from .errors import ConfigError, DomainError, ResonanceSingularityError
+from .params import PhysicalParams, _scattering_length_at
 
 log = logging.getLogger(__name__)
 
@@ -130,11 +130,11 @@ def figure3_curve(
         density = n_total / size**power
     volume = n_total / density
 
+    res = params.resonance
     out: list[UniformGasPoint] = []
     for b in b_list:
-        p_at = replace(params, resonance=replace(params.resonance, b=b))
         try:
-            a_eff = effective_scattering_length(p_at)
+            a_eff = _scattering_length_at(res, b)
             if a_eff < 0.0:
                 cap = critical_number(size, a_eff)
                 regime = UNSTABLE if n_total > cap else STABLE
@@ -148,6 +148,6 @@ def figure3_curve(
                     b=b, a_eff=a_eff, n=density, regime=STABLE,
                     n0=n0, source="depletion",
                 ))
-        except DomainError as exc:
-            raise DomainError(f"field point B = {b:g} mT: {exc}") from exc
+        except (DomainError, ResonanceSingularityError) as exc:
+            raise type(exc)(f"field point B = {b:g} mT: {exc}") from exc
     return out

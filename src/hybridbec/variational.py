@@ -54,8 +54,12 @@ the scan is one lanes x coarse table.  The terms are evaluated once on
 the scan, and each lane's strengths, computed by the same scalar
 expressions as for a lane alone, are one row of the columns that
 multiply them; every cell is thus the single-lane scan's to the bit.
-The lanes are then refined one by one, in order, on Python floats, and
-a single minimization is a sweep of one lane.
+The lanes are then refined in order, each by a golden section over a
+flat kernel of its own (`_lane_kernel`: the same IEEE operations on
+Python floats, shape factors inline, terms of zero strength left out),
+once for all lanes of equal strengths and scan basin (the free gas's,
+say); each keeps its own N and resonant flag.  A single minimization is
+a sweep of one lane.
 """
 
 from __future__ import annotations
@@ -209,6 +213,44 @@ def _unbounded(mode: str, omega: float) -> BoundaryMinimumError:
     )
 
 
+def _lane_kernel(mode: str, p: PhysicalParams, c_lam, c_lama, c_alpha):
+    """omega -> G(omega) of one lane, raising where S/2 >= P: the
+    operations of `_mode_kernel` in its order, on Python floats (numpy's
+    array power is not libm pow to the bit), shape factors inline.
+
+    A term of zero strength (+0.0 or -0.0) is left out.  It only adds a
+    signed zero: each partial sum of P, from the positive oscillator
+    term on, is nonzero or +0.0 and keeps its bits, and S can lose only
+    the sign of a zero S, whose h = +-0.0 compares as 0.0 in `h >= P`
+    and `h > 0.0` and gives v = 0 either way.  No bit of G, of those
+    tests or of v moves.
+    """
+    hb, hb_wa2 = p.hbar, p.hbar * p.omega_a**2
+    w_lam, w_lama, w_alpha = 2.0 * p.omega_m, p.omega_a, p.omega_m
+    surface = mode == MODE_SURFACE
+    pre = 1.25 if surface else 1.75
+
+    def lowest(omega):
+        quad = pre * (hb * omega + hb_wa2 / omega)
+        if c_lam:
+            s = omega / (omega + w_lam)
+            quad += c_lam * (s**2.5 if surface else s**1.5 * (1.5 + s * (-3.0 + 2.5 * s)))
+        mix = 0.0
+        if c_lama:
+            s = omega / (omega + w_lama)
+            mix = c_lama * (s**2.5 if surface else s**1.5 * (1.5 + s * (-3.0 + 2.5 * s)))
+            quad += mix
+        if c_alpha:
+            s = omega / (omega + w_alpha)
+            mix += c_alpha * (s**2.5 if surface else s**1.5 * (1.5 + s * (-3.0 + 2.5 * s)))
+        h = 0.5 * mix
+        if h >= quad:
+            raise _unbounded(mode, omega)
+        return math.sqrt((quad - h) * (quad + h)) if h > 0.0 else quad
+
+    return lowest
+
+
 def _scan_table(parts, ws, strengths):
     """(G, first) on the scan ws for a block of lanes.
 
@@ -234,7 +276,8 @@ def _minimize_lanes(mode: str, lanes, box: SearchBox | None):
     The lanes must share hbar, mass, omega_a and omega_m, as a set and
     its alpha = lambda = 0 counterpart do.  Every lane is checked, then G
     is scanned for all of them at once (`_scan_table`, in blocks of at
-    most SCAN_BLOCK_CELLS cells, or one lane), and each lane is refined.
+    most SCAN_BLOCK_CELLS cells, or one lane), and each lane is refined,
+    once for all lanes of its strengths and basin.
     """
     if mode not in (MODE_SURFACE, MODE_BREATHING):
         raise ConfigError(f"unknown mode '{mode}'; expected '010' or '100'")
@@ -258,36 +301,33 @@ def _minimize_lanes(mode: str, lanes, box: SearchBox | None):
         basin += g.argmin(axis=1).tolist()
         del g  # so that no two blocks' tables are alive at once
 
-    for (params, _), n_a, (c_lam, c_lama, c_alpha), j, i in zip(
+    refined = {}
+    for (params, _), n_a, strengths, j, i in zip(
             lanes, populations, couplings, unbounded_at, basin):
         if j >= 0:
             raise _unbounded(mode, float(ws[j]))
-
-        def lowest(omega):
-            quad, mix = parts(omega, c_lam, c_lama, c_alpha)
-            h = 0.5 * mix
-            if h >= quad:
-                raise _unbounded(mode, omega)
-            return math.sqrt((quad - h) * (quad + h)) if h > 0.0 else quad
-
-        w_opt, energy = _golden_min(
-            lowest, float(ws[max(i - 1, 0)]), float(ws[min(i + 1, box.coarse - 1)]))
-        quad, mix = parts(w_opt, c_lam, c_lama, c_alpha)
-        v_opt = math.sinh(0.5 * math.atanh(0.5 * mix / quad)) if mix > 0.0 else 0.0
-
-        if not math.isfinite(energy):
-            raise BoundaryMinimumError(
-                f"mode {mode} energy functional overflowed in the search box at "
-                f"omega = {w_opt:.6g}; shrink the box",
-                v=v_opt, omega=w_opt, energy=energy,
-            )
-        if (v_opt > box.v_max or w_opt < box.omega_lo * (1.0 + EDGE_TOL)
-                or w_opt > box.omega_hi * (1.0 - EDGE_TOL)):
-            raise BoundaryMinimumError(
-                f"mode {mode} minimizer at or beyond the search boundary at "
-                f"(v, omega) = ({v_opt:.6g}, {w_opt:.6g}); widen the box",
-                v=v_opt, omega=w_opt, energy=energy,
-            )
+        key = (*strengths, i)
+        if key not in refined:
+            w_opt, energy = _golden_min(
+                _lane_kernel(mode, params, *strengths),
+                float(ws[max(i - 1, 0)]), float(ws[min(i + 1, box.coarse - 1)]))
+            quad, mix = parts(w_opt, *strengths)
+            v_opt = math.sinh(0.5 * math.atanh(0.5 * mix / quad)) if mix > 0.0 else 0.0
+            if not math.isfinite(energy):
+                raise BoundaryMinimumError(
+                    f"mode {mode} energy functional overflowed in the search box at "
+                    f"omega = {w_opt:.6g}; shrink the box",
+                    v=v_opt, omega=w_opt, energy=energy,
+                )
+            if (v_opt > box.v_max or w_opt < box.omega_lo * (1.0 + EDGE_TOL)
+                    or w_opt > box.omega_hi * (1.0 - EDGE_TOL)):
+                raise BoundaryMinimumError(
+                    f"mode {mode} minimizer at or beyond the search boundary at "
+                    f"(v, omega) = ({v_opt:.6g}, {w_opt:.6g}); widen the box",
+                    v=v_opt, omega=w_opt, energy=energy,
+                )
+            refined[key] = v_opt, w_opt, energy
+        v_opt, w_opt, energy = refined[key]
         yield VariationalResult(
             mode=mode, v_opt=v_opt, omega_opt=w_opt, energy=energy,
             n_atoms=n_a, resonant=(params.alpha != 0.0 or params.lambda_am != 0.0),

@@ -532,6 +532,21 @@ def test_fig3_curve_and_singularity(tmp_path):
     assert main(["fig3", "--config", cfg, "--out", str(tmp_path)]) == 5
 
 
+def test_singular_fig3_point_names_its_field(tmp_path, capsys):
+    # B = B0 in the middle of a sweep: exit 5 with the singularity's type,
+    # and the message says at which B, as a DomainError point's does
+    data = json.loads((CONFIGS / "fig3.json").read_text())
+    data["sweep"]["values"] = [99.9, 100.0, 100.1]
+    cfg = write_config(tmp_path, "singular.json", data)
+    capsys.readouterr()
+    assert main(["fig3", "--config", cfg, "--out", str(tmp_path / "out")]) == 5
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ResonanceSingularityError", "message": (
+        "field point B = 100 mT: |B - B0| = 0.000e+00 is below the singularity "
+        "floor 1.000e-11; the resonance point is excluded")}
+    assert not (tmp_path / "out").exists()
+
+
 def test_variational_pinned_minimum_exits_5(tmp_path, capsys):
     # the bundled parameters pin the minimiser at omega_lo = 0.2
     data = json.loads((CONFIGS / "variational_sweep.json").read_text())

@@ -1,11 +1,14 @@
 import logging
 import math
+import random
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybridbec import ConfigError, DomainError, PhysicalParams
-from hybridbec.errors import ResonanceSingularityError
+from hybridbec import ConfigError, DomainError, PhysicalParams, load_config
+from hybridbec.errors import ResonanceSingularityError, SimulationError
 from hybridbec.params import FeshbachResonance, effective_scattering_length
 from hybridbec.uniform import (
     STABLE,
@@ -13,6 +16,7 @@ from hybridbec.uniform import (
     critical_number,
     depletion_number,
     dispersion,
+    UniformGasPoint,
     figure3_curve,
     uniform_mu,
 )
@@ -221,8 +225,9 @@ def test_figure3_conventional_estimate_from_density():
 
 def test_figure3_error_paths():
     p = fig3_params()
-    with pytest.raises(ResonanceSingularityError):
-        figure3_curve(p, [100.0], density=1e15)
+    with pytest.raises(ResonanceSingularityError) as info:
+        figure3_curve(p, [99.9, 100.0], density=1e15)
+    assert str(info.value).startswith("field point B = 100 mT: |B - B0| = 0.000e+00")
     # repulsive point so close to resonance the depletion bracket fails
     with pytest.raises(DomainError) as info:
         figure3_curve(p, [99.9999], density=1e15)
@@ -233,3 +238,74 @@ def test_figure3_error_paths():
         figure3_curve(PhysicalParams(omega_a=1.0, omega_m=1.4, n_a=1e6), [99.9])
     with pytest.raises(ConfigError):
         figure3_curve(fig3_params(n_atoms=0.0), [99.9], density=1e15)
+
+
+def _reference_curve(p, b_list, density):
+    """figure3_curve with a parameter record per field point, a_eff from
+    `effective_scattering_length` of it (density given, paper estimate)."""
+    size, volume = math.sqrt(p.n_a / density), p.n_a / density
+    out = []
+    for b in b_list:
+        p_at = replace(p, resonance=replace(p.resonance, b=b))
+        try:
+            a = effective_scattering_length(p_at)
+            if a < 0.0:
+                cap = critical_number(size, a)
+                out.append(UniformGasPoint(b, a, density, UNSTABLE if p.n_a > cap else STABLE,
+                                           cap, "critical-number"))
+            else:
+                out.append(UniformGasPoint(b, a, density, STABLE,
+                                           depletion_number(p.n_a, volume, a), "depletion"))
+        except (DomainError, ResonanceSingularityError) as exc:
+            raise type(exc)(f"field point B = {b:g} mT: {exc}") from exc
+    return out
+
+
+def _curve_outcome(call):
+    """What a field curve returned, every float as its .hex(), or the type
+    and message of what it raised."""
+    try:
+        pts = call()
+    except SimulationError as exc:
+        return type(exc).__name__, str(exc)
+    return [(pt.b, float(pt.a_eff).hex(), pt.n, pt.regime, float(pt.n0).hex(), pt.source)
+            for pt in pts]
+
+
+def _jittered_fields(rng):
+    """Field lists as the benchmark draws them: both sides of B0 = 100,
+    each jittered by up to 4e-4 mT, never closer to B0 than about 1e-3."""
+    below = [100.0 - d for d in (0.1, 0.06, 0.04, 0.02, 0.01, 0.005)]
+    above = [100.0 + d for d in (0.001, 0.002, 0.003, 0.005, 0.007, 0.009,
+                                 0.012, 0.015, 0.02, 0.05, 0.1)]
+    jit = lambda: float(f"{2e-4 * (1.0 + (2.0 * rng.random() - 1.0)):.6g}")
+    return sorted(float(f"{b + jit():.7g}") for b in below + above)
+
+
+def test_figure3_is_the_per_point_record_curve_bit_for_bit():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "fig3.json")
+    curves = [(cfg.params, cfg.sweep["values"], cfg.uniform["density"])]
+    rng = random.Random(3)
+    for _ in range(10):
+        res = FeshbachResonance(a0=5e-7 * rng.uniform(0.9, 1.1), b0=100.0, delta=0.01, b=100.0)
+        p = PhysicalParams(omega_a=1.0, omega_m=1.4, n_a=1e6 * rng.uniform(0.8, 1.2),
+                           resonance=res)
+        curves.append((p, _jittered_fields(rng), 1e15 * rng.uniform(0.9, 1.1)))
+    p = fig3_params()
+    # integer and numpy fields, a singular one after a good one, and a
+    # depletion failure, each against the per-record curve
+    curves += [(p, [99, np.float64(100.004), 101], 1e15), (p, [99.9, 100.0], 1e15),
+               (p, [99.9, 99.9999], 1e15)]
+    kinds = set()
+    for p, bs, density in curves:
+        got = _curve_outcome(lambda: figure3_curve(p, bs, density=density))
+        assert got == _curve_outcome(lambda: _reference_curve(p, bs, density)), bs
+        kinds.add(got[0] if isinstance(got, tuple) else "returned")
+    assert kinds == {"returned", "ResonanceSingularityError", "DomainError"}
+    # a field that is not finite is the record's ConfigError, unprefixed
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError) as want:
+            replace(p.resonance, b=bad)
+        with pytest.raises(ConfigError) as got:
+            figure3_curve(p, [99.9, bad], density=1e15)
+        assert str(got.value) == str(want.value) == f"resonance.b must be a finite number, got {bad!r}"

@@ -274,6 +274,20 @@ def _parity_cases():
         )
         n = float(10.0 ** rng.uniform(1.0, 6.0))
         cases.append(("010" if k % 2 else "100", params, n, wide if k % 3 else SearchBox()))
+    # every zero pattern of the strengths (c_lam, c_lama, c_alpha), whose
+    # zero terms the refine leaves out: the free gas, bare lanes, lambda_a
+    # = 0 resonant sets, each as +0.0 and -0.0, attractive lambda_a and n_m > 0
+    for lambda_am, lambda_a, alpha in np.ndindex(2, 2, 2):
+        for zero in (0.0, -0.0):
+            params = PhysicalParams(
+                omega_a=1.0, omega_m=1.4, lambda_am=0.1 * lambda_am or zero,
+                lambda_a=0.1 * lambda_a or zero, alpha=0.5 * alpha or zero)
+            cases += [(mode, params, 1e4, wide) for mode in ("010", "100")]
+    # alpha alone at N = 1e4 is unbounded; at 1e3 and alpha = 0.01 it is not
+    for params in (replace(WEAK, lambda_a=-0.02), replace(ZERO, lambda_a=-0.001),
+                   replace(ZERO, alpha=0.01), replace(ZERO, lambda_a=-0.0, alpha=0.01),
+                   replace(WEAK, n_m=100.0), replace(WEAK, lambda_a=0.0, n_m=100.0)):
+        cases += [(mode, params, 1e3, wide) for mode in ("010", "100")]
     return cases
 
 
@@ -636,3 +650,49 @@ def test_sweep_over_a_fine_scan_is_its_single_lane_calls():
     bare = replace(WEAK, alpha=0.0, lambda_am=0.0)
     assert sweep_spectrum("100", WEAK, n_list, box) == [
         minimize_mode("100", p, n, box) for n in n_list for p in (WEAK, bare)]
+
+
+def test_lane_kernel_is_the_reference_g_bit_for_bit():
+    # the refine's kernel, which leaves out the terms of zero strength,
+    # against G of the reference kernel on and between the scan points:
+    # the same bits, or the same S/2 >= P error
+    for mode, params, n, box in _parity_cases():
+        n_m = params.n_m if params.n_m > 0 else n
+        parts = _reference_parts(mode, params, n, n_m)
+        lowest = variational._lane_kernel(mode, params, *_couplings(params, n, n_m))
+        for w in np.linspace(box.omega_lo, box.omega_hi, 4 * box.coarse + 1).tolist():
+            quad, mix = parts(w)
+            h = 0.5 * mix
+            if h >= quad:
+                with pytest.raises(BoundaryMinimumError) as info:
+                    lowest(w)
+                assert str(info.value) == str(variational._unbounded(mode, w))
+            else:
+                want = math.sqrt((quad - h) * (quad + h)) if h > 0.0 else quad
+                assert lowest(w).hex() == want.hex(), (mode, params, n, w)
+
+
+def test_lanes_of_equal_strengths_share_one_refine(monkeypatch):
+    # the free gas's lanes all have the strengths (0, 0, 0), as have the
+    # bare lanes of a lambda_a = 0 set: one golden section per mode for
+    # each such group, and every row is minimize_mode's at its N, to the bit
+    calls = []
+    real = variational._golden_min
+
+    def counting(g, a, b):
+        calls.append((a, b))
+        return real(g, a, b)
+
+    n_list = np.geomspace(1e4, 1e6, 9).tolist()
+    wide = SearchBox(omega_lo=0.005)
+    resonant = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_am=0.1, alpha=0.5)
+    for params, refines in ((ZERO, 1), (resonant, len(n_list) + 1)):
+        bare = replace(params, alpha=0.0, lambda_am=0.0)
+        for mode in ("010", "100"):
+            calls.clear()
+            monkeypatch.setattr(variational, "_golden_min", counting)
+            rows = sweep_spectrum(mode, params, n_list, wide)
+            monkeypatch.setattr(variational, "_golden_min", real)
+            assert len(calls) == refines, (mode, params)
+            want = [minimize_mode(mode, p, n, wide) for n in n_list for p in (params, bare)]
+            assert _fingerprint(lambda: rows) == _fingerprint(lambda: want)

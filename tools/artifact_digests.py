@@ -8,8 +8,9 @@ compare with ``diff``.
 Without arguments it reads ``configs/*.json``.  Each configuration runs
 under every subcommand, ``spectrum`` with ``--compare`` and with each
 ``--method``.  A subcommand that does not fit the configuration, or a
-run that fails, prints ``run exit N`` (2 for a config error) and any
-artifact it left.
+run that fails, prints ``run exit N`` (2 for a config error) followed by
+the JSON error line the CLI wrote to standard error, so a changed error
+message shows in the diff, and then any artifact it left.
 """
 
 import contextlib
@@ -34,10 +35,12 @@ RUNS = {
 def digests(config: Path, tmp: Path):
     for run, (command, *flags) in RUNS.items():
         name, out = f"{config.stem}.{run}", Path(tempfile.mkdtemp(dir=tmp))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command, "--config", str(config), "--out", str(out), *flags])
         if code:
-            yield f"{name} exit {code}"
+            # the error line is the last one: log warnings come before it
+            yield f"{name} exit {code} {err.getvalue().splitlines()[-1]}"
         for path in sorted(out.glob("*")):
             yield f"{name}/{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
 

@@ -137,8 +137,7 @@ def basis_levels(
     convention "oscillator3d" returns the s-wave 3D oscillator levels
     hbar*omega*(2j+3/2) instead; see module docstring.
     """
-    if j_max < 1:
-        raise ConfigError(f"j_max must be >= 1, got {j_max}")
+    j_max = require_count("j_max", j_max, 1)
     if convention not in CONVENTIONS:
         raise ConfigError(f"unknown basis convention '{convention}'")
     _, omega, _ = _one_body(species, params)
@@ -290,10 +289,12 @@ def paper_literal_spectrum(
     Coefficients follow f = Delta/(H - E^2) with no regularization; modes with
     f <= 1 get a negative discriminant and are flagged unstable instead
     of raising.  Stable modes are renormalized to integral(u^2-v^2) = +-1
-    and the raw A, B are kept in coeff_u, coeff_v.
+    and the raw A, B are kept in coeff_u, coeff_v.  Raises ConfigError
+    unless j_max is an integer >= 1.
     """
     if averaging not in AVERAGINGS:
         raise ConfigError(f"unknown averaging '{averaging}'")
+    j_max = require_count("j_max", j_max, 1)
     out = []
     for species, plus, delta, mu in _backgrounds(state, params):
         levels, _, w, amp = _projection(species, plus, delta, params, grid, j_max, convention)
@@ -352,7 +353,9 @@ def block_2x2_spectrum(
     flagged unstable with the growth rate in energy_imag.  For h_j < 0
     (level below the condensate chemical potential, under-resolved basis)
     the positive-norm branch energy is negative, reported as sign(h)*|E|.
+    Raises ConfigError unless j_max is an integer >= 1.
     """
+    j_max = require_count("j_max", j_max, 1)
     out = []
     for species, plus, delta, mu in _backgrounds(state, params):
         levels, chi, w, amp = _projection(species, plus, delta, params, grid, j_max, convention)

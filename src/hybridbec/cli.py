@@ -91,12 +91,12 @@ def _spectrum_by_method(method, cfg, state, grid):
     b = cfg.bdg
     if method == "paper":
         return list(paper_literal_spectrum(
-            state, cfg.params, grid, j_max=int(b["j_max"]),
+            state, cfg.params, grid, j_max=b["j_max"],
             averaging=b["averaging"], convention=b["convention"],
         ))
     if method == "block":
         return list(block_2x2_spectrum(
-            state, cfg.params, grid, j_max=int(b["j_max"]),
+            state, cfg.params, grid, j_max=b["j_max"],
             convention=b["convention"],
         ))
     if method == "grid":

@@ -204,7 +204,8 @@ def negative_phase_modes(state: CondensateState, params: PhysicalParams,
     0; sbevx counts only when it fails."""
     p = params
     populated = [s for s, n in enumerate((p.n_a, p.n_m)) if n > 0.0]
-    ops = [_operator(s, p, grid) for s in (ATOM, MOLECULE)]
+    ops = [_operator(name, p, grid) if s in populated else None
+           for s, name in enumerate((ATOM, MOLECULE))]
     band = _band(p, ops, (state.phi_a, state.phi_m), (state.mu_a, state.mu_m), populated, "B")
     tol = PHASE_TOL * p.hbar * p.omega_a
     if not _PBTRF(band + [[tol], [0.0], [0.0]], lower=1)[1]:
@@ -293,40 +294,22 @@ def gpe_defect(
     )
 
 
-def _gradients(params, ops, phi, chi, zero=(None, None)):
+def _gradients(params, ops, phi, chi):
     """((g_a, g_m), (c_a, c_m)): half the energy gradients in chi = r*phi,
-    (H_s + c_s) chi_s plus the source alpha*phi_a*chi_a, and c_s.  A
-    species with terms in `zero` (see `_zero_terms`) is empty: it gets
-    None for both and costs no arithmetic."""
+    (H_s + c_s) chi_s plus the source alpha*phi_a*chi_a, and c_s.  A None
+    operator marks an empty species, its field all zeros: it gets None
+    for both and costs no arithmetic, the other's mean field is
+    lambda_s*phi_s^2 and an empty atom field drops the source."""
     p = params
-    zero_a, zero_m = zero
-    if zero_a is None and zero_m is None:
+    if ops[0] is not None and ops[1] is not None:
         c_a, c_m = _mean_fields(p, phi[0], phi[1])
-        source = p.alpha * phi[0] * chi[0]
+        g_m = ops[1].apply(chi[1]) + c_m * chi[1] + p.alpha * phi[0] * chi[0]
     else:
-        c_a = None if zero_a is not None else p.lambda_a * (phi[0] * phi[0]) + zero_m
-        c_m = None if zero_m is not None else p.lambda_m * (phi[1] * phi[1]) + zero_a[0]
-        source = None if zero_a is None else zero_a[1]
+        c_a = None if ops[0] is None else p.lambda_a * (phi[0] * phi[0])
+        c_m = None if ops[1] is None else p.lambda_m * (phi[1] * phi[1])
+        g_m = None if c_m is None else ops[1].apply(chi[1]) + c_m * chi[1]
     g_a = None if c_a is None else ops[0].apply(chi[0]) + c_a * chi[0]
-    g_m = None if c_m is None else ops[1].apply(chi[1]) + c_m * chi[1] + source
     return (g_a, g_m), (c_a, c_m)
-
-
-def _zero_terms(params, phi, chi, species):
-    """(atom terms, molecule terms) of the listed species whose field is
-    all zeros, None for the others: what the zero field adds to the
-    other species' equations, computed as `_mean_fields` and `_gradients`
-    do - to c_a for the molecules, to c_m and the molecular source for
-    the atoms.  They are zero arrays, but of either sign, and adding them
-    as one array keeps every bit of the full sums, signs of zero
-    included, because (x + b) + c == x + (b + c) for zeros b and c."""
-    p = params
-    zero_a = zero_m = None
-    if 0 in species and not phi[0].any():
-        zero_a = (p.lambda_am * (phi[0] * phi[0]), p.alpha * phi[0] * chi[0])
-    if 1 in species and not phi[1].any():
-        zero_m = p.lambda_am * (phi[1] * phi[1]) + 2.0 * p.alpha * phi[1]
-    return zero_a, zero_m
 
 
 def _defect_size(d, chi, mu, scale):
@@ -347,18 +330,15 @@ def energy_functional(
     return _energy(params, grid, ops, phi, [grid.r * f for f in phi])
 
 
-def _energy(params, grid, ops, phi, chi, zero=(None, None)):
+def _energy(params, grid, ops, phi, chi):
     """`energy_functional` of phi = (phi_a, phi_m) and chi = r*phi; the
-    one-body part (kinetic + trap + offset) is 4*pi*h * chi.(H chi).
-
-    A species with terms in `zero` is empty and skipped.  Its terms are
-    zeros, so the sums without them differ from the full ones at most in
-    the sign of a zero sum, and adding the nonzero or +0 one-body part
-    (a sum started at +0.0) gives the same energy to the bit."""
+    one-body part (kinetic + trap + offset) is 4*pi*h * chi.(H chi).  A
+    species with a None operator is empty, its field all zeros, and its
+    terms are left out."""
     p = params
     four_pi_h = 4.0 * np.pi * grid.h
     one_body = 0.0
-    populated = [s for s in (0, 1) if zero[s] is None]
+    populated = [s for s in (0, 1) if ops[s] is not None]
     for s in populated:
         one_body += four_pi_h * float(np.dot(chi[s], ops[s].apply(chi[s])))
     if len(populated) == 2:
@@ -437,7 +417,8 @@ def _descent(params, grid, opts, start):
     energy differences reach round-off: no step, Newton or not, raises
     the energy by more.  A species with zero norm keeps its field and
     mu; when that field is all zeros, as the default start makes it, the
-    species costs no arithmetic per step (`_zero_terms`).
+    species gets no operator, and a None operator in `_gradients` and
+    `_energy` leaves it out at no arithmetic per step.
     """
     p = params
     r = grid.r
@@ -452,15 +433,14 @@ def _descent(params, grid, opts, start):
     mu = [float(start.mu_a), float(start.mu_m)]
     # an inactive species keeps chi, so its trial field is always the same
     kept = [None if s in active else chi[s] / r for s in (0, 1)]
-    zero = _zero_terms(p, phi, chi, [s for s in (0, 1) if s not in active])
-    ops = [_operator(name, p, grid) if zero[s] is None else None
+    ops = [_operator(name, p, grid) if s in active or phi[s].any() else None
            for s, name in enumerate((ATOM, MOLECULE))]
-    energy = _energy(p, grid, ops, phi, chi, zero)
+    energy = _energy(p, grid, ops, phi, chi)
     residual, width_floor, newton = math.inf, COLLAPSE_WIDTH * grid.h, False
     res, z, d, z_prev, rz_prev, tau = {}, {}, None, None, 0.0, 0.5
 
     for it in range(opts.max_iters + 1):
-        g, c = _gradients(p, ops, phi, chi, zero)
+        g, c = _gradients(p, ops, phi, chi)
         for s in active:
             mu[s] = float(np.dot(chi[s], g[s]) / np.dot(chi[s], chi[s]))
             res[s] = g[s] - mu[s] * chi[s]
@@ -512,7 +492,7 @@ def _descent(params, grid, opts, start):
                 t = chi[s] + tau * d[s]
                 trial_chi[s] = t * math.sqrt(norms[s] / float(np.dot(t, t)))
             trial_phi = [t / r if k is None else k for t, k in zip(trial_chi, kept)]
-            trial = _energy(p, grid, ops, trial_phi, trial_chi, zero)
+            trial = _energy(p, grid, ops, trial_phi, trial_chi)
             if trial <= energy + ARMIJO * tau * slope + slack:
                 break
             tau *= 0.5

@@ -24,7 +24,9 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, ResonanceSingularityError
+from .errors import (
+    ConfigError, DomainError, ResonanceSingularityError, require_finite, require_positive,
+)
 from .params import PhysicalParams, _scattering_length_at
 
 log = logging.getLogger(__name__)
@@ -113,8 +115,12 @@ def figure3_curve(
     r0; repulsive points the depleted population of N = params.n_a atoms
     in the volume V = N/n.  The density may be given directly (r0 then
     follows from the chosen estimate) or via r0 (defaulting to the
-    oscillator length).
+    oscillator length).  density and r0, when given, must be positive
+    finite numbers; anything else raises ConfigError.
     """
+    for name, value in (("density", density), ("r0", r0)):
+        if value is not None:
+            require_positive(name, require_finite(name, value))
     if params.resonance is None:
         raise ConfigError("field curve requires resonance parameters")
     n_total = params.n_a

@@ -293,6 +293,27 @@ def test_basis_spectra_reject_j_max_above_grid_size(monkeypatch, method, cpus):
     assert bdg._BASES[g] == {}
 
 
+@pytest.mark.parametrize("method", [block_2x2_spectrum, paper_literal_spectrum])
+def test_basis_spectra_take_an_integral_float_j_max(method):
+    # a config may store j_max as 4.0; it runs the same 4 levels as 4
+    g = build_grid(r_max=8.0, n_points=100)
+    s = gaussian_ansatz(ITEM2, g)
+    for got, ref in zip(method(s, ITEM2, g, j_max=4.0), method(s, ITEM2, g, j_max=4)):
+        assert [(m.j, m.branch, m.energy) for m in got.modes] == \
+            [(m.j, m.branch, m.energy) for m in ref.modes]
+        assert len(got.modes) == 8
+
+
+@pytest.mark.parametrize("j_max", [2.5, "4", True, 0])
+@pytest.mark.parametrize("method", [block_2x2_spectrum, paper_literal_spectrum,
+                                    lambda s, p, g, j_max: basis_levels(ATOM, p, j_max)],
+                         ids=["block", "paper", "levels"])
+def test_basis_spectra_reject_a_j_max_that_is_no_count(method, j_max):
+    g = build_grid(r_max=8.0, n_points=100)
+    with pytest.raises(ConfigError, match="j_max must be an integer >= 1"):
+        method(gaussian_ansatz(ITEM2, g), ITEM2, g, j_max=j_max)
+
+
 def test_paper_literal_zero_coupling_sign_structure():
     # closed form gives E_j^+ = -(level - mu); with mu = 3/2 the ladder
     # starts at +1 and walks down through zero

@@ -478,32 +478,37 @@ def full_ops(p, g):
     return [gpe._operator(s, p, g) for s in (gpe.ATOM, gpe.MOLECULE)]
 
 
+def empty_params(family, coupling):
+    return PhysicalParams(omega_a=1.0, omega_m=1.4,
+                          **EMPTY_FAMILIES[family], **COUPLINGS[coupling])
+
+
 @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
 @pytest.mark.parametrize("family", sorted(EMPTY_FAMILIES))
 def test_empty_species_skip_keeps_every_bit(monkeypatch, family, coupling):
     # every _gradients and _energy call of a descent with an empty species
-    # equals the full formulas on the same fields, signs of zero included
-    p = PhysicalParams(omega_a=1.0, omega_m=1.4,
-                       **EMPTY_FAMILIES[family], **COUPLINGS[coupling])
+    # gives the full formulas' g and E to the bit on the same fields; the
+    # mean field c only up to the sign of its zeros, which the full sum
+    # takes from the empty field's zero terms
+    p = empty_params(family, coupling)
     ops = full_ops(p, WIDE)
     gradients, energy = gpe._gradients, gpe._energy
     checked = []
 
-    def checked_gradients(params, ops_, phi, chi, zero):
-        assert any(z is not None for z in zero)
-        out = gradients(params, ops_, phi, chi, zero)
-        ref = gradients(params, ops, phi, chi)
-        for pair, ref_pair in zip(out, ref):
-            for s, z in enumerate(zero):
-                if z is None:
-                    assert bits(pair[s]) == bits(ref_pair[s])
-                else:
-                    assert pair[s] is None
+    def checked_gradients(params, ops_, phi, chi):
+        assert any(op is None for op in ops_)
+        (g, c), (g_ref, c_ref) = gradients(params, ops_, phi, chi), gradients(params, ops, phi, chi)
+        for s, op in enumerate(ops_):
+            if op is None:
+                assert g[s] is None and c[s] is None
+            else:
+                assert bits(g[s]) == bits(g_ref[s])
+                assert np.array_equal(c[s], c_ref[s])
         checked.append("gradients")
-        return out
+        return g, c
 
-    def checked_energy(params, grid, ops_, phi, chi, zero):
-        out = energy(params, grid, ops_, phi, chi, zero)
+    def checked_energy(params, grid, ops_, phi, chi):
+        out = energy(params, grid, ops_, phi, chi)
         assert bits(out) == bits(energy(params, grid, ops, phi, chi))
         checked.append("energy")
         return out
@@ -517,21 +522,31 @@ def test_empty_species_skip_keeps_every_bit(monkeypatch, family, coupling):
     assert "gradients" in checked and "energy" in checked
 
 
-def test_empty_species_terms_turn_tail_zeros_positive():
-    # the case the zero terms exist for: with attraction and no coupling the
-    # atoms' mean field is -0.0 in the underflowed tail, +0.0 in the full sum
-    p = PhysicalParams(omega_a=1.0, omega_m=1.4, **EMPTY_FAMILIES["attractive"])
-    start = gpe._gaussian_start(p, WIDE)
-    phi = (start.phi_a, start.phi_m)
-    chi = (WIDE.r * phi[0], WIDE.r * phi[1])
-    own = p.lambda_a * (phi[0] * phi[0])
-    tail = own == 0.0
-    assert tail.any() and np.signbit(own[tail]).all()
-    zero = gpe._zero_terms(p, phi, chi, (1,))
-    assert zero[0] is None and zero[1] is not None
-    (_, _), (c_a, c_m) = gpe._gradients(p, full_ops(p, WIDE), phi, chi, zero)
-    assert c_m is None and not np.signbit(c_a[tail]).any()
-    assert bits(c_a) == bits(gpe._mean_fields(p, *phi)[0])
+def ground_outcome(p):
+    # the converged state's fields, mu, energy, residual, iterations and
+    # phase-mode count, or the error the descent raised
+    try:
+        s = solve_coupled_gpe(p, WIDE)
+    except (CollapseError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc), exc.iterations
+    return ([bits(x) for x in (s.phi_a, s.phi_m, s.mu_a, s.mu_m, s.energy, s.residual)],
+            s.iterations, gpe.negative_phase_modes(s, p, WIDE))
+
+
+@pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+@pytest.mark.parametrize("family", sorted(EMPTY_FAMILIES))
+def test_empty_species_ground_state_matches_full_formulas(monkeypatch, family, coupling):
+    # the descent that leaves an empty species out reaches, to the bit, the
+    # ground state of one that evaluates the full two-species formulas
+    p = empty_params(family, coupling)
+    skipped = ground_outcome(p)
+    ops = full_ops(p, WIDE)
+    gradients, energy = gpe._gradients, gpe._energy
+    monkeypatch.setattr(gpe, "_gradients", lambda params, _, phi, chi:
+                        gradients(params, ops, phi, chi))
+    monkeypatch.setattr(gpe, "_energy", lambda params, grid, _, phi, chi:
+                        energy(params, grid, ops, phi, chi))
+    assert skipped == ground_outcome(p)
 
 
 def band_product(band, x):

@@ -168,6 +168,15 @@ def test_figure3_branches_and_zero_crossing():
     assert by_b[99.99].n0 < by_b[99.9].n0 < 1e6
 
 
+@pytest.mark.parametrize("name, value", [
+    ("density", math.nan), ("density", 0.0), ("density", -1.0),
+    ("r0", -2.0), ("r0", 0.0), ("r0", math.inf),
+])
+def test_figure3_rejects_a_nonpositive_or_nonfinite_size(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be a "):
+        figure3_curve(fig3_params(), [99.9, 100.005], **{name: value})
+
+
 def test_figure3_depends_on_field_only_through_a_eff():
     from dataclasses import replace
 

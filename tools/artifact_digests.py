@@ -4,23 +4,32 @@ compare with ``diff``.
 
     PYTHONPATH=src python tools/artifact_digests.py > digests.txt
     PYTHONPATH=src python tools/artifact_digests.py a.json b.json
+    PYTHONPATH=src python tools/artifact_digests.py --seeds 1 2 3 23
 
-Without arguments it reads ``configs/*.json``.  Each configuration runs
-under every subcommand, ``spectrum`` with ``--compare`` and with each
-``--method``.  A subcommand that does not fit the configuration, or a
-run that fails, prints ``run exit N`` (2 for a config error) followed by
-the JSON error line the CLI wrote to standard error, so a changed error
-message shows in the diff, and then any artifact it left.
+Without config arguments it reads ``configs/*.json``.  ``--seeds`` adds,
+after those, the case configs that ``perfbench/workloads.py``
+``build(workload, seed)`` returns for every workload at each seed, named
+``<workload>-<seed>-<case>``; the module is only read.  Each
+configuration runs under every subcommand, ``spectrum`` with
+``--compare`` and with each ``--method``.  A subcommand that does not fit
+the configuration, or a run that fails, prints ``run exit N`` (2 for a
+config error) followed by the JSON error line the CLI wrote to standard
+error, so a changed error message shows in the diff, and then any
+artifact it left.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 from hybridbec.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 RUNS = {
     "ground": ["ground"],
@@ -45,10 +54,29 @@ def digests(config: Path, tmp: Path):
             yield f"{name}/{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
 
 
+def workload_configs(seeds, tmp: Path):
+    """The benchmark's case configs at each seed, written to tmp."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    paths = []
+    for seed in seeds:
+        for workload in workloads.WORKLOADS:
+            for case in workloads.build(workload, seed):
+                path = tmp / f"{workload}-{seed}-{case.name}.json"
+                path.write_text(json.dumps(case.config, indent=1))
+                paths.append(path)
+    return paths
+
+
 if __name__ == "__main__":
-    root = Path(__file__).resolve().parent.parent
-    configs = [Path(a) for a in sys.argv[1:]] or sorted((root / "configs").glob("*.json"))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("configs", nargs="*", type=Path)
+    parser.add_argument("--seeds", nargs="+", type=int, default=[],
+                        help="also digest the benchmark's case configs at these seeds")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        for config in configs:
+        configs = args.configs or sorted((ROOT / "configs").glob("*.json"))
+        for config in configs + workload_configs(args.seeds, Path(tmp)):
             for line in digests(config, Path(tmp)):
                 print(line)

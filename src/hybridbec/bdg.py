@@ -39,14 +39,18 @@ auxiliary level ladder; "oscillator3d" uses the true s-wave 3D oscillator
 levels hbar*omega*(2j + 3/2).  The former is the default, the latter is
 what actually matches the direct grid spectrum.
 
-Both basis methods need each species' oscillator basis on the grid.
-Where neither is there and the process may run on two CPUs, one
-module-level worker thread builds the molecule basis while the calling
-thread builds the atom basis; the tridiagonal eigensolve releases the
-GIL, so the two run side by side, with the bits of a serial build.  An
-atom error is raised after the worker finishes, so a call raises what
-the serial order (atoms first) raised.  There is no option: on one CPU
-both are built in turn.
+Both species are solved side by side where the process may run on two
+CPUs (`_side_by_side`): one module-level worker thread builds the
+molecule's oscillator basis for the basis methods, where neither basis
+is on the grid, and solves the molecule channel of the grid oracle,
+while the calling thread does the atoms'.  The bisections that are most
+of that work, the tridiagonal eigensolve and the banded sbevx of
+`_product_form`, are LAPACK calls made through ctypes, which releases
+the GIL (scipy's wrappers hold it), so the two run at once, with the
+bits of a serial run.  An atom error is raised after the worker
+finishes, so a call raises what the serial order (atoms first) raised,
+and the grid oracle logs on the calling thread in that order.  There is
+no option: on one CPU both species are solved in turn.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from .gpe import (
     ATOM, MOLECULE, CondensateState, _block_diagonals, _general_band, _one_body, _operator,
     _second_variation,
 )
-from .grid import RadialGrid, RadialOperator, harmonic_potential
+from .grid import RadialGrid, RadialOperator, band_eigenvalues, harmonic_potential
 from .params import PhysicalParams
 
 log = logging.getLogger(__name__)
@@ -79,8 +83,8 @@ ZERO_MODE_E2 = 1e-6
 CONVENTIONS = ("paper", "oscillator3d")
 AVERAGINGS = ("density", "volume")
 
-_GBSV, _GBTRF, _GBTRS, _PBTRF, _SBEVX = scipy.linalg.get_lapack_funcs(
-    ("gbsv", "gbtrf", "gbtrs", "pbtrf", "sbevx"), dtype=np.float64)
+_GBSV, _GBTRF, _GBTRS, _PBTRF = scipy.linalg.get_lapack_funcs(
+    ("gbsv", "gbtrf", "gbtrs", "pbtrf"), dtype=np.float64)
 #: sbevx's absolute eigenvalue tolerance as eig_banded sets it
 _ABSTOL = 2.0 * scipy.linalg.lapack.dlamch("s")
 
@@ -192,7 +196,8 @@ def oscillator_basis(
 
 @functools.cache
 def _basis_worker() -> futures.ThreadPoolExecutor:
-    """The one thread that builds molecule bases, started at first use."""
+    """The one thread that solves the molecule's share of `_side_by_side`,
+    started at first use."""
     return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="hybridbec-basis")
 
 
@@ -207,27 +212,35 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _side_by_side(atom, molecule):
+    """(atom(), molecule()), the molecule's call on the basis worker
+    while this thread makes the atom's where the process may run on two
+    CPUs, else both here in turn.  Errors come as in the serial order:
+    an atom error is raised once the worker is done, else a molecule
+    error."""
+    if _cpus() < 2:
+        return atom(), molecule()
+    future = _basis_worker().submit(molecule)
+    try:
+        first = atom()
+    except BaseException:
+        future.exception()  # waits; the atom error wins, as in the serial order
+        raise
+    return first, future.result()
+
+
 def _build_both_bases(params: PhysicalParams, grid: RadialGrid, j_max: int) -> None:
     """Build the atom and molecule bases on grid at once where both are
-    missing: the molecule's on the basis worker, the atom's on this
-    thread.  The eigensolve releases the GIL, so the two run side by
-    side on two CPUs; with one CPU, or one basis already on the grid,
-    nothing is dispatched and `oscillator_basis` builds what is missing
-    when asked.  The grid's `_BASES` entry is made here, before the
-    worker reads it.  Errors come as in the serial order: an atom error
-    is raised once the worker is done, else a molecule error."""
+    missing (`_side_by_side`).  The eigensolve releases the GIL, so the
+    two run side by side on two CPUs; with one basis already on the grid
+    nothing is built here and `oscillator_basis` builds the other when
+    asked.  The grid's `_BASES` entry is made here, before the worker
+    reads it."""
     bases = _BASES.setdefault(grid, {})
-    if (_basis_key(ATOM, params, j_max) in bases
-            or _basis_key(MOLECULE, params, j_max) in bases
-            or _cpus() < 2):
-        return
-    molecule = _basis_worker().submit(oscillator_basis, MOLECULE, params, grid, j_max)
-    try:
-        oscillator_basis(ATOM, params, grid, j_max)
-    except BaseException:
-        molecule.exception()  # waits; the atom error wins, as in the serial order
-        raise
-    molecule.result()
+    if (_basis_key(ATOM, params, j_max) not in bases
+            and _basis_key(MOLECULE, params, j_max) not in bases):
+        _side_by_side(lambda: oscillator_basis(ATOM, params, grid, j_max),
+                      lambda: oscillator_basis(MOLECULE, params, grid, j_max))
 
 
 def _backgrounds(state: CondensateState, params: PhysicalParams):
@@ -427,7 +440,11 @@ def _product_form(factored, other, offdiag, n_modes, zero_e2):
     the vectors.  Every LAPACK routine is called directly, with the
     arguments of the scipy.linalg wrapper that runs it, so the bits are
     the wrapper's: pbtrf (cholesky_banded), sbevx (eig_banded,
-    eigenvalues by index).  Inverse iteration LU-factors K - E^2 I once
+    eigenvalues by index).  sbevx, the bisection that is most of a
+    channel, goes through ctypes (`grid.band_eigenvalues`) rather than
+    scipy's f2py wrapper, which holds the GIL for the whole call: that
+    way the molecule channel on the worker thread runs while the atom
+    channel bisects.  Inverse iteration LU-factors K - E^2 I once
     by gbtrf and both steps reuse the factors through gbtrs, the
     arithmetic of solve_banded((2, 2), ...) without its second
     factorization.  An exact zero pivot (info > 0) raises E^2 by the
@@ -459,12 +476,8 @@ def _product_form(factored, other, offdiag, n_modes, zero_e2):
         # cost O(n^3); each vector then takes two O(n) banded solves,
         # which reach round-off from a flat start (one leaves ~1e-6 of
         # the neighbouring modes at 800 points)
-        w, _, m, _, info = _SBEVX(band, 0.0, 1.0, 1, count, compute_v=0, mmax=1,
-                                  range=2, lower=1, overwrite_ab=0, abstol=_ABSTOL)
-        if info:
-            raise scipy.linalg.LinAlgError(f"banded eigensolve failed (LAPACK info {info})")
         y = np.empty((n, count))
-        for k, shift in enumerate(w[:m]):
+        for k, shift in enumerate(band_eigenvalues(band, True, 1, count, _ABSTOL)):
             while True:
                 shifted[...] = full
                 shifted[4] -= shift
@@ -561,7 +574,8 @@ def direct_grid_spectrum(
     positive-norm modes, normalized to integral(u^2 - v^2) = 1 with the
     largest |u| entry positive.  The Goldstone pair (|E|^2 at most
     ZERO_MODE_E2 * (hbar*omega_a)^2) is counted in ModeSet.skipped and
-    logged at DEBUG.
+    logged at DEBUG.  The two species' channels are solved side by side
+    on two CPUs (module docstring).
 
     Raises ConfigError unless l is an integer >= 0 and n_modes >= 1,
     and DomainError when neither L + Delta nor L - Delta is positive
@@ -569,11 +583,11 @@ def direct_grid_spectrum(
     """
     l = require_count("l", l, 0)
     n_modes = require_count("n_modes", n_modes, 1)
-    out = []
     four_pi_h = 4.0 * np.pi * grid.h
     unit = params.hbar * params.omega_a
     zero_e2 = ZERO_MODE_E2 * unit**2
-    for species, plus, delta, mu in _backgrounds(state, params):
+
+    def channel(species, plus, delta, mu):
         op = _operator(species, params, grid, l)
         plus_diag, minus_diag = _block_diagonals(op, plus, delta, mu)
         if not delta.any():
@@ -601,9 +615,15 @@ def direct_grid_spectrum(
             Mode(j=k, branch="+", energy=e, u=u_k, v=v_k, degeneracy=2 * l + 1, norm=1.0)
             for k, (e, u_k, v_k) in enumerate(zip(energies.tolist(), u, v), len(modes))
         ]
-        if goldstone:
+        return ModeSet(species=species, method="direct-grid", modes=modes, skipped=goldstone)
+
+    def logged(modes):  # on this thread, in the serial order
+        if modes.skipped:
             log.debug("%s l=%d: skipped the Goldstone pair (%d modes)",
-                      species, l, goldstone)
-        out.append(ModeSet(species=species, method="direct-grid", modes=modes,
-                           skipped=goldstone))
-    return out[0], out[1]
+                      modes.species, l, modes.skipped)
+        return modes
+
+    atom, molecule = _backgrounds(state, params)
+    atoms, molecules = _side_by_side(lambda: logged(channel(*atom)),
+                                     lambda: channel(*molecule))
+    return atoms, logged(molecules)

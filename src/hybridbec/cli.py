@@ -173,10 +173,9 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path, method: str | None = None,
 
 
 def cmd_density(cfg: RunConfig, outdir: Path) -> list[Path]:
-    if cfg.sweep and cfg.sweep["variable"] == "T":
-        t_values = cfg.sweep["values"]
-    else:
-        t_values = [cfg.params.temperature]
+    if cfg.sweep and cfg.sweep["variable"] != "T":
+        raise ConfigError("density takes a sweep over T only")
+    t_values = cfg.sweep["values"] if cfg.sweep else [cfg.params.temperature]
     # every temperature is checked before the ground state is solved
     sweep = [replace(cfg.params, temperature=float(t)) for t in t_values]
     grid, state = _solve_ground(cfg)

@@ -41,7 +41,9 @@ import scipy.linalg
 from .errors import (
     CollapseError, ConfigError, ConvergenceError, require_count, require_positive,
 )
-from .grid import RadialGrid, RadialOperator, harmonic_potential, solve_banded_shifted
+from .grid import (
+    RadialGrid, RadialOperator, band_eigenvalues, harmonic_potential, solve_banded_shifted,
+)
 from .params import PhysicalParams
 
 ATOM = "atom"
@@ -58,8 +60,7 @@ COLLAPSE_WIDTH = 4.0
 
 #: `negative_phase_modes` counts B eigenvalues below -PHASE_TOL*hbar*omega_a
 PHASE_TOL = 1e-6
-_GBSV, _PBTRF, _SBEVX = scipy.linalg.get_lapack_funcs(
-    ("gbsv", "pbtrf", "sbevx"), dtype=np.float64)
+_GBSV, _PBTRF = scipy.linalg.get_lapack_funcs(("gbsv", "pbtrf"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ def negative_phase_modes(state: CondensateState, params: PhysicalParams,
     if not _PBTRF(band + [[tol], [0.0], [0.0]], lower=1)[1]:
         return 0
     floor = -1.0 - np.abs(band).max(axis=1) @ (1.0, 2.0, 2.0)  # below every eigenvalue
-    return int(_SBEVX(band, floor, -tol, 1, 1, compute_v=0, mmax=1, range=1, lower=1)[2])
+    return len(band_eigenvalues(band, False, floor, -tol))
 
 
 def gaussian_ansatz(params: PhysicalParams, grid: RadialGrid) -> CondensateState:

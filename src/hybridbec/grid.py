@@ -88,6 +88,7 @@ def _lapack(name: str, n_chars: int, n_pointers: int):
 
 _STEBZ = _lapack("dstebz", 2, 16)
 _STEIN = _lapack("dstein", 0, 13)
+_SBEVX = _lapack("dsbevx", 3, 19)
 #: stebz's vl, vu and abstol, then il, as scipy's stebz wrapper passes
 #: them for eigh_tridiagonal(select="i")
 _STEBZ_REALS = np.array([0.0, 1.0, 0.0])
@@ -178,6 +179,44 @@ class RadialOperator:
         vals, vecs = vals[order], vecs[:, order]
         signs = np.where(vecs[0] < 0.0, -1.0, 1.0)
         return vals, vecs * signs
+
+
+def band_eigenvalues(band: np.ndarray, by_index: bool, low, high,
+                     abstol: float = 0.0) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric band matrix in lower band
+    storage `band` (kd + 1 rows of n columns): by_index the low-th to
+    the high-th, counted from 1, else those in the interval (low, high].
+
+    Calls LAPACK sbevx for eigenvalues alone with the arguments of scipy's
+    sbevx wrapper at compute_v=0, lower=1 (ldq = ldz = 1, work 7n, iwork
+    5n), so they are the wrapper's to the bit.  It is called through
+    ctypes for the reason `RadialOperator.eigensolve` gives: the
+    wrapper holds the GIL for the whole bisection, ctypes releases it.
+    sbevx reduces a copy of band in one workspace that holds every array
+    of the call; band is kept.  Like the wrapper, no finiteness check.
+    Raises scipy.linalg.LinAlgError when LAPACK reports a failure.
+    """
+    rows, n = band.shape
+    # doubles ab (rows x n, Fortran order), w (n), work (7n), vl, vu,
+    # abstol, q and z, then int32 n, kd, ldab, il, iu, ldq = ldz, m,
+    # info, ifail and iwork (5n)
+    reals = rows * n + 8 * n
+    space = np.empty(reals + 5 + (5 * n + 10) // 2)
+    vl, vu, il, iu = (0.0, 0.0, low, high) if by_index else (low, high, 1, 1)
+    space[:rows * n].reshape(n, rows)[...] = band.T
+    space[reals:reals + 3] = vl, vu, abstol
+    ints = space[reals + 5:].view(np.int32)
+    ints[:6] = n, rows - 1, rows, il, iu, 1
+    base = space.ctypes.data
+    ab, w, work, vl_, vu_, tol, q, z = (
+        base + 8 * k for k in (0, rows * n, rows * n + n, *range(reals, reals + 5)))
+    n_, kd, ldab, il_, iu_, ld1, m_, info_, ifail, iwork = (
+        base + 8 * (reals + 5) + 4 * k for k in range(10))
+    _SBEVX(b"N", b"I" if by_index else b"V", b"L", n_, kd, ab, ldab, q, ld1, vl_, vu_,
+           il_, iu_, tol, m_, w, z, ld1, work, iwork, ifail, info_)
+    if ints[7]:
+        raise scipy.linalg.LinAlgError(f"banded eigensolve failed (LAPACK info {ints[7]})")
+    return space[rows * n:rows * n + ints[6]]
 
 
 def solve_banded_shifted(

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import gc
+import json
 import logging
 import math
 import struct
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +26,13 @@ from hybridbec.bdg import (
     oscillator_basis,
     paper_literal_spectrum,
 )
+from hybridbec.cli import main
 from hybridbec.gpe import CondensateState, SolverOptions, gaussian_ansatz, solve_coupled_gpe
 from hybridbec.grid import RadialOperator
 
 import spectrum_reference as reference
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def plus_modes(modeset):
@@ -159,6 +164,10 @@ ITEM2 = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
                        lambda_am=0.1, alpha=0.5, n_a=200.0, n_m=100.0)
 
 
+def thread_kind():
+    return "main" if threading.current_thread() is threading.main_thread() else "worker"
+
+
 def record_basis_threads(monkeypatch, fail=None):
     # (thread kind, n_modes) of every basis eigensolve, with the kind
     # "main" or "worker", and the species of every basis the worker was
@@ -169,12 +178,12 @@ def record_basis_threads(monkeypatch, fail=None):
     basis = bdg.oscillator_basis
 
     def dispatch_recording(species, *args):
-        if threading.current_thread() is not threading.main_thread():
+        if thread_kind() == "worker":
             dispatched.append(species)
         return basis(species, *args)
 
     def recording(op, n_modes):
-        kind = "main" if threading.current_thread() is threading.main_thread() else "worker"
+        kind = thread_kind()
         if kind == "worker":
             time.sleep(0.05)  # finish after the calling thread
         solved.append((kind, n_modes))
@@ -247,9 +256,10 @@ def test_basis_spectra_from_many_threads_match_serial(monkeypatch):
     # modes and every grid ends with one basis per species
     monkeypatch.setattr(bdg, "_cpus", lambda: 2)
     s = gaussian_ansatz(ITEM2, build_grid(r_max=8.0, n_points=200))
-    calls = [(block_2x2_spectrum, {}), (paper_literal_spectrum, {"averaging": "volume"})]
-    want = [fn(s, ITEM2, build_grid(r_max=8.0, n_points=200), j_max=8, **kw)
-            for fn, kw in calls]
+    calls = [(block_2x2_spectrum, {"j_max": 8}),
+             (paper_literal_spectrum, {"j_max": 8, "averaging": "volume"}),
+             (direct_grid_spectrum, {"l": 1})]
+    want = [fn(s, ITEM2, build_grid(r_max=8.0, n_points=200), **kw) for fn, kw in calls]
     shared = build_grid(r_max=8.0, n_points=200)
     grids, errors = [], []
 
@@ -259,7 +269,7 @@ def test_basis_spectra_from_many_threads_match_serial(monkeypatch):
                 g = shared if k == 1 else build_grid(r_max=8.0, n_points=200)
                 grids.append(g)
                 for (fn, kw), ref in zip(calls, want):
-                    for got, expected in zip(fn(s, ITEM2, g, j_max=8, **kw), ref):
+                    for got, expected in zip(fn(s, ITEM2, g, **kw), ref):
                         assert_same_modes(got, expected)
         except BaseException as exc:
             errors.append(exc)
@@ -279,6 +289,108 @@ def test_basis_spectra_from_many_threads_match_serial(monkeypatch):
     assert len(grids) == 18
     assert all(sorted(bdg._BASES[g]) == sorted(bdg._basis_key(sp, ITEM2, 8)
                                                 for sp in (ATOM, MOLECULE)) for g in grids)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("name", ["decoupled", "item2", "atoms-2", "molecules-2"])
+def test_direct_grid_channels_side_by_side_match_serial(monkeypatch, name, n):
+    # with two CPUs the worker solves the molecule channel while the
+    # calling thread solves the atoms'; the modes are the one-CPU run's
+    # to the bit, the B order (each attractive species at l = 0) included
+    p = EQUIVALENCE_SETS[name] if name in EQUIVALENCE_SETS else ATTRACTIVE_SETS[name][1]
+    g = build_grid(r_max=8.0, n_points=n)
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    channels, swapped = [], []
+    operator, swapped_channel = bdg._operator, bdg._swapped_channel
+
+    def recording_operator(species, *args):
+        channels.append((thread_kind(), species))
+        return operator(species, *args)
+
+    def recording_swapped(*args):
+        swapped.append(thread_kind())
+        return swapped_channel(*args)
+
+    monkeypatch.setattr(bdg, "_operator", recording_operator)
+    monkeypatch.setattr(bdg, "_swapped_channel", recording_swapped)
+    for l in (0, 1, 2):
+        monkeypatch.setattr(bdg, "_cpus", lambda: 1)
+        serial = direct_grid_spectrum(s, p, g, l=l)
+        assert channels == [("main", ATOM), ("main", MOLECULE)]
+        del channels[:]
+        monkeypatch.setattr(bdg, "_cpus", lambda: 2)
+        for got, ref in zip(direct_grid_spectrum(s, p, g, l=l), serial):
+            assert_same_modes(got, ref)
+        assert sorted(channels) == [("main", ATOM), ("worker", MOLECULE)]
+        del channels[:]
+    # the B order ran once per CPU count, on the thread of its species
+    assert swapped == {"atoms-2": ["main"] * 2, "molecules-2": ["main", "worker"]}.get(name, [])
+
+
+def test_direct_grid_logs_goldstone_pairs_on_the_calling_thread(monkeypatch, caplog):
+    # both species populated and uncoupled: each l = 0 channel skips its
+    # Goldstone pair, logged at DEBUG by the calling thread, atoms first
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
+                       n_a=100.0, n_m=100.0)
+    g = build_grid(r_max=8.0, n_points=200)
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    for cpus in (1, 2):
+        monkeypatch.setattr(bdg, "_cpus", lambda: cpus)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hybridbec.bdg"):
+            spectra = direct_grid_spectrum(s, p, g, l=0)
+        assert [ms.skipped for ms in spectra] == [2, 2]
+        assert [(r.threadName, r.getMessage()) for r in caplog.records] == [
+            ("MainThread", f"{species} l=0: skipped the Goldstone pair (2 modes)")
+            for species in (ATOM, MOLECULE)]
+
+
+def test_direct_grid_raises_the_atom_error_after_the_worker(monkeypatch):
+    # the item-2 set with mu_a raised by 3 and mu_m by 5: neither block of
+    # either channel is positive definite.  The atom error is raised once
+    # the worker has finished the molecule channel, as in the serial
+    # order; with mu_a kept the molecule error is raised
+    monkeypatch.setattr(bdg, "_cpus", lambda: 2)
+    p = EQUIVALENCE_SETS["item2"]
+    g = build_grid(r_max=8.0, n_points=200)
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    finished = []
+    swapped_channel = bdg._swapped_channel
+
+    def slow_on_worker(*args):
+        found = swapped_channel(*args)
+        if thread_kind() == "worker":
+            time.sleep(0.05)  # finish after the calling thread
+            finished.append(found)
+        return found
+
+    monkeypatch.setattr(bdg, "_swapped_channel", slow_on_worker)
+    for mu_a, error in ((s.mu_a + 3.0, "atom"), (s.mu_a, "molecule")):
+        del finished[:]
+        state = CondensateState(grid=g, phi_a=s.phi_a, phi_m=s.phi_m,
+                                mu_a=mu_a, mu_m=s.mu_m + 5.0)
+        with pytest.raises(DomainError, match=f"^{error} l=1:"):
+            direct_grid_spectrum(state, p, g, l=1)
+        assert finished == [None]  # the worker's B order had failed
+
+
+def test_spectrum_compare_writes_the_same_bytes_with_one_or_two_cpus(tmp_path, monkeypatch):
+    # spectrum --compare with the channels and bases solved in turn or
+    # side by side: spectrum_weak (molecules with Delta = 0) and the
+    # item-2 set (both species with Delta) over l = 0..2
+    item2 = {"params": dataclasses.asdict(EQUIVALENCE_SETS["item2"]),
+             "grid": {"r_max": 8.0, "n_points": 200}, "bdg": {"j_max": 12, "l_max": 2}}
+    configs = [str(CONFIGS / "spectrum_weak.json"), str(tmp_path / "item2.json")]
+    (tmp_path / "item2.json").write_text(json.dumps(item2))
+    written = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(bdg, "_cpus", lambda: cpus)
+        for k, config in enumerate(configs):
+            out = tmp_path / f"{cpus}-{k}"
+            assert main(["spectrum", "--compare", "--config", config, "--out", str(out)]) == 0
+            written[cpus, k] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    for k in range(len(configs)):
+        assert len(written[1, k]) == 4 and written[1, k] == written[2, k]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -780,11 +892,24 @@ def test_dense_route_skips_goldstone_pair(equivalence_states, mu_shift):
 
 
 @pytest.mark.parametrize("field", ["phi_a", "mu_m"], ids=["banded", "delta-zero"])
-def test_direct_grid_rejects_non_finite_background(equivalence_states, field):
+def test_direct_grid_rejects_non_finite_background(equivalence_states, monkeypatch, field):
     # stebz and sbevx return eigenvalues for a NaN matrix without an
     # error, so both routes keep the finiteness check of the scipy
     # wrappers they bypass: a NaN in the atoms' condensate reaches the
-    # banded route, a NaN mu_m the molecules' Delta = 0 route
+    # banded route, a NaN mu_m the molecules' Delta = 0 route, which
+    # with two CPUs runs on the worker and raises from there.  The atoms'
+    # error is the one raised, as in the serial order
+    raised_on = []
+    solve = RadialOperator.eigensolve
+
+    def recording(op, n_modes):
+        try:
+            return solve(op, n_modes)
+        except ValueError:
+            raised_on.append(thread_kind())
+            raise
+
+    monkeypatch.setattr(RadialOperator, "eigensolve", recording)
     g, states = equivalence_states
     p, s = EQUIVALENCE_SETS["decoupled"], states["decoupled"]
     fields = {"phi_a": s.phi_a.copy(), "phi_m": s.phi_m, "mu_a": s.mu_a, "mu_m": s.mu_m}
@@ -792,8 +917,16 @@ def test_direct_grid_rejects_non_finite_background(equivalence_states, field):
         fields["phi_a"][10] = np.nan
     else:
         fields["mu_m"] = np.nan
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        direct_grid_spectrum(CondensateState(grid=g, **fields), p, g, l=0)
+    for cpus in (1, 2):
+        monkeypatch.setattr(bdg, "_cpus", lambda: cpus)
+        del raised_on[:]
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            direct_grid_spectrum(CondensateState(grid=g, **fields), p, g, l=0)
+        # lambda_am * NaN puts the NaN of phi_a in the molecules' L too: the
+        # worker's error is dropped for the atoms' one, which the serial
+        # order raised before the molecule channel ran
+        assert raised_on == {("phi_a", 1): [], ("phi_a", 2): ["worker"],
+                             ("mu_m", 1): ["main"], ("mu_m", 2): ["worker"]}[field, cpus]
 
 
 def test_direct_grid_keeps_sign_without_anomalous_term():
@@ -870,7 +1003,9 @@ def test_direct_grid_zero_pivot_moves_shift(name, monkeypatch):
     # info > 0) moves that shift by the least step that changes the
     # factored diagonal and factors again; the modes equal the unforced
     # run's to 1e-12.  The first factored channel is the atoms' l = 0:
-    # the A order for item-2, the B order for the attractive set
+    # the A order for item-2, the B order for the attractive set.  One
+    # CPU, so the item-2 molecules' gbtrf calls come after the atoms'
+    monkeypatch.setattr(bdg, "_cpus", lambda: 1)
     p, n = BITWISE_SETS[name]
     g = build_grid(r_max=8.0, n_points=n)
     s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))

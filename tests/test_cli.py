@@ -429,6 +429,33 @@ def test_negative_sweep_temperature_fails_before_the_solve(tmp_path, monkeypatch
     assert solves == [1]
 
 
+@pytest.mark.parametrize("config", ["variational_sweep.json", "fig3.json"])
+def test_density_rejects_a_sweep_over_n_or_b(tmp_path, monkeypatch, capsys, config):
+    # a sweep over N or B used to run one profile at params.temperature
+    # and exit 0; now it exits 2 before the ground solve, as variational
+    # and fig3 do for the wrong variable
+    solves = []
+    solve = cli.solve_coupled_gpe
+    monkeypatch.setattr(cli, "solve_coupled_gpe",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["density", "--config", str(CONFIGS / config), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ConfigError", "message": "density takes a sweep over T only"}
+    assert solves == [] and not out.exists()
+    # without a sweep the same parameters run one profile at params.temperature
+    data = json.loads((CONFIGS / config).read_text())
+    del data["sweep"]
+    data["grid"] = {"r_max": 8.0, "n_points": 100}
+    data["thermal"] = {"j_max": 8}
+    data["params"]["temperature"] = 0.5
+    path = write_config(tmp_path, "no_sweep.json", data)
+    assert main(["density", "--config", path, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["density_000.csv"]
+    assert "# temperature: 0.5" in (out / "density_000.csv").read_text().splitlines()
+
+
 def test_cli_has_every_name_the_benchmark_tracer_wraps():
     # perfbench/tracing.py replaces these cli attributes by name while a
     # traced case runs; a missing one aborts the traced benchmark

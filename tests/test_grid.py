@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hybridbec import ConfigError, PhysicalParams, build_grid
-from hybridbec.bdg import ATOM, MOLECULE
-from hybridbec.gpe import _one_body
-from hybridbec.grid import RadialGrid, RadialOperator, harmonic_potential, solve_banded_shifted
+from hybridbec import ConfigError, PhysicalParams, bdg, build_grid, gpe
+from hybridbec.bdg import ATOM, MOLECULE, direct_grid_spectrum
+from hybridbec.gpe import CondensateState, _one_body, gaussian_ansatz, solve_coupled_gpe
+from hybridbec.grid import (
+    RadialGrid, RadialOperator, band_eigenvalues, harmonic_potential, solve_banded_shifted,
+)
 
 import spectrum_reference as reference
 
@@ -152,6 +154,104 @@ def test_eigensolve_on_two_threads_gives_serial_bytes():
     for (vals, vecs), results in zip(serial, runs):
         for got_vals, got_vecs in results:
             assert same_arrays(got_vals, vals) and same_arrays(got_vecs, vecs)
+
+
+#: the decoupled, item-2 and attractive sets of tests/test_bdg.py; the
+#: attractive atoms' l = 0 channel takes the B order
+BAND_SETS = {
+    "decoupled": PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, n_a=100.0),
+    "item2": PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
+                            lambda_am=0.1, alpha=0.5, n_a=200.0, n_m=100.0),
+    "attractive": PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=-0.02, n_a=100.0),
+}
+
+
+def symmetric_bands(p, state, g, monkeypatch):
+    # every band the grid oracle hands band_eigenvalues over l = 0..1 (K
+    # of the A or B order per species), then gpe's interleaved A and B
+    # blocks of the second variation
+    bands = []
+
+    def capturing(band, *args):
+        bands.append(band.copy())
+        return band_eigenvalues(band, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bdg, "band_eigenvalues", capturing)
+        for l in (0, 1):
+            direct_grid_spectrum(state, p, g, l=l)
+    ops = [gpe._operator(species, p, g) for species in (ATOM, MOLECULE)]
+    fields, mu = (state.phi_a, state.phi_m), (state.mu_a, state.mu_m)
+    return bands + [gpe._band(p, ops, fields, mu, [0, 1], block) for block in "AB"]
+
+
+def assert_band_eigenvalues_match_wrapper(band):
+    # by index as the oracle asks, by value as negative_phase_modes asks
+    # (floor below every eigenvalue), each also with the other tolerance
+    kept = band.copy()
+    floor = -1.0 - np.abs(band).max(axis=1) @ (1.0, 2.0, 2.0)
+    lowest = band_eigenvalues(band, True, 1, 10, bdg._ABSTOL)
+    for by_index, low, high, abstol in (
+            (True, 1, 10, bdg._ABSTOL), (True, 3, 20, 0.0), (False, floor, -1e-6, 0.0),
+            (False, floor, (lowest[4] + lowest[5]) / 2.0, bdg._ABSTOL)):
+        got = band_eigenvalues(band, by_index, low, high, abstol)
+        args = (0.0, 1.0, low, high, 2) if by_index else (low, high, 1, 1, 1)
+        w, _, m, _, info = scipy.linalg.lapack.dsbevx(
+            band, *args[:4], compute_v=0, mmax=1, range=args[4], lower=1,
+            overwrite_ab=0, abstol=abstol)
+        assert info == 0 and got.dtype == np.float64
+        assert got.tobytes() == w[:m].tobytes(), (by_index, low, high, abstol)
+    assert len(got) == 5 and kept.tobytes() == band.tobytes()
+
+
+@pytest.mark.parametrize("n", [200, 400, 800, 1600])
+@pytest.mark.parametrize("name", list(BAND_SETS))
+def test_band_eigenvalues_bit_identical_to_lapack_wrapper(name, n, monkeypatch):
+    # the ctypes sbevx call gives the f2py wrapper's eigenvalues and count
+    # to the bit on every band the oracle and the certificate build
+    p, g = BAND_SETS[name], build_grid(r_max=8.0, n_points=n)
+    bands = symmetric_bands(p, solve_coupled_gpe(p, g), g, monkeypatch)
+    assert len(bands) == (4 if name == "item2" else 2) + 2
+    for band in bands:
+        assert_band_eigenvalues_match_wrapper(band)
+
+
+def test_band_eigenvalues_count_the_flipped_item2_saddle(monkeypatch):
+    # the stationary state the item-2 descent reaches from a seed with
+    # phi_m of the wrong sign for alpha: B has two negative eigenvalues
+    p, g = BAND_SETS["item2"], build_grid(r_max=8.0, n_points=200)
+    seed = gaussian_ansatz(p, g)
+    saddle = solve_coupled_gpe(p, g, init=CondensateState(
+        grid=g, phi_a=seed.phi_a, phi_m=-seed.phi_m, mu_a=seed.mu_a, mu_m=seed.mu_m))
+    assert gpe.negative_phase_modes(saddle, p, g) == 2
+    *_, phase = symmetric_bands(p, saddle, g, monkeypatch)
+    floor = -1.0 - np.abs(phase).max(axis=1) @ (1.0, 2.0, 2.0)
+    assert len(band_eigenvalues(phase, False, floor, -1e-6)) == 2
+    assert_band_eigenvalues_match_wrapper(phase)
+
+
+def test_band_eigenvalues_on_two_threads_give_serial_bytes():
+    p, g = BAND_SETS["item2"], build_grid(r_max=8.0, n_points=800)
+    s = solve_coupled_gpe(p, g)
+    ops = [gpe._operator(species, p, g) for species in (ATOM, MOLECULE)]
+    bands = [gpe._band(p, ops, (s.phi_a, s.phi_m), (s.mu_a, s.mu_m), [0, 1], block)
+             for block in "AB"]
+    serial = [band_eigenvalues(band, True, 1, 20).tobytes() for band in bands]
+    start = threading.Barrier(2)
+
+    def solve(band):
+        start.wait()
+        return [band_eigenvalues(band, True, 1, 20).tobytes() for _ in range(4)]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(solve, bands))
+    assert runs == [[want] * 4 for want in serial]
+
+
+def test_band_eigenvalues_raise_on_a_lapack_error():
+    band = np.vstack([np.arange(1.0, 11.0), np.ones(10)])
+    with pytest.raises(scipy.linalg.LinAlgError, match="LAPACK info -13"):
+        band_eigenvalues(band, True, 1, 11)  # iu, the 13th argument, past n
 
 
 def test_apply_matches_dense_matvec():

@@ -16,6 +16,14 @@ the configuration, or a run that fails, prints ``run exit N`` (2 for a
 config error) followed by the JSON error line the CLI wrote to standard
 error, so a changed error message shows in the diff, and then any
 artifact it left.
+
+Where the process may run on two CPUs, the spectrum methods solve the
+two species on two threads.  To digest the serial path, pin the run to
+one CPU, so that the CPU count the code reads is 1:
+
+    PYTHONPATH=src taskset -c 0 python tools/artifact_digests.py --seeds 1 2 3 23
+
+Both runs should print the same lines.
 """
 
 import argparse

@@ -39,18 +39,18 @@ auxiliary level ladder; "oscillator3d" uses the true s-wave 3D oscillator
 levels hbar*omega*(2j + 3/2).  The former is the default, the latter is
 what actually matches the direct grid spectrum.
 
-Both species are solved side by side where the process may run on two
-CPUs (`_side_by_side`): one module-level worker thread builds the
-molecule's oscillator basis for the basis methods, where neither basis
-is on the grid, and solves the molecule channel of the grid oracle,
-while the calling thread does the atoms'.  The bisections that are most
-of that work, the tridiagonal eigensolve and the banded sbevx of
-`_product_form`, are LAPACK calls made through ctypes, which releases
-the GIL (scipy's wrappers hold it), so the two run at once, with the
-bits of a serial run.  An atom error is raised after the worker
-finishes, so a call raises what the serial order (atoms first) raised,
-and the grid oracle logs on the calling thread in that order.  There is
-no option: on one CPU both species are solved in turn.
+Both species are solved side by side (`_side_by_side`): one module-level
+worker thread builds the molecule's oscillator basis for the basis
+methods (`_projections`) where neither basis is on the grid, and solves
+the grid oracle's molecule channel, while the calling thread does the
+atoms'.  The bisections that are most of that work, the tridiagonal
+eigensolve and the banded sbevx of `_product_form`, are LAPACK calls
+made through ctypes, which releases the GIL (scipy's wrappers hold it),
+so on two CPUs the two run at once, with the bits of a serial run.  An
+atom error is raised after the worker finishes, so a call raises what
+the serial order (atoms first) raised, and the grid oracle logs on the
+calling thread in that order.  There is no option and no CPU-count
+branch: on one CPU the same two threads take turns.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def oscillator_basis(
     and (mass, omega, hbar, j_max), and handed out again for as long as
     that grid lives, so `spectrum --compare` solves it once for both
     basis methods.  The basis methods build a grid's two missing bases
-    at once, the molecule's on a worker thread (`_build_both_bases`),
-    and raise an atom error only after the worker is done.  Raises
+    at once, the molecule's on a worker thread (`_projections`), and
+    raise an atom error only after the worker is done.  Raises
     ConfigError when the grid holds fewer than j_max states.
     """
     key = _basis_key(species, params, j_max)
@@ -205,21 +205,11 @@ if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
     os.register_at_fork(after_in_child=_basis_worker.cache_clear)
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _side_by_side(atom, molecule):
     """(atom(), molecule()), the molecule's call on the basis worker
-    while this thread makes the atom's where the process may run on two
-    CPUs, else both here in turn.  Errors come as in the serial order:
-    an atom error is raised once the worker is done, else a molecule
-    error."""
-    if _cpus() < 2:
-        return atom(), molecule()
+    while this thread makes the atom's.  Errors come as in the serial
+    order: an atom error is raised once the worker is done, else a
+    molecule error."""
     future = _basis_worker().submit(molecule)
     try:
         first = atom()
@@ -227,20 +217,6 @@ def _side_by_side(atom, molecule):
         future.exception()  # waits; the atom error wins, as in the serial order
         raise
     return first, future.result()
-
-
-def _build_both_bases(params: PhysicalParams, grid: RadialGrid, j_max: int) -> None:
-    """Build the atom and molecule bases on grid at once where both are
-    missing (`_side_by_side`).  The eigensolve releases the GIL, so the
-    two run side by side on two CPUs; with one basis already on the grid
-    nothing is built here and `oscillator_basis` builds the other when
-    asked.  The grid's `_BASES` entry is made here, before the worker
-    reads it."""
-    bases = _BASES.setdefault(grid, {})
-    if (_basis_key(ATOM, params, j_max) not in bases
-            and _basis_key(MOLECULE, params, j_max) not in bases):
-        _side_by_side(lambda: oscillator_basis(ATOM, params, grid, j_max),
-                      lambda: oscillator_basis(MOLECULE, params, grid, j_max))
 
 
 def _backgrounds(state: CondensateState, params: PhysicalParams):
@@ -251,18 +227,29 @@ def _backgrounds(state: CondensateState, params: PhysicalParams):
     return (ATOM, k_a, delta_a, state.mu_a), (MOLECULE, k_m, delta_m, state.mu_m)
 
 
-def _projection(species, plus, delta, params, grid, j_max, convention):
-    """Common setup of the basis methods: level ladder, basis chi, the
-    background with the one-body offset (eps for molecules) folded into
-    W, and the density-normalized amplitude of each basis state.  chi and
-    the amplitudes come one contiguous row per basis state."""
-    levels = basis_levels(species, params, j_max, convention)
-    if species == ATOM:  # the first projection of a spectrum call
-        _build_both_bases(params, grid, j_max)
-    chi = np.ascontiguousarray(oscillator_basis(species, params, grid, j_max)[1].T)
-    w = plus - delta + _one_body(species, params)[2]
-    amp = chi / (grid.r * math.sqrt(4.0 * np.pi * grid.h))
-    return levels, chi, w, amp
+def _projections(state, params, grid, j_max, convention):
+    """(species, delta, mu, levels, chi, w, amp) of ATOM and then
+    MOLECULE for the basis methods: delta and mu of `_backgrounds`, the
+    level ladder, basis chi, W with the one-body offset (eps for
+    molecules) folded in and the density-normalized amplitude of each
+    basis state, chi and amp one contiguous row per state.  Where neither
+    basis is on the grid both are built side by side (`_side_by_side`),
+    the grid's `_BASES` entry made here before the worker reads it; else
+    each is looked up, or built here."""
+    backgrounds = _backgrounds(state, params)
+    pair = ATOM, MOLECULE
+    levels = [basis_levels(sp, params, j_max, convention) for sp in pair]
+    bases = _BASES.setdefault(grid, {})
+    calls = [functools.partial(oscillator_basis, sp, params, grid, j_max) for sp in pair]
+    missing = all(_basis_key(sp, params, j_max) not in bases for sp in pair)
+    built = _side_by_side(*calls) if missing else [call() for call in calls]
+    scale = grid.r * math.sqrt(4.0 * np.pi * grid.h)
+    out = []
+    for (species, plus, delta, mu), ladder, (_, chi) in zip(backgrounds, levels, built):
+        chi = np.ascontiguousarray(chi.T)
+        w = plus - delta + _one_body(species, params)[2]
+        out.append((species, delta, mu, ladder, chi, w, chi / scale))
+    return out
 
 
 def _weighted_averages(rows: np.ndarray, weights: np.ndarray, total: float) -> list[float]:
@@ -309,8 +296,8 @@ def paper_literal_spectrum(
         raise ConfigError(f"unknown averaging '{averaging}'")
     j_max = require_count("j_max", j_max, 1)
     out = []
-    for species, plus, delta, mu in _backgrounds(state, params):
-        levels, _, w, amp = _projection(species, plus, delta, params, grid, j_max, convention)
+    for species, delta, mu, levels, _, w, amp in _projections(
+            state, params, grid, j_max, convention):
         if species == MOLECULE and strict_literal:
             w -= params.lambda_am * state.phi_a**2
         dens = state.phi_a**2 if species == ATOM else state.phi_m**2
@@ -370,8 +357,8 @@ def block_2x2_spectrum(
     """
     j_max = require_count("j_max", j_max, 1)
     out = []
-    for species, plus, delta, mu in _backgrounds(state, params):
-        levels, chi, w, amp = _projection(species, plus, delta, params, grid, j_max, convention)
+    for species, delta, mu, levels, chi, w, amp in _projections(
+            state, params, grid, j_max, convention):
         chi2 = chi**2  # the |j> densities; one np.dot per matrix element
         modes = []
         for j, level in enumerate(levels.tolist()):
@@ -575,7 +562,7 @@ def direct_grid_spectrum(
     largest |u| entry positive.  The Goldstone pair (|E|^2 at most
     ZERO_MODE_E2 * (hbar*omega_a)^2) is counted in ModeSet.skipped and
     logged at DEBUG.  The two species' channels are solved side by side
-    on two CPUs (module docstring).
+    (module docstring).
 
     Raises ConfigError unless l is an integer >= 0 and n_modes >= 1,
     and DomainError when neither L + Delta nor L - Delta is positive

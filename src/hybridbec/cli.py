@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 config error, 3 non-convergence, 4 collapse,
 5 other failure.  Failures also emit one JSON object on stderr with the
 error class and message, so callers never parse prose.  Sweeps run
 in-process; --jobs is accepted for compatibility and has no effect.
+--method and --compare exclude each other and belong to spectrum alone:
+the parser rejects either elsewhere, as it rejects any bad argument.
 
 `main` may be called any number of times in one process: the parser is
 built once, at import, and keeps no state between calls.  The output
@@ -37,12 +39,7 @@ from .bdg import (
 )
 from .config import BDG_METHODS, RunConfig, load_config
 from .csvio import format_column, provenance, write_csv
-from .errors import (
-    CollapseError,
-    ConfigError,
-    ConvergenceError,
-    SimulationError,
-)
+from .errors import CollapseError, ConfigError, ConvergenceError
 from .gpe import negative_phase_modes, solve_coupled_gpe
 from .params import chemical_equilibrium_gap
 from .thermal import density_profile, density_profiles, total_numbers
@@ -283,10 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=None, help="artifact directory")
     ap.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; no effect, sweeps run in-process")
-    ap.add_argument("--method", choices=BDG_METHODS, default=None,
-                    help="spectrum method override")
-    ap.add_argument("--compare", action="store_true",
-                    help="spectrum: run all three methods plus a deviation table")
+    methods = ap.add_mutually_exclusive_group()
+    methods.add_argument("--method", choices=BDG_METHODS, default=None,
+                         help="spectrum: method override")
+    methods.add_argument("--compare", action="store_true",
+                         help="spectrum: run all three methods plus a deviation table")
     return ap
 
 
@@ -295,6 +293,8 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    if args.command != "spectrum" and (args.method or args.compare):
+        _PARSER.error(f"--method and --compare apply to spectrum only, not {args.command}")
     try:
         cfg = load_config(args.config)
         outdir = Path(args.out or cfg.output_dir or "out")
@@ -309,9 +309,7 @@ def main(argv=None) -> int:
         return _fail(exc, 3)
     except CollapseError as exc:
         return _fail(exc, 4)
-    except SimulationError as exc:
-        return _fail(exc, 5)
-    except Exception as exc:  # pragma: no cover - last resort
+    except Exception as exc:  # SimulationError, or any other failure
         return _fail(exc, 5)
     for p in paths:
         print(p)

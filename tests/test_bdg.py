@@ -4,6 +4,7 @@ import gc
 import json
 import logging
 import math
+import os
 import struct
 import sys
 import threading
@@ -168,6 +169,12 @@ def thread_kind():
     return "main" if threading.current_thread() is threading.main_thread() else "worker"
 
 
+def in_turn(atom, molecule):
+    # the serial order that bdg._side_by_side must reproduce: both species
+    # on the calling thread, atoms first
+    return atom(), molecule()
+
+
 def record_basis_threads(monkeypatch, fail=None):
     # (thread kind, n_modes) of every basis eigensolve, with the kind
     # "main" or "worker", and the species of every basis the worker was
@@ -201,7 +208,6 @@ def record_basis_threads(monkeypatch, fail=None):
 def test_basis_spectra_built_side_by_side_match_serial_build(monkeypatch, method, n):
     # a fresh grid builds the molecule basis on the worker and the atom
     # basis on the calling thread; the modes are those of a serial build
-    monkeypatch.setattr(bdg, "_cpus", lambda: 2)
     s = gaussian_ansatz(ITEM2, build_grid(r_max=8.0, n_points=n))
     serial = build_grid(r_max=8.0, n_points=n)
     for species in (ATOM, MOLECULE):
@@ -222,21 +228,16 @@ def test_basis_spectra_built_side_by_side_match_serial_build(monkeypatch, method
     assert fresh_ref() is None  # the worker keeps no reference to the grid
 
 
-def test_basis_spectra_build_inline_with_one_cpu_or_one_basis_missing(monkeypatch):
+def test_basis_spectra_build_inline_with_one_basis_missing(monkeypatch):
     s = gaussian_ansatz(ITEM2, build_grid(r_max=8.0, n_points=200))
     solved, dispatched = record_basis_threads(monkeypatch)
-    monkeypatch.setattr(bdg, "_cpus", lambda: 1)
-    block_2x2_spectrum(s, ITEM2, build_grid(r_max=8.0, n_points=200), j_max=8)
-    assert solved == [("main", 8), ("main", 8)]
-    monkeypatch.setattr(bdg, "_cpus", lambda: 2)
     g = build_grid(r_max=8.0, n_points=200)
     oscillator_basis(ATOM, ITEM2, g, 8)
     paper_literal_spectrum(s, ITEM2, g, j_max=8)
-    assert solved == [("main", 8)] * 4 and dispatched == []
+    assert solved == [("main", 8)] * 2 and dispatched == []
 
 
 def test_basis_spectra_raise_the_atom_error_after_the_worker(monkeypatch):
-    monkeypatch.setattr(bdg, "_cpus", lambda: 2)
     s = gaussian_ansatz(ITEM2, build_grid(r_max=8.0, n_points=200))
     fail = {"main": ValueError("atom"), "worker": ValueError("molecule")}
     solved, _ = record_basis_threads(monkeypatch, fail)
@@ -254,7 +255,6 @@ def test_basis_spectra_from_many_threads_match_serial(monkeypatch):
     # more callers than CPUs, switching threads every microsecond, each on
     # fresh grids and on one shared grid: every call gives the serial
     # modes and every grid ends with one basis per species
-    monkeypatch.setattr(bdg, "_cpus", lambda: 2)
     s = gaussian_ansatz(ITEM2, build_grid(r_max=8.0, n_points=200))
     calls = [(block_2x2_spectrum, {"j_max": 8}),
              (paper_literal_spectrum, {"j_max": 8, "averaging": "volume"}),
@@ -294,9 +294,9 @@ def test_basis_spectra_from_many_threads_match_serial(monkeypatch):
 @pytest.mark.parametrize("n", [200, 400])
 @pytest.mark.parametrize("name", ["decoupled", "item2", "atoms-2", "molecules-2"])
 def test_direct_grid_channels_side_by_side_match_serial(monkeypatch, name, n):
-    # with two CPUs the worker solves the molecule channel while the
-    # calling thread solves the atoms'; the modes are the one-CPU run's
-    # to the bit, the B order (each attractive species at l = 0) included
+    # the worker solves the molecule channel while the calling thread
+    # solves the atoms'; the modes are those of both channels solved in
+    # turn to the bit, the B order (each attractive species at l = 0) included
     p = EQUIVALENCE_SETS[name] if name in EQUIVALENCE_SETS else ATTRACTIVE_SETS[name][1]
     g = build_grid(r_max=8.0, n_points=n)
     s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
@@ -313,29 +313,61 @@ def test_direct_grid_channels_side_by_side_match_serial(monkeypatch, name, n):
 
     monkeypatch.setattr(bdg, "_operator", recording_operator)
     monkeypatch.setattr(bdg, "_swapped_channel", recording_swapped)
+    side_by_side = bdg._side_by_side
     for l in (0, 1, 2):
-        monkeypatch.setattr(bdg, "_cpus", lambda: 1)
+        monkeypatch.setattr(bdg, "_side_by_side", in_turn)
         serial = direct_grid_spectrum(s, p, g, l=l)
         assert channels == [("main", ATOM), ("main", MOLECULE)]
         del channels[:]
-        monkeypatch.setattr(bdg, "_cpus", lambda: 2)
+        monkeypatch.setattr(bdg, "_side_by_side", side_by_side)
         for got, ref in zip(direct_grid_spectrum(s, p, g, l=l), serial):
             assert_same_modes(got, ref)
         assert sorted(channels) == [("main", ATOM), ("worker", MOLECULE)]
         del channels[:]
-    # the B order ran once per CPU count, on the thread of its species
+    # the B order ran in both runs, on the thread of its species
     assert swapped == {"atoms-2": ["main"] * 2, "molecules-2": ["main", "worker"]}.get(name, [])
+
+
+def test_one_cpu_still_solves_the_molecule_on_the_worker(monkeypatch):
+    # a process allowed on one CPU takes the two-thread path as well: the
+    # grid oracle's molecule channel and a fresh grid's molecule basis run
+    # on the worker, and the modes are those of both species in turn
+    p = EQUIVALENCE_SETS["item2"]
+    g = build_grid(r_max=8.0, n_points=200)
+    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
+    side_by_side, operator = bdg._side_by_side, bdg._operator
+    monkeypatch.setattr(bdg, "_side_by_side", in_turn)
+    serial_grid = direct_grid_spectrum(s, p, g, l=0)
+    serial_block = block_2x2_spectrum(s, p, build_grid(r_max=8.0, n_points=200), j_max=16)
+    monkeypatch.setattr(bdg, "_side_by_side", side_by_side)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    channels = []
+
+    def recording_operator(species, *args):
+        channels.append((thread_kind(), species))
+        return operator(species, *args)
+
+    monkeypatch.setattr(bdg, "_operator", recording_operator)
+    for got, ref in zip(direct_grid_spectrum(s, p, g, l=0), serial_grid):
+        assert_same_modes(got, ref)
+    assert sorted(channels) == [("main", ATOM), ("worker", MOLECULE)]
+    solved, dispatched = record_basis_threads(monkeypatch)
+    fresh = build_grid(r_max=8.0, n_points=200)
+    for got, ref in zip(block_2x2_spectrum(s, p, fresh, j_max=16), serial_block):
+        assert_same_modes(got, ref)
+    assert sorted(solved) == [("main", 16), ("worker", 16)] and dispatched == [MOLECULE]
 
 
 def test_direct_grid_logs_goldstone_pairs_on_the_calling_thread(monkeypatch, caplog):
     # both species populated and uncoupled: each l = 0 channel skips its
-    # Goldstone pair, logged at DEBUG by the calling thread, atoms first
+    # Goldstone pair, logged at DEBUG by the calling thread, atoms first,
+    # whether the process may run on one CPU or on two
     p = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
                        n_a=100.0, n_m=100.0)
     g = build_grid(r_max=8.0, n_points=200)
     s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
     for cpus in (1, 2):
-        monkeypatch.setattr(bdg, "_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="hybridbec.bdg"):
             spectra = direct_grid_spectrum(s, p, g, l=0)
@@ -350,7 +382,6 @@ def test_direct_grid_raises_the_atom_error_after_the_worker(monkeypatch):
     # either channel is positive definite.  The atom error is raised once
     # the worker has finished the molecule channel, as in the serial
     # order; with mu_a kept the molecule error is raised
-    monkeypatch.setattr(bdg, "_cpus", lambda: 2)
     p = EQUIVALENCE_SETS["item2"]
     g = build_grid(r_max=8.0, n_points=200)
     s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
@@ -375,20 +406,21 @@ def test_direct_grid_raises_the_atom_error_after_the_worker(monkeypatch):
 
 
 def test_spectrum_compare_writes_the_same_bytes_with_one_or_two_cpus(tmp_path, monkeypatch):
-    # spectrum --compare with the channels and bases solved in turn or
-    # side by side: spectrum_weak (molecules with Delta = 0) and the
-    # item-2 set (both species with Delta) over l = 0..2
+    # spectrum --compare with the channels and bases solved in turn on the
+    # calling thread (the serial order) or side by side: spectrum_weak
+    # (molecules with Delta = 0) and the item-2 set (both species with
+    # Delta) over l = 0..2
     item2 = {"params": dataclasses.asdict(EQUIVALENCE_SETS["item2"]),
              "grid": {"r_max": 8.0, "n_points": 200}, "bdg": {"j_max": 12, "l_max": 2}}
     configs = [str(CONFIGS / "spectrum_weak.json"), str(tmp_path / "item2.json")]
     (tmp_path / "item2.json").write_text(json.dumps(item2))
     written = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(bdg, "_cpus", lambda: cpus)
+    for order, side_by_side in ((1, in_turn), (2, bdg._side_by_side)):
+        monkeypatch.setattr(bdg, "_side_by_side", side_by_side)
         for k, config in enumerate(configs):
-            out = tmp_path / f"{cpus}-{k}"
+            out = tmp_path / f"{order}-{k}"
             assert main(["spectrum", "--compare", "--config", config, "--out", str(out)]) == 0
-            written[cpus, k] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            written[order, k] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     for k in range(len(configs)):
         assert len(written[1, k]) == 4 and written[1, k] == written[2, k]
 
@@ -396,7 +428,8 @@ def test_spectrum_compare_writes_the_same_bytes_with_one_or_two_cpus(tmp_path, m
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("method", [block_2x2_spectrum, paper_literal_spectrum])
 def test_basis_spectra_reject_j_max_above_grid_size(monkeypatch, method, cpus):
-    monkeypatch.setattr(bdg, "_cpus", lambda: cpus)
+    # the same error and no basis kept on one CPU or on two
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     g = build_grid(r_max=8.0, n_points=16)
     s = gaussian_ansatz(ITEM2, g)
     with pytest.raises(ConfigError) as err:
@@ -874,6 +907,35 @@ def test_b_order_shift_enters_at_second_order(monkeypatch):
     assert_matches_dense(atoms, *dense_reference(raised, p, g, ATOM, 0, 8))
 
 
+def test_direct_grid_asks_for_more_eigenvalues_past_a_wide_mask(equivalence_states,
+                                                                 monkeypatch):
+    # ZERO_MODE_E2 raised to 50 masks the Goldstone pair and the three
+    # lowest l = 0 modes of the decoupled atoms (E^2 = 4.3, 15.9 and 35.0
+    # in units of (hbar*omega_a)^2), so the first n_modes + 2 = 10
+    # eigenvalues leave six outside the mask and _product_form asks sbevx
+    # for 20; the eight modes above the mask come back in ascending order,
+    # equal to the dense reference's fourth to eleventh, and skipped
+    # counts the four masked pairs
+    g, states = equivalence_states
+    p, s = EQUIVALENCE_SETS["decoupled"], states["decoupled"]
+    counts = []
+    eigenvalues = bdg.band_eigenvalues
+
+    def counting(band, by_index, low, high, abstol):
+        counts.append(high)
+        return eigenvalues(band, by_index, low, high, abstol)
+
+    monkeypatch.setattr(bdg, "band_eigenvalues", counting)
+    monkeypatch.setattr(bdg, "ZERO_MODE_E2", 50.0)
+    atoms, _ = direct_grid_spectrum(s, p, g, l=0, n_modes=8)
+    assert counts == [10, 20]
+    energies = [m.energy for m in atoms.modes]
+    assert len(energies) == 8 and energies == sorted(energies)
+    ref, skipped = dense_reference(s, p, g, ATOM, 0, 11)
+    assert skipped == 2  # the dense reference keeps the default mask
+    assert_matches_dense(atoms, ref[3:], 8)
+
+
 @pytest.mark.parametrize("mu_shift", [0.0, -1e-13, -1e-12, -1e-10])
 def test_dense_route_skips_goldstone_pair(equivalence_states, mu_shift):
     # decoupled atoms, l = 0: round-off leaves the Goldstone pair of the
@@ -896,9 +958,9 @@ def test_direct_grid_rejects_non_finite_background(equivalence_states, monkeypat
     # stebz and sbevx return eigenvalues for a NaN matrix without an
     # error, so both routes keep the finiteness check of the scipy
     # wrappers they bypass: a NaN in the atoms' condensate reaches the
-    # banded route, a NaN mu_m the molecules' Delta = 0 route, which
-    # with two CPUs runs on the worker and raises from there.  The atoms'
-    # error is the one raised, as in the serial order
+    # banded route, a NaN mu_m the molecules' Delta = 0 route, which runs
+    # on the worker and raises from there.  The atoms' error is the one
+    # raised, as in the serial order (both channels in turn)
     raised_on = []
     solve = RadialOperator.eigensolve
 
@@ -917,8 +979,9 @@ def test_direct_grid_rejects_non_finite_background(equivalence_states, monkeypat
         fields["phi_a"][10] = np.nan
     else:
         fields["mu_m"] = np.nan
-    for cpus in (1, 2):
-        monkeypatch.setattr(bdg, "_cpus", lambda: cpus)
+    side_by_side = bdg._side_by_side
+    for order in (1, 2):
+        monkeypatch.setattr(bdg, "_side_by_side", in_turn if order == 1 else side_by_side)
         del raised_on[:]
         with pytest.raises(ValueError, match="infs or NaNs"):
             direct_grid_spectrum(CondensateState(grid=g, **fields), p, g, l=0)
@@ -926,7 +989,7 @@ def test_direct_grid_rejects_non_finite_background(equivalence_states, monkeypat
         # worker's error is dropped for the atoms' one, which the serial
         # order raised before the molecule channel ran
         assert raised_on == {("phi_a", 1): [], ("phi_a", 2): ["worker"],
-                             ("mu_m", 1): ["main"], ("mu_m", 2): ["worker"]}[field, cpus]
+                             ("mu_m", 1): ["main"], ("mu_m", 2): ["worker"]}[field, order]
 
 
 def test_direct_grid_keeps_sign_without_anomalous_term():
@@ -1003,9 +1066,10 @@ def test_direct_grid_zero_pivot_moves_shift(name, monkeypatch):
     # info > 0) moves that shift by the least step that changes the
     # factored diagonal and factors again; the modes equal the unforced
     # run's to 1e-12.  The first factored channel is the atoms' l = 0:
-    # the A order for item-2, the B order for the attractive set.  One
-    # CPU, so the item-2 molecules' gbtrf calls come after the atoms'
-    monkeypatch.setattr(bdg, "_cpus", lambda: 1)
+    # the A order for item-2, the B order for the attractive set.  Both
+    # channels in turn, so the item-2 molecules' gbtrf calls come after
+    # the atoms'
+    monkeypatch.setattr(bdg, "_side_by_side", in_turn)
     p, n = BITWISE_SETS[name]
     g = build_grid(r_max=8.0, n_points=n)
     s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))

@@ -698,6 +698,27 @@ def test_reused_parser_leaks_no_value_between_calls(tmp_path):
     assert again[0].read_bytes() == first[0].read_bytes()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["spectrum", "--compare", "--method", "grid"], "spectrum_weak.json"),
+    (["density", "--method", "grid"], "density_sweep.json"),
+    (["ground", "--compare"], "ground_noninteracting.json"),
+], ids=["spectrum-compare-method", "density-method", "ground-compare"])
+def test_method_and_compare_rejected_where_they_would_be_ignored(
+        tmp_path, monkeypatch, capsys, argv, config):
+    # --compare ran all three methods whatever --method said, density
+    # summed the block method's modes under --method grid and ground wrote
+    # a plain ground state under --compare; each is now rejected as
+    # argparse rejects a bad argument, before the config loads
+    loaded = []
+    monkeypatch.setattr(cli, "load_config", lambda *a: loaded.append(a))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(CONFIGS / config), "--out", str(out)] + argv[1:])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert loaded == [] and not out.exists()
+
+
 @pytest.mark.parametrize("argv, config, section, key, value", [
     (["fig3"], "fig3.json", "solver", "tol", -1),
     (["fig3"], "fig3.json", "grid", "n_points", 3),

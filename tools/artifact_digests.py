@@ -17,9 +17,9 @@ config error) followed by the JSON error line the CLI wrote to standard
 error, so a changed error message shows in the diff, and then any
 artifact it left.
 
-Where the process may run on two CPUs, the spectrum methods solve the
-two species on two threads.  To digest the serial path, pin the run to
-one CPU, so that the CPU count the code reads is 1:
+The spectrum methods solve the two species on two threads, the
+molecule's share on a worker.  Pinned to one CPU, the run checks that
+the worker, taking turns with the calling thread, writes the same bytes:
 
     PYTHONPATH=src taskset -c 0 python tools/artifact_digests.py --seeds 1 2 3 23
 

@@ -69,7 +69,7 @@ import scipy.linalg
 from .errors import ConfigError, DomainError, require_count
 from .gpe import (
     ATOM, MOLECULE, CondensateState, _block_diagonals, _general_band, _one_body, _operator,
-    _second_variation,
+    _require_grid, _second_variation,
 )
 from .grid import RadialGrid, RadialOperator, band_eigenvalues, harmonic_potential
 from .params import PhysicalParams
@@ -236,6 +236,7 @@ def _projections(state, params, grid, j_max, convention):
     basis is on the grid both are built side by side (`_side_by_side`),
     the grid's `_BASES` entry made here before the worker reads it; else
     each is looked up, or built here."""
+    _require_grid(state, grid)
     backgrounds = _backgrounds(state, params)
     pair = ATOM, MOLECULE
     levels = [basis_levels(sp, params, j_max, convention) for sp in pair]
@@ -568,6 +569,7 @@ def direct_grid_spectrum(
     and DomainError when neither L + Delta nor L - Delta is positive
     definite (E^2 may then be complex).
     """
+    _require_grid(state, grid)
     l = require_count("l", l, 0)
     n_modes = require_count("n_modes", n_modes, 1)
     four_pi_h = 4.0 * np.pi * grid.h

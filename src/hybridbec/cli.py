@@ -107,7 +107,6 @@ def _mode_rows(modesets):
     # strings pass through write_csv as they are and float64 arrays take
     # its whole-column formatting, so no cell goes through format_value
     modes = [m for ms in modesets for m in ms.modes]
-    norm = np.array([m.norm for m in modes], dtype=float)
     return dict(zip(MODE_COLUMNS, (
         [ms.method for ms in modesets for _ in ms.modes],
         [ms.species for ms in modesets for _ in ms.modes],
@@ -115,7 +114,7 @@ def _mode_rows(modesets):
         [m.branch for m in modes],
         np.array([m.energy for m in modes], dtype=float),
         np.array([m.energy_imag for m in modes], dtype=float),
-        np.where(np.isfinite(norm), norm, math.nan),
+        np.array([m.norm for m in modes], dtype=float),
     )))
 
 

@@ -19,7 +19,9 @@ below START_TOL, each step first tries the Newton step of the stationary
 equations bordered by the two norms as its search direction.  Newton
 alone converges to whatever stationary state is near; here the line
 search shortens a Newton step until it lowers the energy, and every step
-of that phase is checked for collapse.
+of that phase is checked for collapse.  The descent returns the first
+state whose defect is below the tolerance, or raises.  A function given
+a state and a grid raises ConfigError unless it is the state's grid.
 
 Sign convention: fields are real.  For alpha > 0 the energy term
 2*alpha*phi_a^2*phi_m is minimized by phi_m <= 0 (phi_m >= 0 for
@@ -107,6 +109,15 @@ class CondensateState:
     residual: float = math.nan
     energy: float = math.nan
     iterations: int = 0
+
+
+def _require_grid(state: CondensateState, grid: RadialGrid) -> None:
+    """ConfigError unless grid has state.grid's r_max and n_points."""
+    own = state.grid
+    if (grid.r_max, grid.n_points) != (own.r_max, own.n_points):
+        raise ConfigError(
+            f"grid (r_max={grid.r_max!r}, n_points={grid.n_points}) is not the state's "
+            f"grid (r_max={own.r_max!r}, n_points={own.n_points})")
 
 
 def _one_body(species: str, params: PhysicalParams) -> tuple[float, float, float]:
@@ -203,6 +214,7 @@ def negative_phase_modes(state: CondensateState, params: PhysicalParams,
     phi_m >= 0 branch that an alpha > 0 descent reaches from a start of
     that sign.  One pbtrf of B + PHASE_TOL*hbar*omega_a shows a count of
     0; sbevx counts only when it fails."""
+    _require_grid(state, grid)
     p = params
     populated = [s for s, n in enumerate((p.n_a, p.n_m)) if n > 0.0]
     ops = [_operator(name, p, grid) if s in populated else None
@@ -285,6 +297,7 @@ def gpe_defect(
     the quadrature L2 norm; a species with zero norm contributes 0 (its
     field is fixed by constraint and its equation is dropped).
     """
+    _require_grid(state, grid)
     p = params
     phi = (state.phi_a, state.phi_m)
     chi = (grid.r * phi[0], grid.r * phi[1])
@@ -326,6 +339,7 @@ def energy_functional(
 ) -> float:
     """Mean-field energy whose constrained gradient is the stationary
     system; no descent step raises it by more than `_energy_slack`."""
+    _require_grid(state, grid)
     ops = [_operator(s, params, grid) for s in (ATOM, MOLECULE)]
     phi = (state.phi_a, state.phi_m)
     return _energy(params, grid, ops, phi, [grid.r * f for f in phi])
@@ -359,31 +373,6 @@ def _energy(params, grid, ops, phi, chi):
     return one_body + grid.integrate(dens)
 
 
-def solve_coupled_gpe(
-    params: PhysicalParams,
-    grid: RadialGrid,
-    opts: SolverOptions | None = None,
-    init: CondensateState | None = None,
-) -> CondensateState:
-    """Ground state: the first state of the energy descent whose defect
-    is below opts.tol.
-
-    Raises ConvergenceError if the defect stays above opts.tol after
-    opts.max_iters steps, CollapseError if a field's RMS width falls to
-    the grid floor (attractive collapse or unresolvable state).
-    """
-    opts = opts if opts is not None else SolverOptions()
-    start = init if init is not None else _gaussian_start(params, grid)
-    for state in _descent(params, grid, opts, start):
-        if state.residual < opts.tol:
-            return state
-    raise ConvergenceError(
-        f"no convergence after {state.iterations} iterations "
-        f"(residual {state.residual:.3e}, tol {opts.tol:g})",
-        residual=state.residual, iterations=state.iterations,
-    )
-
-
 def _energy_slack(energy: float) -> float:
     """Round-off allowance when comparing energies of nearby states."""
     return 1e-10 * (1.0 + abs(energy))
@@ -396,11 +385,19 @@ def _narrowest(state: CondensateState, params: PhysicalParams, grid: RadialGrid)
     return min(widths, default=math.inf)
 
 
-def _descent(params, grid, opts, start):
-    """Energy descent at fixed norms from `start`, as a generator: every
-    CHECK_EVERY steps, at every step once a check has found the defect
-    below START_TOL, and at opts.max_iters it checks the widths
-    (CollapseError at the grid floor) and yields the state.
+def solve_coupled_gpe(
+    params: PhysicalParams,
+    grid: RadialGrid,
+    opts: SolverOptions | None = None,
+    init: CondensateState | None = None,
+) -> CondensateState:
+    """Ground state by energy descent at fixed norms from `init` (on
+    `grid`) or the `gaussian_ansatz` fields.  Every CHECK_EVERY steps, at
+    every step once a check has found the defect below START_TOL, and at
+    opts.max_iters it checks the state: CollapseError if a field's RMS
+    width is at the grid floor (attractive collapse or unresolvable
+    state), else the state if its defect is below opts.tol, else
+    ConvergenceError at opts.max_iters.
 
     A populated species has the residual r = g - mu chi (g from
     `_gradients`, mu its Rayleigh quotient) and the preconditioner
@@ -421,6 +418,9 @@ def _descent(params, grid, opts, start):
     species gets no operator, and a None operator in `_gradients` and
     `_energy` leaves it out at no arithmetic per step.
     """
+    opts = opts if opts is not None else SolverOptions()
+    start = init if init is not None else _gaussian_start(params, grid)
+    _require_grid(start, grid)
     p = params
     r = grid.r
     four_pi_h = 4.0 * np.pi * grid.h
@@ -461,10 +461,13 @@ def _descent(params, grid, opts, start):
                 raise CollapseError(f"RMS width {width:.3e} fell below the grid floor "
                                     f"{width_floor:.3e}; attractive collapse or "
                                     f"unresolvable state", width=width, iterations=it)
-            yield state
+            if residual < opts.tol:
+                return state
+            if it == opts.max_iters:
+                raise ConvergenceError(f"no convergence after {it} iterations (residual "
+                                       f"{residual:.3e}, tol {opts.tol:g})",
+                                       residual=residual, iterations=it)
             newton = newton or residual < START_TOL
-        if it == opts.max_iters:
-            return
 
         rz = sum(float(np.dot(res[s], z[s])) for s in active)
         step = _newton_step(p, grid, ops, phi, chi, c, mu, res, active) if newton else None

@@ -16,6 +16,7 @@ as equality, prefactor 1).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ResonanceSingularityError, require_finite
@@ -224,55 +225,41 @@ class UnitScales:
         return self.energy * self.length**1.5
 
 
+#: UnitScales attribute of each dimensional PhysicalParams field; n_a and
+#: n_m are pure numbers, and of the resonance only a0 (a length) scales
+_DIMENSIONS = {
+    "omega_a": "frequency", "omega_m": "frequency",
+    "lambda_a": "coupling", "lambda_m": "coupling", "lambda_am": "coupling",
+    "alpha": "conversion", "epsilon": "energy", "temperature": "energy",
+    "mass": "mass", "hbar": "hbar",
+}
+
+
+def _rescaled(params: PhysicalParams, scales: UnitScales, op) -> PhysicalParams:
+    """The record with op(value, scale) for every dimensional field."""
+    res = params.resonance
+    if res is not None:
+        res = replace(res, a0=op(res.a0, scales.length))
+    return replace(params, resonance=res, **{
+        name: op(getattr(params, name), getattr(scales, scale))
+        for name, scale in _DIMENSIONS.items()})
+
+
 def natural_units(params: PhysicalParams) -> PhysicalParams:
-    """Rescale the record so hbar = M = omega_a = 1.
+    """Rescale the record so hbar = M = omega_a = 1 (each is its own
+    scale, and x / x is exactly 1.0).
 
     Dimensionless ratios (omega_m/omega_a, particle numbers, B fields)
     are untouched.  Idempotent; `from_natural` with the original scales
     inverts it to round-off.
     """
-    s = UnitScales.from_params(params)
-    res = params.resonance
-    if res is not None:
-        res = replace(res, a0=res.a0 / s.length)
-    return PhysicalParams(
-        omega_a=1.0,
-        omega_m=params.omega_m / s.frequency,
-        lambda_a=params.lambda_a / s.coupling,
-        lambda_m=params.lambda_m / s.coupling,
-        lambda_am=params.lambda_am / s.coupling,
-        alpha=params.alpha / s.conversion,
-        epsilon=params.epsilon / s.energy,
-        n_a=params.n_a,
-        n_m=params.n_m,
-        temperature=params.temperature / s.energy,
-        mass=1.0,
-        hbar=1.0,
-        resonance=res,
-    )
+    return _rescaled(params, UnitScales.from_params(params), operator.truediv)
 
 
 def from_natural(params: PhysicalParams, scales: UnitScales) -> PhysicalParams:
     """Inverse of `natural_units` for a record expressed in the units
     described by `scales`."""
-    res = params.resonance
-    if res is not None:
-        res = replace(res, a0=res.a0 * scales.length)
-    return PhysicalParams(
-        omega_a=params.omega_a * scales.frequency,
-        omega_m=params.omega_m * scales.frequency,
-        lambda_a=params.lambda_a * scales.coupling,
-        lambda_m=params.lambda_m * scales.coupling,
-        lambda_am=params.lambda_am * scales.coupling,
-        alpha=params.alpha * scales.conversion,
-        epsilon=params.epsilon * scales.energy,
-        n_a=params.n_a,
-        n_m=params.n_m,
-        temperature=params.temperature * scales.energy,
-        mass=params.mass * scales.mass,
-        hbar=params.hbar * scales.hbar,
-        resonance=res,
-    )
+    return _rescaled(params, scales, operator.mul)
 
 
 def chemical_equilibrium_gap(mu_a: float, mu_m: float) -> float:

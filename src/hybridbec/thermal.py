@@ -38,7 +38,7 @@ import numpy as np
 
 from .bdg import ModeSet
 from .errors import DomainError
-from .gpe import CondensateState
+from .gpe import CondensateState, _require_grid
 from .grid import RadialGrid
 from .params import PhysicalParams
 
@@ -48,7 +48,7 @@ NORM_TOL = 1e-4
 
 
 def bose_occupation(energy: float, beta: float) -> float:
-    """1/(exp(beta*E) - 1); beta = inf gives 0 for any E > 0.
+    """1/(exp(beta*E) - 1); beta = inf gives 1/expm1(inf) = 0 for E > 0.
 
     Past beta*E ~ 709.78, where expm1 overflows, the occupation is
     exp(-beta*E), equal to 1/(exp(beta*E) - 1) in double precision there
@@ -59,8 +59,6 @@ def bose_occupation(energy: float, beta: float) -> float:
     """
     if energy <= 0.0:
         raise DomainError(f"Bose occupation undefined for E = {energy} <= 0")
-    if math.isinf(beta):
-        return 0.0
     try:
         return 1.0 / math.expm1(beta * energy)
     except OverflowError:
@@ -157,6 +155,7 @@ def density_profiles(
     Only each set's temperature is read; the profiles share the r and
     condensate arrays, which do not depend on it.
     """
+    _require_grid(state, grid)
     betas = [p.beta for p in sweep]
     n = grid.n_points
     rho_a_th, ex_a, un_a = _thermal_sum(atoms, betas, include_quantum_depletion, n)

@@ -116,7 +116,8 @@ def figure3_curve(
     in the volume V = N/n.  The density may be given directly (r0 then
     follows from the chosen estimate) or via r0 (defaulting to the
     oscillator length).  density and r0, when given, must be positive
-    finite numbers; anything else raises ConfigError.
+    finite numbers, and r0^2 ("paper") or r0^3 ("conventional") a
+    positive finite float; anything else raises ConfigError.
     """
     for name, value in (("density", density), ("r0", r0)):
         if value is not None:
@@ -133,7 +134,11 @@ def figure3_curve(
         size = math.sqrt(n_total / density) if power == 2 else (n_total / density) ** (1.0 / 3.0)
     else:
         size = r0 if r0 is not None else params.oscillator_length
-        density = n_total / size**power
+        try:
+            density = n_total / size**power
+        except (OverflowError, ZeroDivisionError):  # size**power past the floats, or 0.0
+            raise ConfigError(f"r0 = {size!r} gives a {density_estimate!r} sample volume "
+                              f"r0^{power} that is not a positive finite float") from None
     volume = n_total / density
 
     res = params.resonance

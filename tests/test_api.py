@@ -7,10 +7,13 @@ change of the API and belongs in the change log.
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
 import hybridbec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SIGNATURES = {
     "ConvergenceError": "(message, residual=None, iterations=None)",
@@ -138,3 +141,15 @@ def test_every_public_dataclass_is_pinned():
 def test_error_base(name):
     bases = getattr(hybridbec, name).__bases__
     assert [b.__name__ for b in bases] == [ERROR_BASES[name]]
+
+
+def test_readme_python_api_block_runs():
+    # the first python block of the README's "Python API" section, run as
+    # written, so the documented calls keep up with the API
+    section = README.read_text().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    names = {}
+    exec(compile(block, str(README), "exec"), names)
+    assert isinstance(names["state"], hybridbec.CondensateState)
+    assert isinstance(names["profile"], hybridbec.DensityProfile)
+    assert isinstance(names["mode"], hybridbec.VariationalResult)

@@ -574,6 +574,19 @@ def test_singular_fig3_point_names_its_field(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_fig3_size_past_the_floats_exits_config_code(tmp_path, capsys):
+    # r0 = 1e300 passes the load-time check, but r0^2 overflows: exit 2
+    # naming r0, before any field point and with no --out directory
+    data = json.loads((CONFIGS / "fig3.json").read_text())
+    data["uniform"] = {"density": None, "r0": 1e300, "density_estimate": "paper"}
+    cfg = write_config(tmp_path, "huge_r0.json", data)
+    capsys.readouterr()
+    assert main(["fig3", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "r0 = 1e+300" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_variational_pinned_minimum_exits_5(tmp_path, capsys):
     # the bundled parameters pin the minimiser at omega_lo = 0.2
     data = json.loads((CONFIGS / "variational_sweep.json").read_text())

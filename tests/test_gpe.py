@@ -1,11 +1,12 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hybridbec import CollapseError, ConvergenceError, PhysicalParams, build_grid
-from hybridbec import gpe
+from hybridbec import CollapseError, ConfigError, ConvergenceError, PhysicalParams, build_grid
+from hybridbec import bdg, gpe, thermal
 from hybridbec.gpe import (
     CondensateState,
     SolverOptions,
@@ -653,3 +654,64 @@ def test_newton_step_singular_schur_system_gives_none(active):
     # the same band with nonzero borders gives a step
     step = gpe._newton_step(*args((ones, ones)))
     assert sorted(step) == active and all(np.isfinite(step[s]).all() for s in active)
+
+
+# every entry point that takes a state and a grid, called as (state, grid);
+# the thermal sums take the spectra of the state's own grid
+OWN_PARAMS = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, n_a=100.0)
+
+
+def _own_sets(state):
+    return bdg.block_2x2_spectrum(state, OWN_PARAMS, state.grid, j_max=4)
+
+
+ENTRY_POINTS = {
+    "paper_literal_spectrum":
+        lambda s, g: bdg.paper_literal_spectrum(s, OWN_PARAMS, g, j_max=4),
+    "block_2x2_spectrum": lambda s, g: bdg.block_2x2_spectrum(s, OWN_PARAMS, g, j_max=4),
+    "direct_grid_spectrum":
+        lambda s, g: bdg.direct_grid_spectrum(s, OWN_PARAMS, g, n_modes=2),
+    "density_profile":
+        lambda s, g: thermal.density_profile(s, *_own_sets(s), OWN_PARAMS, g),
+    "density_profiles":
+        lambda s, g: thermal.density_profiles(s, *_own_sets(s), [OWN_PARAMS], g),
+    "negative_phase_modes": lambda s, g: gpe.negative_phase_modes(s, OWN_PARAMS, g),
+    "gpe_defect": lambda s, g: gpe_defect(s, OWN_PARAMS, g),
+    "energy_functional": lambda s, g: energy_functional(s, OWN_PARAMS, g),
+    "solve_coupled_gpe": lambda s, g: solve_coupled_gpe(OWN_PARAMS, g, init=s),
+}
+OWN_GRID = build_grid(r_max=8.0, n_points=100)
+
+
+@pytest.fixture(scope="module")
+def own_state():
+    return solve_coupled_gpe(OWN_PARAMS, OWN_GRID)
+
+
+def _bits(out):
+    """Every number of an entry point's result, arrays as bytes; a
+    state's grid is left out."""
+    if isinstance(out, (tuple, list)):
+        return [_bits(x) for x in out]
+    if dataclasses.is_dataclass(out):
+        return [_bits(getattr(out, f.name)) for f in dataclasses.fields(out) if f.name != "grid"]
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    return repr(out)
+
+
+@pytest.mark.parametrize("other", [(10.0, 100), (8.0, 120)], ids=["r_max", "n_points"])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_a_grid_not_the_states_is_rejected(own_state, name, other):
+    # the state's arrays on another mesh: wrong physics or a shape mismatch
+    with pytest.raises(ConfigError, match=r"grid \(r_max=.*\) is not the state's grid "
+                                          r"\(r_max=8.0, n_points=100\)"):
+        ENTRY_POINTS[name](own_state, build_grid(*other))
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_an_equal_grid_built_apart_gives_the_same_bits(own_state, name):
+    twin = build_grid(r_max=8.0, n_points=100)
+    assert twin is not own_state.grid
+    assert _bits(ENTRY_POINTS[name](own_state, twin)) == \
+        _bits(ENTRY_POINTS[name](own_state, own_state.grid))

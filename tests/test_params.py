@@ -15,6 +15,7 @@ from hybridbec import (
     from_natural,
     natural_units,
 )
+from hybridbec import params as params_module
 from hybridbec.params import chemical_equilibrium_gap
 
 
@@ -171,6 +172,60 @@ def test_natural_units_round_trip():
         again = natural_units(nat)
         assert again.lambda_a == pytest.approx(nat.lambda_a, rel=1e-12)
         assert again.alpha == pytest.approx(nat.alpha, rel=1e-12)
+
+
+def test_unit_table_names_every_dimensional_field():
+    # a new dimensional field cannot land without a scale
+    fields = {f.name for f in dataclasses.fields(PhysicalParams)}
+    assert set(params_module._DIMENSIONS) == fields - {"n_a", "n_m", "resonance"}
+    scales = UnitScales.from_params(make_params())
+    assert all(hasattr(scales, scale) for scale in params_module._DIMENSIONS.values())
+
+
+def _explicit_natural_units(p):
+    # the conversions as they were spelled out field by field, the reference
+    s = UnitScales.from_params(p)
+    res = dataclasses.replace(p.resonance, a0=p.resonance.a0 / s.length)
+    return PhysicalParams(
+        omega_a=1.0, omega_m=p.omega_m / s.frequency, lambda_a=p.lambda_a / s.coupling,
+        lambda_m=p.lambda_m / s.coupling, lambda_am=p.lambda_am / s.coupling,
+        alpha=p.alpha / s.conversion, epsilon=p.epsilon / s.energy, n_a=p.n_a, n_m=p.n_m,
+        temperature=p.temperature / s.energy, mass=1.0, hbar=1.0, resonance=res)
+
+
+def _explicit_from_natural(p, s):
+    res = dataclasses.replace(p.resonance, a0=p.resonance.a0 * s.length)
+    return PhysicalParams(
+        omega_a=p.omega_a * s.frequency, omega_m=p.omega_m * s.frequency,
+        lambda_a=p.lambda_a * s.coupling, lambda_m=p.lambda_m * s.coupling,
+        lambda_am=p.lambda_am * s.coupling, alpha=p.alpha * s.conversion,
+        epsilon=p.epsilon * s.energy, n_a=p.n_a, n_m=p.n_m,
+        temperature=p.temperature * s.energy, mass=p.mass * s.mass, hbar=p.hbar * s.hbar,
+        resonance=res)
+
+
+def test_unit_table_keeps_the_explicit_formulas_bits():
+    rng = np.random.default_rng(29)
+
+    def record():
+        # magnitudes spread over decades, so every scale is far from 1
+        omega_a, omega_m, mass, hbar = 10.0 ** rng.uniform(-3.0, 3.0, size=4)
+        return PhysicalParams(
+            omega_a=omega_a, omega_m=omega_m, lambda_a=rng.uniform(-2, 2),
+            lambda_m=rng.uniform(-2, 2), lambda_am=rng.uniform(-2, 2),
+            alpha=rng.uniform(-2, 2), epsilon=rng.uniform(-1, 1),
+            n_a=rng.uniform(0, 1e6), n_m=rng.uniform(0, 1e6),
+            temperature=rng.uniform(0, 3), mass=mass, hbar=hbar,
+            resonance=FeshbachResonance(a0=rng.uniform(0.1, 2), b0=100.0, delta=0.01, b=99.9),
+        )
+
+    for _ in range(50):
+        p, other = record(), record()
+        scales = UnitScales.from_params(other)
+        for got, ref in ((natural_units(p), _explicit_natural_units(p)),
+                         (from_natural(p, scales), _explicit_from_natural(p, scales))):
+            for f in dataclasses.fields(PhysicalParams):
+                assert getattr(got, f.name) == getattr(ref, f.name), f.name
 
 
 def test_natural_units_scaling_dimensions():

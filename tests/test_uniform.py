@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -175,6 +176,17 @@ def test_figure3_branches_and_zero_crossing():
 def test_figure3_rejects_a_nonpositive_or_nonfinite_size(name, value):
     with pytest.raises(ConfigError, match=f"{name} must be a "):
         figure3_curve(fig3_params(), [99.9, 100.005], **{name: value})
+
+
+@pytest.mark.parametrize("r0, estimate", [
+    (1e300, "paper"), (1e-200, "paper"), (1e200, "conventional"), (1e-110, "conventional"),
+], ids=["paper-overflow", "paper-underflow", "conventional-overflow",
+        "conventional-underflow"])
+def test_figure3_rejects_a_size_whose_volume_leaves_the_floats(r0, estimate):
+    # r0^2 or r0^3 overflows or underflows to 0.0: a ConfigError before
+    # any field point, here ahead of the resonance point B = B0
+    with pytest.raises(ConfigError, match=re.escape(f"r0 = {r0!r} gives a '{estimate}'")):
+        figure3_curve(fig3_params(), [100.0, 99.9], r0=r0, density_estimate=estimate)
 
 
 def test_figure3_depends_on_field_only_through_a_eff():

@@ -11,17 +11,17 @@ are the constrained gradient of the mean-field energy functional at fixed
 norms integral(phi^2 d^3r) = N_a, N_m.  The factor-2 asymmetry between the
 conversion terms reflects pair conversion: two atoms per molecule.
 
-Solver: energy descent, preconditioned Riemannian conjugate gradient on
-the energy at fixed norms (Antoine, Levitt & Tang, J. Comput. Phys. 343,
-92 (2017)): one tridiagonal solve per species and step and an Armijo
-line search, with no time step to tune.  Once a check finds the defect
-below START_TOL, each step first tries the Newton step of the stationary
-equations bordered by the two norms as its search direction.  Newton
-alone converges to whatever stationary state is near; here the line
-search shortens a Newton step until it lowers the energy, and every step
-of that phase is checked for collapse.  The descent returns the first
-state whose defect is below the tolerance, or raises.  A function given
-a state and a grid raises ConfigError unless it is the state's grid.
+Solver: energy descent, the preconditioned gradient on the energy at
+fixed norms (Antoine, Levitt & Tang, J. Comput. Phys. 343, 92 (2017)):
+one tridiagonal solve per species and step and an Armijo line search,
+with no time step to tune.  After every step the state is checked, and
+while the last defect is below START_TOL the next step first tries the
+Newton step of the stationary equations bordered by the two norms as its
+search direction.  Newton alone converges to whatever stationary state
+is near; here the line search shortens a Newton step until it lowers the
+energy.  The descent returns the first state whose defect is below the
+tolerance, or raises.  A function given a state and a grid raises
+ConfigError unless it is the state's grid.
 
 Sign convention: fields are real.  For alpha > 0 the energy term
 2*alpha*phi_a^2*phi_m is minimized by phi_m <= 0 (phi_m >= 0 for
@@ -51,10 +51,8 @@ from .params import PhysicalParams
 ATOM = "atom"
 MOLECULE = "molecule"
 
-#: defect below which the descent tries Newton steps and checks every step
+#: defect below which the descent tries a Newton step
 START_TOL = 1e-2
-#: descent steps between defect/energy/collapse checks above START_TOL
-CHECK_EVERY = 5
 #: share of the first-order energy decrease a descent step must achieve
 ARMIJO = 1e-4
 #: an RMS width below COLLAPSE_WIDTH*h raises CollapseError
@@ -76,9 +74,8 @@ class SolverOptions:
                    descent takes its steps from a line search
 
     tol and dt must be positive numbers and max_iters an integer >= 1;
-    anything else raises ConfigError.  The check interval and the
-    collapse floor are the module constants CHECK_EVERY and
-    COLLAPSE_WIDTH.
+    anything else raises ConfigError.  The collapse floor is the module
+    constant COLLAPSE_WIDTH.
     """
 
     tol: float = 1e-8
@@ -378,13 +375,6 @@ def _energy_slack(energy: float) -> float:
     return 1e-10 * (1.0 + abs(energy))
 
 
-def _narrowest(state: CondensateState, params: PhysicalParams, grid: RadialGrid) -> float:
-    """Smallest RMS width among the populated species."""
-    widths = [grid.rms_width(phi)
-              for phi, n in ((state.phi_a, params.n_a), (state.phi_m, params.n_m)) if n > 0]
-    return min(widths, default=math.inf)
-
-
 def solve_coupled_gpe(
     params: PhysicalParams,
     grid: RadialGrid,
@@ -392,31 +382,28 @@ def solve_coupled_gpe(
     init: CondensateState | None = None,
 ) -> CondensateState:
     """Ground state by energy descent at fixed norms from `init` (on
-    `grid`) or the `gaussian_ansatz` fields.  Every CHECK_EVERY steps, at
-    every step once a check has found the defect below START_TOL, and at
-    opts.max_iters it checks the state: CollapseError if a field's RMS
-    width is at the grid floor (attractive collapse or unresolvable
-    state), else the state if its defect is below opts.tol, else
-    ConvergenceError at opts.max_iters.
+    `grid`) or the `gaussian_ansatz` fields.  After every step it checks
+    the state: CollapseError if a populated field's RMS width is at the
+    grid floor (attractive collapse or unresolvable state), else the
+    state if its defect is below opts.tol, else ConvergenceError at
+    opts.max_iters.
 
     A populated species has the residual r = g - mu chi (g from
     `_gradients`, mu its Rayleigh quotient) and the preconditioner
     P = (H - e + max(c, 0) + max(|mu - e|, hbar*omega))^-1, positive
     definite for any mu (e the one-body offset).  z = P r - (chi.P r /
-    chi.P chi) P chi is tangent to the norm; the conjugate-gradient
-    direction is -z plus a Polak-Ribiere+ share of the previous one, or
-    -z alone when that does not descend.  Below START_TOL the direction
-    is the tangent Newton step of `_newton_step`, and the
-    conjugate-gradient one only when the bordered system is singular or
-    the Newton step does not descend.  The step length halves, from 1 for
-    a Newton step and from min(1, 2*previous length) otherwise, until the
-    renormalized trial meets the Armijo condition or is within
-    `_energy_slack` of the energy, which keeps the descent going once
-    energy differences reach round-off: no step, Newton or not, raises
-    the energy by more.  A species with zero norm keeps its field and
-    mu; when that field is all zeros, as the default start makes it, the
-    species gets no operator, and a None operator in `_gradients` and
-    `_energy` leaves it out at no arithmetic per step.
+    chi.P chi) P chi is tangent to the norm.  When the last check found
+    the defect below START_TOL the direction is the tangent Newton step
+    of `_newton_step`; otherwise, or when the bordered system is singular
+    or the Newton step does not descend, it is -z.  The step length
+    halves, from 1 for a Newton step and from min(1, 2*previous length)
+    otherwise, until the renormalized trial meets the Armijo condition or
+    is within `_energy_slack` of the energy, which keeps the descent
+    going once energy differences reach round-off: no step, Newton or
+    not, raises the energy by more.  A species with zero norm keeps its
+    field and mu; when that field is all zeros, as the default start
+    makes it, the species gets no operator, and a None operator in
+    `_gradients` and `_energy` leaves it out at no arithmetic per step.
     """
     opts = opts if opts is not None else SolverOptions()
     start = init if init is not None else _gaussian_start(params, grid)
@@ -437,8 +424,8 @@ def solve_coupled_gpe(
     ops = [_operator(name, p, grid) if s in active or phi[s].any() else None
            for s, name in enumerate((ATOM, MOLECULE))]
     energy = _energy(p, grid, ops, phi, chi)
-    residual, width_floor, newton = math.inf, COLLAPSE_WIDTH * grid.h, False
-    res, z, d, z_prev, rz_prev, tau = {}, {}, None, None, 0.0, 0.5
+    residual, width_floor = math.inf, COLLAPSE_WIDTH * grid.h
+    res, z, tau = {}, {}, 0.5
 
     for it in range(opts.max_iters + 1):
         g, c = _gradients(p, ops, phi, chi)
@@ -451,43 +438,33 @@ def solve_coupled_gpe(
             x = solve_banded_shifted(precond, shift, np.array((res[s], chi[s])).T)
             z[s] = x[:, 0] - (np.dot(chi[s], x[:, 0]) / np.dot(chi[s], x[:, 1])) * x[:, 1]
 
-        if it and (newton or it % CHECK_EVERY == 0 or it == opts.max_iters):
+        if it:
             residual = max([_defect_size(res[s], chi[s], mu[s], scales[s]) for s in active],
                            default=0.0)
-            state = CondensateState(grid=grid, phi_a=phi[0], phi_m=phi[1], mu_a=mu[0],
-                                    mu_m=mu[1], residual=residual, energy=energy, iterations=it)
-            width = _narrowest(state, p, grid)
+            width = min([grid.rms_width(phi[s]) for s in active], default=math.inf)
             if width < width_floor:
                 raise CollapseError(f"RMS width {width:.3e} fell below the grid floor "
                                     f"{width_floor:.3e}; attractive collapse or "
                                     f"unresolvable state", width=width, iterations=it)
             if residual < opts.tol:
-                return state
+                return CondensateState(grid=grid, phi_a=phi[0], phi_m=phi[1], mu_a=mu[0],
+                                       mu_m=mu[1], residual=residual, energy=energy,
+                                       iterations=it)
             if it == opts.max_iters:
                 raise ConvergenceError(f"no convergence after {it} iterations (residual "
                                        f"{residual:.3e}, tol {opts.tol:g})",
                                        residual=residual, iterations=it)
-            newton = newton or residual < START_TOL
 
-        rz = sum(float(np.dot(res[s], z[s])) for s in active)
-        step = _newton_step(p, grid, ops, phi, chi, c, mu, res, active) if newton else None
+        step = (_newton_step(p, grid, ops, phi, chi, c, mu, res, active)
+                if residual < START_TOL else None)
         slope = math.nan if step is None else (
             2.0 * four_pi_h * sum(float(np.dot(res[s], step[s])) for s in active))
         if slope < 0.0:
             d, tau = step, 1.0
         else:
-            beta = 0.0 if rz_prev <= 0.0 else max(
-                0.0, (rz - sum(float(np.dot(res[s], z_prev[s])) for s in active)) / rz_prev)
-            if beta:
-                # the previous direction, moved to the new tangent space
-                d = {s: beta * (d[s] - (np.dot(chi[s], d[s]) / np.dot(chi[s], chi[s])) * chi[s])
-                        - z[s] for s in active}
-                slope = 2.0 * four_pi_h * sum(float(np.dot(res[s], d[s])) for s in active)
-            if not beta or not slope < 0.0:
-                d = {s: -z[s] for s in active}
-                slope = -2.0 * four_pi_h * rz
+            d = {s: -z[s] for s in active}
+            slope = -2.0 * four_pi_h * sum(float(np.dot(res[s], z[s])) for s in active)
             tau = min(1.0, 2.0 * tau)
-        z_prev, rz_prev = dict(z), rz
 
         slack = _energy_slack(energy)
         for _ in range(64 if math.isfinite(slope) else 0):

@@ -116,8 +116,9 @@ def figure3_curve(
     in the volume V = N/n.  The density may be given directly (r0 then
     follows from the chosen estimate) or via r0 (defaulting to the
     oscillator length).  density and r0, when given, must be positive
-    finite numbers, and r0^2 ("paper") or r0^3 ("conventional") a
-    positive finite float; anything else raises ConfigError.
+    finite numbers, r0^2 ("paper") or r0^3 ("conventional") a positive
+    finite float, and the density and sample size used positive finite
+    floats; anything else raises ConfigError before any field point.
     """
     for name, value in (("density", density), ("r0", r0)):
         if value is not None:
@@ -131,14 +132,20 @@ def figure3_curve(
         raise ConfigError(f"unknown density estimate '{density_estimate}'")
     power = 2 if density_estimate == "paper" else 3
     if density is not None:
+        given = f"density = {density!r}"
         size = math.sqrt(n_total / density) if power == 2 else (n_total / density) ** (1.0 / 3.0)
     else:
         size = r0 if r0 is not None else params.oscillator_length
+        given = f"r0 = {size!r}"
         try:
             density = n_total / size**power
         except (OverflowError, ZeroDivisionError):  # size**power past the floats, or 0.0
-            raise ConfigError(f"r0 = {size!r} gives a {density_estimate!r} sample volume "
+            raise ConfigError(f"{given} gives a {density_estimate!r} sample volume "
                               f"r0^{power} that is not a positive finite float") from None
+    if not (0.0 < density < math.inf and 0.0 < size < math.inf):
+        raise ConfigError(f"{given} with n_a = {n_total!r} gives a {density_estimate!r} "
+                          f"density {density!r} and sample size {size!r}; both must be "
+                          f"positive finite floats")
     volume = n_total / density
 
     res = params.resonance

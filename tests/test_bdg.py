@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -328,53 +329,19 @@ def test_direct_grid_channels_side_by_side_match_serial(monkeypatch, name, n):
     assert swapped == {"atoms-2": ["main"] * 2, "molecules-2": ["main", "worker"]}.get(name, [])
 
 
-def test_one_cpu_still_solves_the_molecule_on_the_worker(monkeypatch):
-    # a process allowed on one CPU takes the two-thread path as well: the
-    # grid oracle's molecule channel and a fresh grid's molecule basis run
-    # on the worker, and the modes are those of both species in turn
-    p = EQUIVALENCE_SETS["item2"]
-    g = build_grid(r_max=8.0, n_points=200)
-    s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
-    side_by_side, operator = bdg._side_by_side, bdg._operator
-    monkeypatch.setattr(bdg, "_side_by_side", in_turn)
-    serial_grid = direct_grid_spectrum(s, p, g, l=0)
-    serial_block = block_2x2_spectrum(s, p, build_grid(r_max=8.0, n_points=200), j_max=16)
-    monkeypatch.setattr(bdg, "_side_by_side", side_by_side)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    channels = []
-
-    def recording_operator(species, *args):
-        channels.append((thread_kind(), species))
-        return operator(species, *args)
-
-    monkeypatch.setattr(bdg, "_operator", recording_operator)
-    for got, ref in zip(direct_grid_spectrum(s, p, g, l=0), serial_grid):
-        assert_same_modes(got, ref)
-    assert sorted(channels) == [("main", ATOM), ("worker", MOLECULE)]
-    solved, dispatched = record_basis_threads(monkeypatch)
-    fresh = build_grid(r_max=8.0, n_points=200)
-    for got, ref in zip(block_2x2_spectrum(s, p, fresh, j_max=16), serial_block):
-        assert_same_modes(got, ref)
-    assert sorted(solved) == [("main", 16), ("worker", 16)] and dispatched == [MOLECULE]
-
-
-def test_direct_grid_logs_goldstone_pairs_on_the_calling_thread(monkeypatch, caplog):
+def test_direct_grid_logs_goldstone_pairs_on_the_calling_thread(caplog):
     # both species populated and uncoupled: each l = 0 channel skips its
-    # Goldstone pair, logged at DEBUG by the calling thread, atoms first,
-    # whether the process may run on one CPU or on two
+    # Goldstone pair, logged at DEBUG by the calling thread, atoms first
     p = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_m=0.05,
                        n_a=100.0, n_m=100.0)
     g = build_grid(r_max=8.0, n_points=200)
     s = solve_coupled_gpe(p, g, SolverOptions(dt=5e-3))
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="hybridbec.bdg"):
-            spectra = direct_grid_spectrum(s, p, g, l=0)
-        assert [ms.skipped for ms in spectra] == [2, 2]
-        assert [(r.threadName, r.getMessage()) for r in caplog.records] == [
-            ("MainThread", f"{species} l=0: skipped the Goldstone pair (2 modes)")
-            for species in (ATOM, MOLECULE)]
+    with caplog.at_level(logging.DEBUG, logger="hybridbec.bdg"):
+        spectra = direct_grid_spectrum(s, p, g, l=0)
+    assert [ms.skipped for ms in spectra] == [2, 2]
+    assert [(r.threadName, r.getMessage()) for r in caplog.records] == [
+        ("MainThread", f"{species} l=0: skipped the Goldstone pair (2 modes)")
+        for species in (ATOM, MOLECULE)]
 
 
 def test_direct_grid_raises_the_atom_error_after_the_worker(monkeypatch):
@@ -405,15 +372,20 @@ def test_direct_grid_raises_the_atom_error_after_the_worker(monkeypatch):
         assert finished == [None]  # the worker's B order had failed
 
 
+def write_item2_config(tmp_path):
+    # the item-2 set at 8/200 with spectra over l = 0..2
+    item2 = {"params": dataclasses.asdict(EQUIVALENCE_SETS["item2"]),
+             "grid": {"r_max": 8.0, "n_points": 200}, "bdg": {"j_max": 12, "l_max": 2}}
+    (tmp_path / "item2.json").write_text(json.dumps(item2))
+    return str(tmp_path / "item2.json")
+
+
 def test_spectrum_compare_writes_the_same_bytes_with_one_or_two_cpus(tmp_path, monkeypatch):
     # spectrum --compare with the channels and bases solved in turn on the
     # calling thread (the serial order) or side by side: spectrum_weak
     # (molecules with Delta = 0) and the item-2 set (both species with
     # Delta) over l = 0..2
-    item2 = {"params": dataclasses.asdict(EQUIVALENCE_SETS["item2"]),
-             "grid": {"r_max": 8.0, "n_points": 200}, "bdg": {"j_max": 12, "l_max": 2}}
-    configs = [str(CONFIGS / "spectrum_weak.json"), str(tmp_path / "item2.json")]
-    (tmp_path / "item2.json").write_text(json.dumps(item2))
+    configs = [str(CONFIGS / "spectrum_weak.json"), write_item2_config(tmp_path)]
     written = {}
     for order, side_by_side in ((1, in_turn), (2, bdg._side_by_side)):
         monkeypatch.setattr(bdg, "_side_by_side", side_by_side)
@@ -425,11 +397,45 @@ def test_spectrum_compare_writes_the_same_bytes_with_one_or_two_cpus(tmp_path, m
         assert len(written[1, k]) == 4 and written[1, k] == written[2, k]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+PINNED_CHILD = """\
+import json, os, sys
+from hybridbec.cli import main
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+for args in json.loads(sys.argv[2]):
+    assert main(args) == 0, args
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity")
+def test_one_cpu_writes_the_same_bytes_as_an_unpinned_run(tmp_path):
+    # a child interpreter pinned to one CPU of its own affinity set (the
+    # call acts on that child alone) still hands the molecule's share to
+    # the worker, which then takes turns with the calling thread: spectrum
+    # --compare on spectrum_weak and the item-2 set, then a density
+    # sweep, must write the bytes of an unpinned child
+    runs = [["spectrum", "--compare", "--config", str(CONFIGS / "spectrum_weak.json")],
+            ["spectrum", "--compare", "--config", write_item2_config(tmp_path)],
+            ["density", "--config", str(CONFIGS / "density_sweep.json")]]
+    src = str(Path(bdg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    written = {}
+    for mode in ("pinned", "unpinned"):
+        out = tmp_path / mode
+        args = [run + ["--out", str(out / str(k))] for k, run in enumerate(runs)]
+        child = subprocess.run([sys.executable, "-c", PINNED_CHILD, mode, json.dumps(args)],
+                               env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        written[mode] = {f.relative_to(out): f.read_bytes()
+                         for f in sorted(out.rglob("*")) if f.is_file()}
+    assert {f.parts[0] for f in written["pinned"]} == {"0", "1", "2"}
+    assert written["pinned"] == written["unpinned"]
+
+
 @pytest.mark.parametrize("method", [block_2x2_spectrum, paper_literal_spectrum])
-def test_basis_spectra_reject_j_max_above_grid_size(monkeypatch, method, cpus):
-    # the same error and no basis kept on one CPU or on two
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+def test_basis_spectra_reject_j_max_above_grid_size(method):
+    # the error names the grid's limit, and no basis is kept
     g = build_grid(r_max=8.0, n_points=16)
     s = gaussian_ansatz(ITEM2, g)
     with pytest.raises(ConfigError) as err:
@@ -1010,10 +1016,11 @@ def test_direct_grid_keeps_sign_without_anomalous_term():
 def flipped_item2_state(g):
     # the stationary state the descent reaches from the item-2 seed with
     # phi_m of the wrong sign for alpha (E = 837.66 at 8/200): a higher
-    # branch than the ground state
+    # branch than the ground state, solved to tol 1e-12 so that its growth
+    # rates pin the saddle and not the step where a descent stops
     p = EQUIVALENCE_SETS["item2"]
     seed = gaussian_ansatz(p, g)
-    return solve_coupled_gpe(p, g, init=CondensateState(
+    return solve_coupled_gpe(p, g, SolverOptions(tol=1e-12), init=CondensateState(
         grid=g, phi_a=seed.phi_a, phi_m=-seed.phi_m, mu_a=seed.mu_a, mu_m=seed.mu_m))
 
 
@@ -1031,8 +1038,8 @@ def test_direct_grid_reports_growth_rates(caplog):
     cases = [(raised, p, 0, ATOM, [0.25379192])]
     flipped = flipped_item2_state(g)
     p2 = EQUIVALENCE_SETS["item2"]
-    cases += [(flipped, p2, 0, ATOM, [3.28162553]), (flipped, p2, 1, ATOM, [0.8458806]),
-              (flipped, p2, 0, MOLECULE, [0.63435866]), (flipped, p2, 1, MOLECULE, [])]
+    cases += [(flipped, p2, 0, ATOM, [3.28162551]), (flipped, p2, 1, ATOM, [0.84588054]),
+              (flipped, p2, 0, MOLECULE, [0.63435865]), (flipped, p2, 1, MOLECULE, [])]
     for state, params, l, species, rates in cases:
         with caplog.at_level(logging.WARNING, logger="hybridbec.bdg"), banded_only():
             spectra = direct_grid_spectrum(state, params, g, l=l, n_modes=8)

@@ -587,6 +587,22 @@ def test_fig3_size_past_the_floats_exits_config_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_fig3_density_past_the_floats_exits_config_code(tmp_path, capsys):
+    # r0 = 1e154 and n_a = 1e-20: r0^2 is finite but the density N/r0^2
+    # underflows to 0.0; exit 2 naming r0 and the estimate, where the
+    # volume N/n exited 5 with a ZeroDivisionError
+    data = json.loads((CONFIGS / "fig3.json").read_text())
+    data["params"]["n_a"] = 1e-20
+    data["uniform"] = {"density": None, "r0": 1e154, "density_estimate": "paper"}
+    cfg = write_config(tmp_path, "tiny_density.json", data)
+    capsys.readouterr()
+    assert main(["fig3", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert "r0 = 1e+154" in err["message"] and "'paper' density 0.0" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_variational_pinned_minimum_exits_5(tmp_path, capsys):
     # the bundled parameters pin the minimiser at omega_lo = 0.2
     data = json.loads((CONFIGS / "variational_sweep.json").read_text())

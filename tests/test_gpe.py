@@ -199,13 +199,14 @@ def test_attractive_supercritical_collapses():
 
 
 def test_nonconvergence_reports_residual():
-    # the solve needs 10 descent steps and 2 Newton steps; the check at the
-    # cap of 8 finds the defect below START_TOL with no step left
+    # the solve converges in 8 steps; the check at the cap of 7 finds the
+    # defect (9.4e-6) below START_TOL with no step left
     p = params(lambda_a=1e-3)
+    assert solve_coupled_gpe(p, GRID).iterations == 8
     with pytest.raises(ConvergenceError) as err:
-        solve_coupled_gpe(p, GRID, SolverOptions(max_iters=8))
-    assert err.value.iterations == 8
-    assert err.value.residual is not None and err.value.residual > 1e-8
+        solve_coupled_gpe(p, GRID, SolverOptions(max_iters=7))
+    assert err.value.iterations == 7
+    assert err.value.residual is not None and 1e-8 < err.value.residual < gpe.START_TOL
 
 
 def test_nonfinite_step_raises_convergence_error(monkeypatch):
@@ -261,8 +262,8 @@ STAGE_SETS = {
 }
 
 
-# test names ending in "flow" name the conjugate-gradient descent alone,
-# which replaced an imaginary-time flow
+# test names ending in "flow" name the preconditioned gradient descent
+# alone, which replaced an imaginary-time flow
 def descent_only(monkeypatch, p, g, opts):
     # no defect is below START_TOL = 0, so no Newton step is tried
     with monkeypatch.context() as m:
@@ -351,15 +352,14 @@ def test_start_stage_error_reports_caller_tolerance():
 
 
 def test_max_iters_caps_flow_plus_newton_steps():
-    # the free gas is below 1e-2 at the first check (CHECK_EVERY descent
-    # steps) and needs one Newton step
+    # the free gas is below 1e-2 (at 4.8e-4, the grid's error) at the check
+    # after the first descent step and needs one Newton step
     p = params()
-    n = gpe.CHECK_EVERY
-    s = solve_coupled_gpe(p, GRID, SolverOptions(max_iters=n + 1))
-    assert s.iterations == n + 1 and s.residual < 1e-8
+    s = solve_coupled_gpe(p, GRID, SolverOptions(max_iters=2))
+    assert s.iterations == 2 and s.residual < 1e-8
     with pytest.raises(ConvergenceError) as err:
-        solve_coupled_gpe(p, GRID, SolverOptions(max_iters=n))
-    assert err.value.iterations == n
+        solve_coupled_gpe(p, GRID, SolverOptions(max_iters=1))
+    assert err.value.iterations == 1
     assert 1e-8 < err.value.residual < gpe.START_TOL
 
 

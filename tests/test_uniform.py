@@ -189,6 +189,26 @@ def test_figure3_rejects_a_size_whose_volume_leaves_the_floats(r0, estimate):
         figure3_curve(fig3_params(), [100.0, 99.9], r0=r0, density_estimate=estimate)
 
 
+@pytest.mark.parametrize("estimate, r0", [("paper", 1e154), ("conventional", 1e102)])
+def test_figure3_rejects_a_density_that_underflows(estimate, r0):
+    # r0^2 or r0^3 is finite, but n_a / r0^power underflows to 0.0: a
+    # ConfigError naming r0 and the estimate, not a ZeroDivisionError
+    with pytest.raises(ConfigError, match=re.escape(
+            f"r0 = {r0!r} with n_a = 1e-20 gives a '{estimate}' density 0.0")):
+        figure3_curve(fig3_params(n_atoms=1e-20), [99.9, 100.005], r0=r0,
+                      density_estimate=estimate)
+
+
+@pytest.mark.parametrize("estimate", ["paper", "conventional"])
+def test_figure3_rejects_a_sample_size_that_overflows(estimate):
+    # N / n overflows, so the size is inf under either estimate: a
+    # ConfigError, where the attractive point B = 100.005 reported n0 = inf
+    with pytest.raises(ConfigError, match=re.escape(
+            f"density = 1e-310 with n_a = 1000000.0 gives a '{estimate}' density "
+            f"1e-310 and sample size inf")):
+        figure3_curve(fig3_params(), [100.005], density=1e-310, density_estimate=estimate)
+
+
 def test_figure3_depends_on_field_only_through_a_eff():
     from dataclasses import replace
 

@@ -18,12 +18,9 @@ error, so a changed error message shows in the diff, and then any
 artifact it left.
 
 The spectrum methods solve the two species on two threads, the
-molecule's share on a worker.  Pinned to one CPU, the run checks that
-the worker, taking turns with the calling thread, writes the same bytes:
-
-    PYTHONPATH=src taskset -c 0 python tools/artifact_digests.py --seeds 1 2 3 23
-
-Both runs should print the same lines.
+molecule's share on a worker.  That the worker, taking turns with the
+calling thread on one CPU, writes the same bytes is checked by
+``tests/test_bdg.py::test_one_cpu_writes_the_same_bytes_as_an_unpinned_run``.
 """
 
 import argparse

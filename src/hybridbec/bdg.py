@@ -319,21 +319,16 @@ def paper_literal_spectrum(
         for j in range(j_max):
             for branch in ("+", "-"):
                 e = e_avg[branch][j]
-                mode = Mode(j=j, branch=branch, energy=e)
                 denom = h_bar[j] - e**2
                 f = d_bar / denom if denom != 0.0 else math.inf
-                if f > 1.0 and math.isfinite(f):
-                    b = math.sqrt(1.0 / (f - 1.0))
-                    a = f * b
-                    scale = math.sqrt(a * a - b * b)  # = sqrt(f + 1)
-                    mode.u = (a / scale) * amp[j]
-                    mode.v = (b / scale) * amp[j]
-                    mode.coeff_u = a
-                    mode.coeff_v = b
-                    mode.norm = 1.0
-                else:
-                    mode.unstable = True
-                modes.append(mode)
+                if not (f > 1.0 and math.isfinite(f)):
+                    modes.append(Mode(j, branch, e, unstable=True))
+                    continue
+                b = math.sqrt(1.0 / (f - 1.0))
+                a = f * b
+                scale = math.sqrt(a * a - b * b)  # = sqrt(f + 1)
+                modes.append(Mode(j, branch, e, (a / scale) * amp[j], (b / scale) * amp[j],
+                                  a, b, norm=1.0))
         modes.sort(key=lambda m: (m.branch, m.energy))
         out.append(ModeSet(species=species, method="paper-literal", modes=modes))
     return out[0], out[1]
@@ -366,30 +361,22 @@ def block_2x2_spectrum(
             h = level + float(np.dot(w, chi2[j])) - mu
             d = float(np.dot(delta, chi2[j]))
             disc = h * h - d * d
-            for sgn, branch in ((1.0, "+"), (-1.0, "-")):
-                mode = Mode(j=j, branch=branch, energy=math.nan)
-                if disc >= 0.0:
-                    e_mag = math.sqrt(disc)
-                    e_plus = e_mag if h >= 0.0 else -e_mag
-                    mode.energy = sgn * e_plus
-                    if e_mag > 0.0:
-                        a2 = (abs(h) / e_mag + 1.0) / 2.0
-                        a = math.sqrt(a2)
-                        b = math.copysign(math.sqrt(a2 - 1.0), d) if a2 > 1.0 else 0.0
-                        if sgn > 0:
-                            mode.coeff_u, mode.coeff_v = a, b
-                            mode.u, mode.v = a * amp[j], b * amp[j]
-                            mode.norm = 1.0
-                        else:
-                            mode.coeff_u, mode.coeff_v = b, a
-                            mode.u, mode.v = b * amp[j], a * amp[j]
-                            mode.norm = -1.0
-                    # e_mag == 0: Goldstone-like boundary, coefficients diverge
-                else:
-                    mode.energy = 0.0
-                    mode.energy_imag = sgn * math.sqrt(-disc)
-                    mode.unstable = True
-                modes.append(mode)
+            if not disc >= 0.0:
+                rate = math.sqrt(-disc)
+                modes += (Mode(j, "+", 0.0, energy_imag=rate, unstable=True),
+                          Mode(j, "-", 0.0, energy_imag=-rate, unstable=True))
+                continue
+            e_mag = math.sqrt(disc)
+            e = e_mag if h >= 0.0 else -e_mag
+            if e_mag == 0.0:  # Goldstone-like boundary, coefficients diverge
+                modes += Mode(j, "+", e), Mode(j, "-", -e)
+                continue
+            a2 = (abs(h) / e_mag + 1.0) / 2.0
+            a = math.sqrt(a2)
+            b = math.copysign(math.sqrt(a2 - 1.0), d) if a2 > 1.0 else 0.0
+            # the (-) branch swaps A and B; no two modes share an array
+            modes += (Mode(j, "+", e, a * amp[j], b * amp[j], a, b, norm=1.0),
+                      Mode(j, "-", -e, b * amp[j], a * amp[j], b, a, norm=-1.0))
         modes.sort(key=lambda m: (m.branch, m.energy))
         out.append(ModeSet(species=species, method="block-2x2", modes=modes))
     return out[0], out[1]

@@ -104,8 +104,6 @@ def _spectrum_by_method(method, cfg, state, grid):
 
 
 def _mode_rows(modesets):
-    # strings pass through write_csv as they are and float64 arrays take
-    # its whole-column formatting, so no cell goes through format_value
     modes = [m for ms in modesets for m in ms.modes]
     return dict(zip(MODE_COLUMNS, (
         [ms.method for ms in modesets for _ in ms.modes],
@@ -219,20 +217,20 @@ def cmd_density(cfg: RunConfig, outdir: Path) -> list[Path]:
     return paths
 
 
+def _floats(records, name):
+    """The float64 column of one attribute of a list of result records."""
+    return np.array([getattr(r, name) for r in records], dtype=float)
+
+
 def cmd_variational(cfg: RunConfig, outdir: Path) -> list[Path]:
     if not (cfg.sweep and cfg.sweep["variable"] == "N"):
         raise ConfigError("variational requires a sweep over N")
     box = cfg.search_box()
     rows = [r for mode in (MODE_SURFACE, MODE_BREATHING)
             for r in sweep_spectrum(mode, cfg.params, cfg.sweep["values"], box)]
-
-    def floats(name):
-        return np.array([getattr(r, name) for r in rows], dtype=float)
-
-    # float64 arrays take write_csv's whole-column formatting
-    cols = {"n_atoms": floats("n_atoms"), "mode": [r.mode for r in rows],
-            "resonant": [str(int(r.resonant)) for r in rows], "v_opt": floats("v_opt"),
-            "omega_opt": floats("omega_opt"), "energy": floats("energy")}
+    cols = {"n_atoms": _floats(rows, "n_atoms"), "mode": [r.mode for r in rows],
+            "resonant": [str(int(r.resonant)) for r in rows], "v_opt": _floats(rows, "v_opt"),
+            "omega_opt": _floats(rows, "omega_opt"), "energy": _floats(rows, "energy")}
     head = provenance(
         cfg.config_hash(), v_max=box.v_max, omega_lo=box.omega_lo,
         omega_hi=box.omega_hi, coarse=box.coarse,
@@ -246,13 +244,9 @@ def cmd_fig3(cfg: RunConfig, outdir: Path) -> list[Path]:
     u = cfg.uniform
     pts = figure3_curve(cfg.params, cfg.sweep["values"], density=u["density"],
                         r0=u["r0"], density_estimate=u["density_estimate"])
-    cols = {
-        "b": [pt.b for pt in pts],
-        "a_eff": [pt.a_eff for pt in pts],
-        "branch": [pt.source for pt in pts],
-        "regime": [pt.regime for pt in pts],
-        "n0": [pt.n0 for pt in pts],
-    }
+    cols = {"b": _floats(pts, "b"), "a_eff": _floats(pts, "a_eff"),
+            "branch": [pt.source for pt in pts], "regime": [pt.regime for pt in pts],
+            "n0": _floats(pts, "n0")}
     head = provenance(
         cfg.config_hash(), density=u["density"], r0=u["r0"],
         density_estimate=u["density_estimate"],

@@ -18,17 +18,6 @@ from . import __version__
 UNITS_NOTE = "natural units: hbar = M = omega_a = 1"
 
 
-def format_value(x) -> str:
-    # repr of Python floats is the shortest round-trip form; numpy
-    # scalars are unwrapped so rows stay plain numbers, and booleans of
-    # either kind write as 0/1; a string is its own str()
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer, np.bool_)):
-        return str(int(x))
-    return str(x)
-
-
 def provenance(config_hash: str, **flags) -> list[str]:
     """Standard header block; extra flags become one line each."""
     lines = [
@@ -42,23 +31,20 @@ def provenance(config_hash: str, **flags) -> list[str]:
 
 
 def format_column(values) -> list[str]:
-    """format_value of every entry, in one pass: a float ndarray goes
-    through tolist(), which yields the Python floats format_value would
-    unwrap, so the type dispatch is paid once per column, not per cell.
-
-    The result, passed to write_csv as a column, writes the same bytes as
-    the values it was formatted from, so a column shared by several files
-    is formatted once: a column of strings, which format_value would
-    return unchanged, is returned as it is."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return [repr(x) for x in values.tolist()]
-    if all(map(str.__instancecheck__, values)):  # isinstance(x, str), per cell
+    """A column's cells: a float array gives the repr of each entry, the
+    shortest round-trip form; a list of strings is returned as it is, so
+    a column shared by several files is formatted once.  Any other array
+    raises TypeError: an int or bool array would write other text."""
+    if not isinstance(values, np.ndarray):
         return values
-    return [format_value(x) for x in values]
+    if values.dtype.kind != "f":
+        raise TypeError(f"csv columns are float arrays or strings, not {values.dtype}")
+    return [repr(x) for x in values.tolist()]
 
 
 def write_csv(path, header_lines, columns: dict) -> Path:
-    """Write named columns of equal length; returns the path."""
+    """Write named columns of equal length, each a float array or a list
+    of strings (`format_column`); returns the path."""
     path = Path(path)
     names = list(columns)
     series = [columns[k] for k in names]

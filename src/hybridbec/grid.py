@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.cython_lapack
 
-from .errors import require_count, require_finite, require_positive
+from .errors import ConfigError, require_count, require_finite, require_positive
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,10 +39,16 @@ class RadialGrid:
         n = require_count("n_points", self.n_points, 16)
         h = self.r_max / n
         r = h * np.arange(1, n + 1, dtype=float)
+        with np.errstate(over="ignore"):
+            w = 4.0 * np.pi * r**2 * h
+        # w rises with r: its first entry underflows first, its last overflows
+        if not 0.0 < w[0] <= w[-1] < math.inf:
+            raise ConfigError(f"r_max = {self.r_max!r} with n_points = {n} gives volume "
+                              f"weights 4*pi*r^2*h that are not positive finite floats")
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "w", 4.0 * np.pi * r**2 * h)
+        object.__setattr__(self, "w", w)
 
     def integrate(self, values: np.ndarray) -> float:
         """Volume integral of an isotropic field sampled on the grid."""
@@ -65,8 +71,19 @@ def build_grid(r_max: float = 8.0, n_points: int = 400) -> RadialGrid:
 
 
 def harmonic_potential(grid: RadialGrid, mass: float, omega: float) -> np.ndarray:
-    """V(r) = (1/2) * mass * omega^2 * r^2 on the grid."""
-    return 0.5 * mass * omega**2 * grid.r**2
+    """V(r) = (1/2) * mass * omega^2 * r^2 on the grid.  Raises
+    ConfigError when V at the last node is past the floats."""
+    try:
+        coeff = 0.5 * mass * omega**2
+    except OverflowError:  # omega**2 past the floats
+        coeff = math.inf
+    with np.errstate(over="ignore"):
+        v = coeff * grid.r**2
+    if not math.isfinite(v[-1]):
+        raise ConfigError(f"trap term mass*omega^2*r^2/2 at r_max = {grid.r_max!r} is not a "
+                          f"finite float for mass = {mass!r} and omega = {omega!r} "
+                          f"(omega_a or omega_m)")
+    return v
 
 
 _GTSV, = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)
@@ -118,7 +135,13 @@ class RadialOperator:
         hbar: float = 1.0,
         l: int = 0,
     ) -> "RadialOperator":
-        k = hbar**2 / (2.0 * mass * grid.h**2)
+        try:
+            k = hbar**2 / (2.0 * mass * grid.h**2)
+        except (OverflowError, ZeroDivisionError):  # a power past the floats, or 0.0
+            k = math.inf
+        if not math.isfinite(k):
+            raise ConfigError(f"kinetic scale hbar^2/(2*mass*h^2) with hbar = {hbar!r}, mass = "
+                              f"{mass!r} and h = r_max/n_points = {grid.h!r} is not a finite float")
         diag = 2.0 * k + np.asarray(potential, dtype=float)
         if l > 0:
             diag = diag + l * (l + 1) * hbar**2 / (2.0 * mass * grid.r**2)

@@ -257,15 +257,18 @@ def _scan_table(parts, ws, strengths):
     parts is the mode's kernel and strengths the lanes' coupling strengths
     as rows (lanes x 3).  G is lanes x scan; first[k] is the index of lane k's
     first scan point with S/2 >= P, or -1.  Such a lane is set aside
-    before the square root, so its G row is P, not G.
+    before the square root, so its G row is P, not G.  A cell past the
+    floats is +inf, which the basin choice passes over, so its overflow
+    is not reported.
     """
-    quad, mix = parts(ws, *strengths.T[:, :, None])
-    h = 0.5 * mix
-    over = h >= quad
-    first = np.where(over.any(axis=1), over.argmax(axis=1), -1)
-    h[first >= 0] = 0.0
-    h = np.maximum(h, 0.0)  # h = 0 where G = P
-    return np.where(h > 0.0, np.sqrt((quad - h) * (quad + h)), quad), first
+    with np.errstate(over="ignore"):
+        quad, mix = parts(ws, *strengths.T[:, :, None])
+        h = 0.5 * mix
+        over = h >= quad
+        first = np.where(over.any(axis=1), over.argmax(axis=1), -1)
+        h[first >= 0] = 0.0
+        h = np.maximum(h, 0.0)  # h = 0 where G = P
+        return np.where(h > 0.0, np.sqrt((quad - h) * (quad + h)), quad), first
 
 
 def _minimize_lanes(mode: str, lanes, box: SearchBox | None):

@@ -238,6 +238,19 @@ def test_basis_spectra_build_inline_with_one_basis_missing(monkeypatch):
     assert solved == [("main", 8)] * 2 and dispatched == []
 
 
+@pytest.mark.parametrize("method", [block_2x2_spectrum, paper_literal_spectrum])
+def test_basis_modes_share_no_array(method):
+    # each mode's u and v are arrays of its own, so a caller's in-place
+    # edit of one mode cannot move another; the block method gives every
+    # one of its 32 modes amplitudes, the paper's closed form two
+    g = build_grid(r_max=8.0, n_points=200)
+    s = gaussian_ansatz(ITEM2, g)
+    arrays = [a for ms in method(s, ITEM2, g, j_max=8) for m in ms.modes
+              for a in (m.u, m.v) if a is not None]
+    assert len(arrays) == (64 if method is block_2x2_spectrum else 4)
+    assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays) for b in arrays[k + 1:])
+
+
 def test_basis_spectra_raise_the_atom_error_after_the_worker(monkeypatch):
     s = gaussian_ansatz(ITEM2, build_grid(r_max=8.0, n_points=200))
     fail = {"main": ValueError("atom"), "worker": ValueError("molecule")}

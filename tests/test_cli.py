@@ -173,6 +173,9 @@ def test_non_numeric_sweep_values_exit_config_code(tmp_path, capsys, values):
 @pytest.mark.parametrize("section, key, value", [
     ("grid", "n_points", 400.5),
     ("grid", "r_max", float("inf")),
+    ("grid", "r_max", 1e-300),
+    ("grid", "r_max", 1e300),
+    ("params", "omega_a", 1e200),
     ("solver", "tol", "1e-8"),
     ("solver", "dt", -4e-3),
     ("solver", "max_iters", 0),
@@ -199,12 +202,12 @@ def test_non_numeric_sweep_values_exit_config_code(tmp_path, capsys, values):
     ("uniform", "r0", -1),
 ])
 def test_invalid_grid_and_solver_exit_config_code(tmp_path, capsys, section, key, value):
-    # a fractional grid size, an infinite box, a string tolerance, a
-    # negative step, a zero iteration cap, bad mode counts, a string box
-    # edge or flag, non-finite, boolean or string parameters and a
-    # nonpositive or non-finite uniform
-    # density or sample size are config errors, not runs, truncations,
-    # solver failures or raw Python errors
+    # a fractional grid size, an infinite box or one whose volume weights
+    # or trap term leave the floats, a string tolerance, a negative step,
+    # a zero iteration cap, bad mode counts, a string box edge or flag,
+    # non-finite, boolean or string parameters and a nonpositive or
+    # non-finite uniform density or sample size are config errors, not
+    # runs, truncations, solver failures or raw Python errors
     data = {"params": {"omega_a": 1.0, "omega_m": 1.4, "n_a": 100.0}}
     data.setdefault(section, {})[key] = value
     bad = write_config(tmp_path, "bad.json", data)

@@ -32,8 +32,10 @@ def test_grid_layout():
 def test_grid_validation():
     with pytest.raises(ConfigError):
         build_grid(r_max=-1.0)
-    # an infinite box made h infinite and the solve exit 3 with warnings
-    for r_max in (np.inf, np.nan, "8.0", True):
+    # an infinite box made h infinite and the solve exit 3 with warnings;
+    # a box whose volume weights 4*pi*r^2*h underflow to 0 or overflow
+    # raised ZeroDivisionError or OverflowError in the first operator
+    for r_max in (np.inf, np.nan, "8.0", True, 1e-300, 1e300):
         with pytest.raises(ConfigError, match="r_max"):
             build_grid(r_max=r_max)
     with pytest.raises(ConfigError):
@@ -95,6 +97,23 @@ def oscillator(species, n, l=0):
     g = build_grid(r_max=8.0, n_points=n)
     mass, omega, _ = _one_body(species, p)
     return RadialOperator.build(g, mass, harmonic_potential(g, mass, omega), l=l)
+
+
+def test_operator_and_trap_past_the_floats_raise_config_error():
+    # the kinetic scale hbar^2/(2 m h^2) and the trap term m w^2 r^2 / 2
+    # raised ZeroDivisionError or OverflowError, or warned and gave inf
+    g = build_grid(r_max=8.0, n_points=100)
+    for mass, hbar in ((1e-310, 1.0), (1.0, 1e200)):
+        with pytest.raises(ConfigError, match="mass"):
+            RadialOperator.build(g, mass, np.zeros(100), hbar=hbar)
+    for mass, omega in ((1.0, 1e200), (1e300, 1e10), (1.0, 1e154)):
+        with pytest.raises(ConfigError, match="omega_a or omega_m"):
+            harmonic_potential(g, mass, omega)
+    for key, value in (("omega_a", 1e200), ("omega_m", 1e160)):
+        p = PhysicalParams(**{"omega_a": 1.0, "omega_m": 1.4, "n_a": 50.0, "n_m": 10.0,
+                              key: value})
+        with pytest.raises(ConfigError, match=key):
+            solve_coupled_gpe(p, g)
 
 
 def same_arrays(a, b):

@@ -248,12 +248,27 @@ def test_overflowing_box_is_reported_as_overflow():
     r = minimize_mode("010", WEAK, 1e4, SearchBox(v_max=1e200, omega_lo=0.005))
     assert r == minimize_mode("010", WEAK, 1e4, SearchBox(omega_lo=0.005))
     # hbar w_a^2 / w overflows for subnormal w: the minimum is inf, and
-    # the message names the overflow rather than asking for a wider box
-    with pytest.warns(RuntimeWarning, match="overflow encountered"):
-        with pytest.raises(BoundaryMinimumError) as info:
-            minimize_mode("010", WEAK, 1e4, SearchBox(omega_lo=1e-320, omega_hi=1e-310))
+    # the message names the overflow rather than asking for a wider box;
+    # the scan's overflow itself is not reported as a RuntimeWarning
+    with pytest.raises(BoundaryMinimumError) as info:
+        minimize_mode("010", WEAK, 1e4, SearchBox(omega_lo=1e-320, omega_hi=1e-310))
     assert "overflowed" in str(info.value) and "widen" not in str(info.value)
     assert info.value.energy == math.inf
+
+
+@pytest.mark.parametrize("box", [SearchBox(omega_hi=1e308), SearchBox(omega_lo=1e-320)],
+                         ids=["omega_hi", "omega_lo"])
+def test_wide_box_overflow_writes_no_warning(box):
+    # the scan cells past the floats are +inf and passed over; with tier-1
+    # turning a RuntimeWarning into an error, the sweep must still return
+    # the default box's minima
+    params = PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1)
+    for mode, omega, energy in (("010", 0.7826033, 3.0255006), ("100", 0.8952467, 4.2521986)):
+        got = sweep_spectrum(mode, params, [100.0], box)[0]
+        want = sweep_spectrum(mode, params, [100.0])[0]
+        assert got.omega_opt == pytest.approx(want.omega_opt, abs=1e-7)
+        assert got.energy == pytest.approx(want.energy, abs=1e-12)
+        assert (got.omega_opt, got.energy) == pytest.approx((omega, energy), abs=1e-7)
 
 
 def _parity_cases():

@@ -66,12 +66,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, DomainError, require_count
+from .errors import ConfigError, DomainError, require_choice, require_count
 from .gpe import (
     ATOM, MOLECULE, CondensateState, _block_diagonals, _general_band, _one_body, _operator,
-    _require_grid, _second_variation,
+    _require_grid, _second_variation, _trap,
 )
-from .grid import RadialGrid, RadialOperator, band_eigenvalues, harmonic_potential
+from .grid import RadialGrid, RadialOperator, band_eigenvalues
 from .params import PhysicalParams
 
 log = logging.getLogger(__name__)
@@ -142,8 +142,7 @@ def basis_levels(
     hbar*omega*(2j+3/2) instead; see module docstring.
     """
     j_max = require_count("j_max", j_max, 1)
-    if convention not in CONVENTIONS:
-        raise ConfigError(f"unknown basis convention '{convention}'")
+    require_choice("convention", convention, CONVENTIONS)
     _, omega, _ = _one_body(species, params)
     j = np.arange(j_max, dtype=float)
     if convention == "paper":
@@ -175,15 +174,13 @@ def oscillator_basis(
     basis methods.  The basis methods build a grid's two missing bases
     at once, the molecule's on a worker thread (`_projections`), and
     raise an atom error only after the worker is done.  Raises
-    ConfigError when the grid holds fewer than j_max states.
+    ConfigError when the grid holds fewer than j_max states, or when the
+    species' trap term is past the floats (`gpe._trap`).
     """
     key = _basis_key(species, params, j_max)
     bases = _BASES.setdefault(grid, {})
     if key not in bases:
-        mass, omega = key[:2]
-        op = RadialOperator.build(
-            grid, mass, harmonic_potential(grid, mass, omega), hbar=params.hbar
-        )
+        op = RadialOperator.build(grid, key[0], _trap(species, params, grid), hbar=params.hbar)
         vals, vecs = op.eigensolve(j_max)
         if len(vals) < j_max:
             raise ConfigError(
@@ -293,8 +290,7 @@ def paper_literal_spectrum(
     and the raw A, B are kept in coeff_u, coeff_v.  Raises ConfigError
     unless j_max is an integer >= 1.
     """
-    if averaging not in AVERAGINGS:
-        raise ConfigError(f"unknown averaging '{averaging}'")
+    require_choice("averaging", averaging, AVERAGINGS)
     j_max = require_count("j_max", j_max, 1)
     out = []
     for species, delta, mu, levels, _, w, amp in _projections(
@@ -313,22 +309,21 @@ def paper_literal_spectrum(
         e_of_r = delta - h_of_r
         d_bar, = _weighted_averages(delta[None, :], weights, total)
         h_bar = _weighted_averages(h_of_r, weights, total)
-        e_avg = {branch: _weighted_averages(sgn * e_of_r, weights, total)
-                 for sgn, branch in ((1.0, "+"), (-1.0, "-"))}
+        # the (-) branch averages -E_j(r) to exactly -e, and e enters only as e^2
+        e_bar = _weighted_averages(e_of_r, weights, total)
         modes = []
-        for j in range(j_max):
-            for branch in ("+", "-"):
-                e = e_avg[branch][j]
-                denom = h_bar[j] - e**2
-                f = d_bar / denom if denom != 0.0 else math.inf
-                if not (f > 1.0 and math.isfinite(f)):
-                    modes.append(Mode(j, branch, e, unstable=True))
-                    continue
-                b = math.sqrt(1.0 / (f - 1.0))
-                a = f * b
-                scale = math.sqrt(a * a - b * b)  # = sqrt(f + 1)
-                modes.append(Mode(j, branch, e, (a / scale) * amp[j], (b / scale) * amp[j],
-                                  a, b, norm=1.0))
+        for j, e in enumerate(e_bar):
+            denom = h_bar[j] - e**2
+            f = d_bar / denom if denom != 0.0 else math.inf
+            if not (f > 1.0 and math.isfinite(f)):
+                modes += Mode(j, "+", e, unstable=True), Mode(j, "-", -e, unstable=True)
+                continue
+            b = math.sqrt(1.0 / (f - 1.0))
+            a = f * b
+            scale = math.sqrt(a * a - b * b)  # = sqrt(f + 1)
+            u, v = (a / scale) * amp[j], (b / scale) * amp[j]
+            modes += (Mode(j, "+", e, u, v, a, b, norm=1.0),
+                      Mode(j, "-", -e, u.copy(), v.copy(), a, b, norm=1.0))
         modes.sort(key=lambda m: (m.branch, m.energy))
         out.append(ModeSet(species=species, method="paper-literal", modes=modes))
     return out[0], out[1]

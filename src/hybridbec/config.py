@@ -30,7 +30,9 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .bdg import AVERAGINGS, CONVENTIONS
-from .errors import ConfigError, require_count, require_finite, require_positive
+from .errors import (
+    ConfigError, require_choice, require_count, require_finite, require_object, require_positive,
+)
 from .gpe import SolverOptions
 from .grid import RadialGrid, build_grid
 from .params import PhysicalParams
@@ -41,17 +43,9 @@ BDG_METHODS = ("paper", "block", "grid")
 _SOLVER, _VARIATIONAL = asdict(SolverOptions()), asdict(SearchBox())
 
 
-def _section(data: dict, name: str, allowed: dict) -> dict:
-    """Pop section `name`, apply defaults, reject unknown keys."""
-    raw = data.pop(name, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section '{name}' must be an object")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in '{name}': {sorted(unknown)}")
-    out = dict(allowed)
-    out.update(raw)
-    return out
+def _section(data: dict, name: str, defaults: dict) -> dict:
+    """Section `name` of the config over its defaults; unknown keys are rejected."""
+    return {**defaults, **require_object(name, data.get(name, {}), defaults)}
 
 
 @dataclass(frozen=True)
@@ -68,10 +62,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        if "params" not in data:
-            raise ConfigError("config requires a 'params' section")
-        params = PhysicalParams.from_dict(data.pop("params"))
+        data = require_object("config", data, cls.__dataclass_fields__, ("params",))
+        params = PhysicalParams.from_dict(data["params"])
         grid = _section(data, "grid", {"r_max": 8.0, "n_points": 400})
         solver = _section(data, "solver", _SOLVER)
         bdg = _section(data, "bdg", {
@@ -95,8 +87,7 @@ class RunConfig:
             ("bdg.convention", bdg["convention"], CONVENTIONS),
             ("uniform.density_estimate", uniform["density_estimate"], DENSITY_ESTIMATES),
         ):
-            if value not in allowed:
-                raise ConfigError(f"{name} must be one of {list(allowed)}, got {value!r}")
+            require_choice(name, value, allowed)
         flag = thermal["include_quantum_depletion"]
         if type(flag) is not bool:  # 1 == True, but a header must read True
             raise ConfigError(
@@ -105,21 +96,19 @@ class RunConfig:
             if uniform[key] is not None:
                 name = f"uniform.{key}"
                 require_positive(name, require_finite(name, uniform[key]))
-        sweep = data.pop("sweep", None)
+        sweep = data.get("sweep")
         if sweep is not None:
-            sweep = _section({"sweep": sweep}, "sweep", {"variable": None, "values": None})
-            if sweep["variable"] not in ("B", "T", "N"):
-                raise ConfigError("sweep.variable must be 'B', 'T' or 'N'")
+            keys = ("variable", "values")
+            sweep = require_object("sweep", sweep, keys, keys)
+            require_choice("sweep.variable", sweep["variable"], ("B", "T", "N"))
             values = sweep["values"]
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError("sweep.values must be a nonempty list")
             values = [require_finite(f"sweep.values[{i}]", v) for i, v in enumerate(values)]
             sweep = {"variable": sweep["variable"], "values": values}
-        output_dir = data.pop("output_dir", None)
+        output_dir = data.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
-        if data:
-            raise ConfigError(f"unknown top-level key(s): {sorted(data)}")
         return cls(
             params=params, grid=grid, solver=solver, bdg=bdg, thermal=thermal,
             variational=variational, uniform=uniform, sweep=sweep,
@@ -166,6 +155,4 @@ def load_config(path) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {p} must contain a JSON object")
     return RunConfig.from_dict(data)

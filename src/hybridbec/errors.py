@@ -91,3 +91,24 @@ def require_finite(name: str, value) -> float:
         if math.isfinite(x):
             return x
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def require_choice(name: str, value, allowed) -> None:
+    """Raise ConfigError unless value is one of allowed."""
+    if value not in allowed:
+        raise ConfigError(f"{name} must be one of {list(allowed)}, got {value!r}")
+
+
+def require_object(name: str, data, known, required=()) -> dict:
+    """A copy of the JSON object data, else ConfigError naming the object:
+    data must be a dict whose keys are all in known and include all of
+    required."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{name}' must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(known))
+    missing = [key for key in required if key not in data]
+    problems = [f"{what} key(s) {keys}" for what, keys in
+                (("unknown", unknown), ("missing required", missing)) if keys]
+    if problems:
+        raise ConfigError(f"'{name}' has " + " and ".join(problems))
+    return dict(data)

@@ -128,10 +128,24 @@ def _one_body(species: str, params: PhysicalParams) -> tuple[float, float, float
     raise ConfigError(f"unknown species '{species}'")
 
 
+def _trap(species: str, params: PhysicalParams, grid: RadialGrid) -> np.ndarray:
+    """`harmonic_potential` of the species, whose ConfigError names the
+    config keys: params.omega_a or params.omega_m, and params.mass."""
+    mass, omega, _ = _one_body(species, params)
+    try:
+        return harmonic_potential(grid, mass, omega)
+    except ConfigError:
+        key, of = ("omega_a", "params.mass") if species == ATOM else (
+            "omega_m", "the molecule's mass 2 * params.mass")
+        raise ConfigError(f"{species} trap term mass*omega^2*r^2/2 at r_max = {grid.r_max!r} "
+                          f"is not a finite float for params.{key} = {omega!r} and {of} = "
+                          f"{mass!r}") from None
+
+
 def _operator(species: str, params: PhysicalParams, grid: RadialGrid, l=0):
     """The species' one-body operator in angular channel l."""
-    mass, omega, offset = _one_body(species, params)
-    v = harmonic_potential(grid, mass, omega) + offset
+    mass, _, offset = _one_body(species, params)
+    v = _trap(species, params, grid) + offset
     return RadialOperator.build(grid, mass, v, hbar=params.hbar, l=l)
 
 
@@ -404,6 +418,8 @@ def solve_coupled_gpe(
     field and mu; when that field is all zeros, as the default start
     makes it, the species gets no operator, and a None operator in
     `_gradients` and `_energy` leaves it out at no arithmetic per step.
+    Both species' one-body terms must be finite on the grid, populated or
+    not, else ConfigError before the first step.
     """
     opts = opts if opts is not None else SolverOptions()
     start = init if init is not None else _gaussian_start(params, grid)
@@ -421,8 +437,10 @@ def solve_coupled_gpe(
     mu = [float(start.mu_a), float(start.mu_m)]
     # an inactive species keeps chi, so its trial field is always the same
     kept = [None if s in active else chi[s] / r for s in (0, 1)]
-    ops = [_operator(name, p, grid) if s in active or phi[s].any() else None
-           for s, name in enumerate((ATOM, MOLECULE))]
+    # both one-body terms are checked, so every grid command rejects the
+    # same traps; an empty species' operator is then dropped
+    ops = [_operator(name, p, grid) for name in (ATOM, MOLECULE)]
+    ops = [op if s in active or phi[s].any() else None for s, op in enumerate(ops)]
     energy = _energy(p, grid, ops, phi, chi)
     residual, width_floor = math.inf, COLLAPSE_WIDTH * grid.h
     res, z, tau = {}, {}, 0.5

@@ -19,7 +19,9 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError, ResonanceSingularityError, require_finite
+from .errors import (
+    ConfigError, ResonanceSingularityError, require_finite, require_object, require_positive,
+)
 
 #: |B - B0| below SINGULARITY_FLOOR * Delta raises ResonanceSingularityError.
 SINGULARITY_FLOOR = 1e-9
@@ -38,8 +40,7 @@ class FeshbachResonance:
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             require_finite(f"resonance.{name}", getattr(self, name))
-        if self.delta <= 0:
-            raise ConfigError(f"resonance width must be positive, got {self.delta}")
+        require_positive("resonance.delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -85,13 +86,8 @@ class PhysicalParams:
         for name in self.__dataclass_fields__:
             if name != "resonance":
                 require_finite(name, getattr(self, name))
-        if self.omega_a <= 0 or self.omega_m <= 0:
-            raise ConfigError(
-                f"trap frequencies must be positive, got omega_a={self.omega_a}, "
-                f"omega_m={self.omega_m}"
-            )
-        if self.mass <= 0 or self.hbar <= 0:
-            raise ConfigError(f"mass and hbar must be positive, got {self.mass}, {self.hbar}")
+        for name in ("omega_a", "omega_m", "mass", "hbar"):
+            require_positive(name, getattr(self, name))
         if self.n_a < 0 or self.n_m < 0:
             raise ConfigError(f"particle numbers must be >= 0, got {self.n_a}, {self.n_m}")
         if self.temperature < 0:
@@ -115,28 +111,11 @@ class PhysicalParams:
     @classmethod
     def from_dict(cls, data: dict) -> "PhysicalParams":
         """Build from a JSON-style dict.  Unknown keys are a hard error."""
-        if not isinstance(data, dict):
-            raise ConfigError(f"params must be an object, got {type(data).__name__}")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown params keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        res = kwargs.pop("resonance", None)
-        if res is not None:
-            if not isinstance(res, dict):
-                raise ConfigError("resonance must be an object")
-            res_known = set(FeshbachResonance.__dataclass_fields__)
-            res_unknown = set(res) - res_known
-            if res_unknown:
-                raise ConfigError(f"unknown resonance keys: {sorted(res_unknown)}")
-            missing = res_known - set(res)
-            if missing:
-                raise ConfigError(f"resonance missing keys: {sorted(missing)}")
-            kwargs["resonance"] = FeshbachResonance(**res)
-        for name in ("omega_a", "omega_m"):
-            if name not in kwargs:
-                raise ConfigError(f"params missing required key '{name}'")
+        kwargs = require_object("params", data, cls.__dataclass_fields__, ("omega_a", "omega_m"))
+        if kwargs.get("resonance") is not None:
+            keys = FeshbachResonance.__dataclass_fields__
+            kwargs["resonance"] = FeshbachResonance(
+                **require_object("resonance", kwargs["resonance"], keys, keys))
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

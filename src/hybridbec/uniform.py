@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    ConfigError, DomainError, ResonanceSingularityError, require_finite, require_positive,
+    ConfigError, DomainError, ResonanceSingularityError, require_choice, require_finite,
+    require_positive,
 )
 from .params import PhysicalParams, _scattering_length_at
 
@@ -128,8 +129,7 @@ def figure3_curve(
     n_total = params.n_a
     if n_total <= 0.0:
         raise ConfigError("field curve requires a positive atom number n_a")
-    if density_estimate not in DENSITY_ESTIMATES:
-        raise ConfigError(f"unknown density estimate '{density_estimate}'")
+    require_choice("density_estimate", density_estimate, DENSITY_ESTIMATES)
     power = 2 if density_estimate == "paper" else 3
     if density is not None:
         given = f"density = {density!r}"

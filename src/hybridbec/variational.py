@@ -71,7 +71,10 @@ import numpy as np
 # unused; perfbench/run.py --trace 1 needs its -X importtime line (ROADMAP item 9)
 import scipy.optimize  # noqa: F401
 
-from .errors import BoundaryMinimumError, ConfigError, DomainError, require_count, require_finite
+from .errors import (
+    BoundaryMinimumError, ConfigError, DomainError, require_choice, require_count, require_finite,
+    require_positive,
+)
 from .params import PhysicalParams
 
 MODE_SURFACE = "010"
@@ -189,8 +192,7 @@ class SearchBox:
             require_finite(name, getattr(self, name))
         if not (0.0 < self.omega_lo < self.omega_hi):
             raise ConfigError("need 0 < omega_lo < omega_hi")
-        if self.v_max <= 0.0:
-            raise ConfigError("need v_max > 0")
+        require_positive("v_max", self.v_max)
         # an integral float (64.0) is kept as the int np.linspace needs
         object.__setattr__(self, "coarse", require_count("coarse", self.coarse, 2))
 
@@ -282,8 +284,7 @@ def _minimize_lanes(mode: str, lanes, box: SearchBox | None):
     most SCAN_BLOCK_CELLS cells, or one lane), and each lane is refined,
     once for all lanes of its strengths and basin.
     """
-    if mode not in (MODE_SURFACE, MODE_BREATHING):
-        raise ConfigError(f"unknown mode '{mode}'; expected '010' or '100'")
+    require_choice("mode", mode, (MODE_SURFACE, MODE_BREATHING))
     populations, couplings = [], []
     for params, n_atoms in lanes:
         n_a = require_finite("n_atoms", n_atoms)

@@ -811,9 +811,20 @@ RESONANCE = '"resonance": {"a0": 5e-7, "b0": 100.0, "b": 100.0, '
     ('{' + PARAMS + ', ' + RESONANCE + '"delta": 0.01, "width": 1.0}}}', "width"),
     ('{' + PARAMS + ', ' + RESONANCE + '"delta": 0}}}', "resonance"),
     ('{' + PARAMS + '}, "output_dir": 5}', "output_dir"),
+    ('{' + PARAMS + ', "omega_c": 1.0}}', "omega_c"),
+    ('{"params": {"omega_a": 1.0}}', "omega_m"),
+    ('{' + PARAMS + ', "resonance": {"a0": 5e-7, "b0": 100.0, "b": 99.9}}}', "delta"),
+    ('{' + PARAMS + '}, "sweep": [1, 2]}', "'sweep'"),
+    ('{' + PARAMS + '}, "sweep": {"variable": "N", "values": [1], "step": 1}}', "step"),
+    ('{' + PARAMS + '}, "bdg": {"method": "dense"}}', "bdg.method"),
+    ('{"params": {"omega_a": -1, "omega_m": 1.4}}', "omega_a"),
+    ('{' + PARAMS + '}, "variational": {"v_max": 0}}', "v_max"),
+    ('{' + PARAMS + '}, "extra": {}}', "extra"),
 ], ids=["section-not-object", "no-params", "invalid-json", "top-level-array",
         "params-not-object", "resonance-not-object", "unknown-resonance-key",
-        "zero-resonance-width", "numeric-output-dir"])
+        "zero-resonance-width", "numeric-output-dir", "unknown-params-key",
+        "missing-omega_m", "missing-resonance-key", "sweep-not-object", "unknown-sweep-key",
+        "unknown-bdg-method", "negative-omega_a", "zero-v_max", "unknown-top-level-key"])
 def test_malformed_config_exits_config_code(tmp_path, capsys, text, named):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -823,6 +834,54 @@ def test_malformed_config_exits_config_code(tmp_path, capsys, text, named):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError" and named in err["message"]
     assert not out.exists()
+
+
+BUNDLED_HASHES = {
+    "density_sweep.json": "6a1b5a96e5574879", "fig3.json": "6727278226521f5f",
+    "ground_collapse.json": "a6d880b7442af5db", "ground_noninteracting.json": "541e60edac9c4d8d",
+    "spectrum_weak.json": "6211813e569c4ddf", "variational_sweep.json": "d714e5fb37a21b35",
+}
+
+
+def test_bundled_configs_keep_their_config_hashes():
+    # the hash covers the fully defaulted config, so a parser that drops,
+    # adds or rewrites a value shows here
+    assert {p.name: load_config(p).config_hash()
+            for p in sorted(CONFIGS.glob("*.json"))} == BUNDLED_HASHES
+
+
+TRAP_PAST_THE_FLOATS = {"omega_a": 1, "omega_m": 1e160, "lambda_a": 0.05, "n_a": 50}
+
+
+@pytest.mark.parametrize("command", ["ground", "spectrum", "density"])
+@pytest.mark.parametrize("key, value", [("omega_m", 1e160), ("omega_a", 1e200)])
+def test_trap_past_the_floats_exits_config_code_naming_its_key(
+        tmp_path, capsys, command, key, value):
+    # ground exited 0 with an empty molecule whose trap leaves the floats,
+    # where spectrum and density exited 2 on its basis with a message
+    # naming "omega_a or omega_m" and the molecule's mass 2.0 as "mass";
+    # every grid command now rejects it before the first step
+    params = {**TRAP_PAST_THE_FLOATS, key: value}
+    path = write_config(tmp_path, "trap.json", {"params": params, "grid": {"n_points": 100}})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert f"params.{key} = {value!r}" in err["message"]
+    assert "omega_a or omega_m" not in err["message"] and "params.mass" in err["message"]
+    assert not out.exists()
+
+
+def test_variational_ignores_a_trap_it_never_puts_on_a_grid(tmp_path):
+    # variational builds no grid state, so the molecule's trap term on
+    # the grid is not its concern
+    path = write_config(tmp_path, "trap.json", {
+        "params": TRAP_PAST_THE_FLOATS, "grid": {"n_points": 100},
+        "sweep": {"variable": "N", "values": [50.0, 100.0]}})
+    out = tmp_path / "out"
+    assert main(["variational", "--config", path, "--out", str(out)]) == 0
+    assert (out / "variational.csv").exists()
 
 
 def test_unconverged_ground_exits_3(tmp_path, capsys):

@@ -46,6 +46,8 @@ from .thermal import density_profile, density_profiles, total_numbers
 from .uniform import figure3_curve
 from .variational import MODE_BREATHING, MODE_SURFACE, sweep_spectrum
 # not called here: perfbench/tracing.py wraps this name in every traced case
+# (tests/test_cli.py::test_cli_has_every_name_the_benchmark_tracer_wraps and
+# ::test_import_time_lines_the_traced_benchmark_reads)
 from .variational import minimize_mode  # noqa: F401
 
 MODE_COLUMNS = ("method", "species", "j", "branch", "energy_re", "energy_im", "norm")

@@ -20,8 +20,11 @@ Newton step of the stationary equations bordered by the two norms as its
 search direction.  Newton alone converges to whatever stationary state
 is near; here the line search shortens a Newton step until it lowers the
 energy.  The descent returns the first state whose defect is below the
-tolerance, or raises.  A function given a state and a grid raises
-ConfigError unless it is the state's grid.
+tolerance, or raises.  Each step computes each piece once and only when
+it uses it: the preconditioned gradient only for a step that takes it,
+the H*chi and phi^2 of the fields from the line search that accepted
+them.  A function given a state and a grid raises ConfigError unless it
+is the state's grid.
 
 Sign convention: fields are real.  For alpha > 0 the energy term
 2*alpha*phi_a^2*phi_m is minimized by phi_m <= 0 (phi_m >= 0 for
@@ -161,7 +164,7 @@ def _mean_fields(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarray):
 
 
 def _second_variation(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarray,
-                      c=None):
+                      c=None, phase=True):
     """Local terms (k_a, k_m, k_am, delta_a, delta_m), in chi = r*phi, of
     the energy's second variation about real fields psi = phi + x + i*y:
     its amplitude block A on x has A_s = H_s + k_s - mu_s on species s and
@@ -171,13 +174,16 @@ def _second_variation(params: PhysicalParams, phi_a: np.ndarray, phi_m: np.ndarr
     2*phi_m) = 0 at a stationary state (the Goldstone mode); A_s and B_s
     are the BdG L + Delta and L - Delta.  c, the mean fields of
     `_gradients` at these fields, spares recomputing them; a None mean
-    field gives None for the species' terms and k_am."""
+    field gives None for the species' terms and k_am.  phase=False
+    leaves out delta_a and delta_m (None), which A does not read."""
     p = params
     c_a, c_m = _mean_fields(p, phi_a, phi_m) if c is None else c
     k_a = None if c_a is None else c_a + 2.0 * p.lambda_a * phi_a * phi_a
     k_m = None if c_m is None else c_m + 2.0 * p.lambda_m * phi_m * phi_m
     k_am = None if k_a is None or k_m is None else \
         2.0 * (p.lambda_am * phi_m + p.alpha) * phi_a
+    if not phase:
+        return k_a, k_m, k_am, None, None
     delta_a = None if c_a is None else p.lambda_a * phi_a**2 + 2.0 * p.alpha * phi_m
     delta_m = None if c_m is None else p.lambda_m * phi_m**2
     return k_a, k_m, k_am, delta_a, delta_m
@@ -191,18 +197,18 @@ def _block_diagonals(op: RadialOperator, k, delta, mu: float):
 
 
 def _band(params, ops, phi, mu, species, block="A", c=None):
-    """Block "A" or "B" with the two species' grid points interleaved (a_0,
-    m_0, a_1, ...), a band with two diagonals each side, in the lower band
-    storage of pbtrf and sbevx (3 rows of 2n).  A species not in `species`
-    gets identity rows and no coupling."""
+    """Block "A" or "B" of the species in `species` in the lower band
+    storage of pbtrf and sbevx: one species' own tridiagonal block (2
+    rows of n), or both with their grid points interleaved (a_0, m_0,
+    a_1, ...), a band with two diagonals each side (3 rows of 2n)."""
     k_a, k_m, k_am, *delta = _second_variation(params, phi[0], phi[1], c)
     phase = block == "B"
-    band = np.zeros((3, 2 * len(phi[0])))
-    band[0] = 1.0
-    for s in species:
-        band[0, s::2] = _block_diagonals(ops[s], (k_a, k_m)[s], delta[s], mu[s])[phase]
-        band[2, s:-2:2] = ops[s].offdiag
-    if len(species) == 2:
+    stride = len(species)
+    band = np.zeros((stride + 1, stride * len(phi[0])))
+    for i, s in enumerate(species):
+        band[0, i::stride] = _block_diagonals(ops[s], (k_a, k_m)[s], delta[s], mu[s])[phase]
+        band[stride, i:-stride:stride] = ops[s].offdiag
+    if stride == 2:
         band[1, 0::2] = 2.0 * params.alpha * phi[0] if phase else k_am
     return band
 
@@ -220,11 +226,12 @@ def _general_band(band: np.ndarray) -> np.ndarray:
 def negative_phase_modes(state: CondensateState, params: PhysicalParams,
                          grid: RadialGrid) -> int:
     """Eigenvalues of the phase block B below -PHASE_TOL*hbar*omega_a over
-    the populated species (an empty one keeps the start's mu): 0 on a
-    ground state, whose Goldstone zero stays above that, and 2 on the
-    phi_m >= 0 branch that an alpha > 0 descent reaches from a start of
-    that sign.  One pbtrf of B + PHASE_TOL*hbar*omega_a shows a count of
-    0; sbevx counts only when it fails."""
+    the populated species: 0 on a ground state, whose Goldstone zero
+    stays above that, and 2 on the phi_m >= 0 branch that an alpha > 0
+    descent reaches from a start of that sign.  An empty species, which
+    keeps the start's mu, is left out: a one-species state is counted on
+    its own n-row block.  One pbtrf of B + PHASE_TOL*hbar*omega_a shows
+    a count of 0; sbevx counts only when it fails."""
     _require_grid(state, grid)
     p = params
     populated = [s for s, n in enumerate((p.n_a, p.n_m)) if n > 0.0]
@@ -232,9 +239,12 @@ def negative_phase_modes(state: CondensateState, params: PhysicalParams,
            for s, name in enumerate((ATOM, MOLECULE))]
     band = _band(p, ops, (state.phi_a, state.phi_m), (state.mu_a, state.mu_m), populated, "B")
     tol = PHASE_TOL * p.hbar * p.omega_a
-    if not _PBTRF(band + [[tol], [0.0], [0.0]], lower=1)[1]:
+    shifted = band.copy(order="F")  # the order pbtrf factors in place
+    shifted[0] += tol
+    if not _PBTRF(shifted, lower=1, overwrite_ab=True)[1]:
         return 0
-    floor = -1.0 - np.abs(band).max(axis=1) @ (1.0, 2.0, 2.0)  # below every eigenvalue
+    # below every eigenvalue
+    floor = -1.0 - np.abs(band).max(axis=1) @ (1.0, 2.0, 2.0)[:len(band)]
     return len(band_eigenvalues(band, False, floor, -tol))
 
 
@@ -313,33 +323,38 @@ def gpe_defect(
     phi = (state.phi_a, state.phi_m)
     chi = (grid.r * phi[0], grid.r * phi[1])
     g, _ = _gradients(p, [_operator(s, p, grid) for s in (ATOM, MOLECULE)], phi, chi)
+    norms = [float(np.dot(f, f)) for f in chi]
     return (
-        _defect_size(g[0] - state.mu_a * chi[0], chi[0], state.mu_a, p.hbar * p.omega_a),
-        _defect_size(g[1] - state.mu_m * chi[1], chi[1], state.mu_m, p.hbar * p.omega_m),
+        _defect_size(g[0] - state.mu_a * chi[0], norms[0], state.mu_a, p.hbar * p.omega_a),
+        _defect_size(g[1] - state.mu_m * chi[1], norms[1], state.mu_m, p.hbar * p.omega_m),
     )
 
 
-def _gradients(params, ops, phi, chi):
+def _gradients(params, ops, phi, chi, parts=None):
     """((g_a, g_m), (c_a, c_m)): half the energy gradients in chi = r*phi,
     (H_s + c_s) chi_s plus the source alpha*phi_a*chi_a, and c_s.  A None
     operator marks an empty species, its field all zeros: it gets None
     for both and costs no arithmetic, the other's mean field is
-    lambda_s*phi_s^2 and an empty atom field drops the source."""
+    lambda_s*phi_s^2 and an empty atom field drops the source.  parts,
+    the dict `_energy` filled for these fields, gives H_s chi_s and
+    phi_s^2 of the species it holds; the others' are computed."""
     p = params
-    if ops[0] is not None and ops[1] is not None:
+    known = {s: parts[s] if parts and s in parts else (op.apply(chi[s]), phi[s] * phi[s])
+             for s, op in enumerate(ops) if op is not None}
+    if len(known) == 2:
         c_a, c_m = _mean_fields(p, phi[0], phi[1])
-        g_m = ops[1].apply(chi[1]) + c_m * chi[1] + p.alpha * phi[0] * chi[0]
+        g_m = known[1][0] + c_m * chi[1] + p.alpha * phi[0] * chi[0]
     else:
-        c_a = None if ops[0] is None else p.lambda_a * (phi[0] * phi[0])
-        c_m = None if ops[1] is None else p.lambda_m * (phi[1] * phi[1])
-        g_m = None if c_m is None else ops[1].apply(chi[1]) + c_m * chi[1]
-    g_a = None if c_a is None else ops[0].apply(chi[0]) + c_a * chi[0]
+        c_a = p.lambda_a * known[0][1] if 0 in known else None
+        c_m = p.lambda_m * known[1][1] if 1 in known else None
+        g_m = None if c_m is None else known[1][0] + c_m * chi[1]
+    g_a = None if c_a is None else known[0][0] + c_a * chi[0]
     return (g_a, g_m), (c_a, c_m)
 
 
-def _defect_size(d, chi, mu, scale):
-    """||d|| / (max(|mu|, scale) * ||chi||), 0 for chi = 0."""
-    nrm2 = float(np.dot(chi, chi))
+def _defect_size(d, nrm2, mu, scale):
+    """||d|| / (max(|mu|, scale) * ||chi||) for nrm2 = chi.chi, 0 for
+    chi = 0."""
     if nrm2 <= 0.0:
         return 0.0
     return math.sqrt(float(np.dot(d, d)) / nrm2) / max(abs(mu), scale)
@@ -356,20 +371,25 @@ def energy_functional(
     return _energy(params, grid, ops, phi, [grid.r * f for f in phi])
 
 
-def _energy(params, grid, ops, phi, chi):
+def _energy(params, grid, ops, phi, chi, parts=None):
     """`energy_functional` of phi = (phi_a, phi_m) and chi = r*phi; the
     one-body part (kinetic + trap + offset) is 4*pi*h * chi.(H chi).  A
     species with a None operator is empty, its field all zeros, and its
-    terms are left out."""
+    terms are left out.  parts, when given, is a dict that receives
+    (H_s chi_s, phi_s^2) of each populated species s, for the descent
+    step at these fields to reuse."""
     p = params
     four_pi_h = 4.0 * np.pi * grid.h
     one_body = 0.0
     populated = [s for s in (0, 1) if ops[s] is not None]
+    hchi = [None if op is None else op.apply(f) for op, f in zip(ops, chi)]
     for s in populated:
-        one_body += four_pi_h * float(np.dot(chi[s], ops[s].apply(chi[s])))
+        one_body += four_pi_h * float(np.dot(chi[s], hchi[s]))
+    squares = [None if op is None else f**2 for op, f in zip(ops, phi)]
+    if parts is not None:
+        parts.update((s, (hchi[s], squares[s])) for s in populated)
     if len(populated) == 2:
-        phi_a2 = phi[0]**2
-        phi_m2 = phi[1]**2
+        phi_a2, phi_m2 = squares
         dens = (
             0.5 * p.lambda_a * phi_a2**2
             + 0.5 * p.lambda_m * phi_m2**2
@@ -378,7 +398,7 @@ def _energy(params, grid, ops, phi, chi):
         )
     elif populated:
         s, = populated
-        dens = 0.5 * (p.lambda_a, p.lambda_m)[s] * (phi[s]**2)**2
+        dens = 0.5 * (p.lambda_a, p.lambda_m)[s] * squares[s]**2
     else:
         return one_body
     return one_body + grid.integrate(dens)
@@ -409,15 +429,19 @@ def solve_coupled_gpe(
     chi.P chi) P chi is tangent to the norm.  When the last check found
     the defect below START_TOL the direction is the tangent Newton step
     of `_newton_step`; otherwise, or when the bordered system is singular
-    or the Newton step does not descend, it is -z.  The step length
-    halves, from 1 for a Newton step and from min(1, 2*previous length)
-    otherwise, until the renormalized trial meets the Armijo condition or
-    is within `_energy_slack` of the energy, which keeps the descent
-    going once energy differences reach round-off: no step, Newton or
-    not, raises the energy by more.  A species with zero norm keeps its
-    field and mu; when that field is all zeros, as the default start
-    makes it, the species gets no operator, and a None operator in
-    `_gradients` and `_energy` leaves it out at no arithmetic per step.
+    or the Newton step does not descend, it is -z.  z is solved for only
+    then: not for a Newton step that descends, nor on the pass that
+    returns or raises.  The step length halves, from 1 for a Newton step
+    and from min(1, 2*previous length) otherwise, until the renormalized
+    trial meets the Armijo condition or is within `_energy_slack` of the
+    energy, which keeps the descent going once energy differences reach
+    round-off: no step, Newton or not, raises the energy by more.  The
+    H chi and phi^2 that `_energy` computed for the accepted trial serve
+    the next step's gradients and collapse width, and one chi.chi serves
+    both mu and the defect.  A species with zero norm keeps its field and
+    mu; when that field is all zeros, as the default start makes it, the
+    species gets no operator, and a None operator in `_gradients` and
+    `_energy` leaves it out at no arithmetic per step.
     Both species' one-body terms must be finite on the grid, populated or
     not, else ConfigError before the first step.
     """
@@ -441,25 +465,25 @@ def solve_coupled_gpe(
     # same traps; an empty species' operator is then dropped
     ops = [_operator(name, p, grid) for name in (ATOM, MOLECULE)]
     ops = [op if s in active or phi[s].any() else None for s, op in enumerate(ops)]
-    energy = _energy(p, grid, ops, phi, chi)
+    # the preconditioners' off-diagonals, the same at every step
+    off = {s: np.full(grid.n_points - 1, ops[s].offdiag) for s in active}
+    parts = {}  # H chi and phi^2 of the present fields, from _energy
+    energy = _energy(p, grid, ops, phi, chi, parts)
     residual, width_floor = math.inf, COLLAPSE_WIDTH * grid.h
-    res, z, tau = {}, {}, 0.5
+    res, nrm2, tau = {}, {}, 0.5
 
     for it in range(opts.max_iters + 1):
-        g, c = _gradients(p, ops, phi, chi)
+        g, c = _gradients(p, ops, phi, chi, parts)
         for s in active:
-            mu[s] = float(np.dot(chi[s], g[s]) / np.dot(chi[s], chi[s]))
+            nrm2[s] = float(np.dot(chi[s], chi[s]))
+            mu[s] = float(np.dot(chi[s], g[s])) / nrm2[s]
             res[s] = g[s] - mu[s] * chi[s]
-            precond = RadialOperator(ops[s].diag + np.maximum(c[s], 0.0), ops[s].offdiag)
-            shift = max(abs(mu[s] - offsets[s]), scales[s]) - offsets[s]
-            # the columns res and chi, as a transposed view (no column_stack copy)
-            x = solve_banded_shifted(precond, shift, np.array((res[s], chi[s])).T)
-            z[s] = x[:, 0] - (np.dot(chi[s], x[:, 0]) / np.dot(chi[s], x[:, 1])) * x[:, 1]
 
         if it:
-            residual = max([_defect_size(res[s], chi[s], mu[s], scales[s]) for s in active],
+            residual = max([_defect_size(res[s], nrm2[s], mu[s], scales[s]) for s in active],
                            default=0.0)
-            width = min([grid.rms_width(phi[s]) for s in active], default=math.inf)
+            width = min([grid.rms_width(phi[s], parts[s][1]) for s in active],
+                        default=math.inf)
             if width < width_floor:
                 raise CollapseError(f"RMS width {width:.3e} fell below the grid floor "
                                     f"{width_floor:.3e}; attractive collapse or "
@@ -480,6 +504,13 @@ def solve_coupled_gpe(
         if slope < 0.0:
             d, tau = step, 1.0
         else:
+            z = {}
+            for s in active:
+                precond = RadialOperator(ops[s].diag + np.maximum(c[s], 0.0), ops[s].offdiag)
+                shift = max(abs(mu[s] - offsets[s]), scales[s]) - offsets[s]
+                # the columns res and chi, as a transposed view (no column_stack copy)
+                x = solve_banded_shifted(precond, shift, np.array((res[s], chi[s])).T, off[s])
+                z[s] = x[:, 0] - (np.dot(chi[s], x[:, 0]) / np.dot(chi[s], x[:, 1])) * x[:, 1]
             d = {s: -z[s] for s in active}
             slope = -2.0 * four_pi_h * sum(float(np.dot(res[s], z[s])) for s in active)
             tau = min(1.0, 2.0 * tau)
@@ -491,7 +522,8 @@ def solve_coupled_gpe(
                 t = chi[s] + tau * d[s]
                 trial_chi[s] = t * math.sqrt(norms[s] / float(np.dot(t, t)))
             trial_phi = [t / r if k is None else k for t, k in zip(trial_chi, kept)]
-            trial = _energy(p, grid, ops, trial_phi, trial_chi)
+            trial_parts = {}
+            trial = _energy(p, grid, ops, trial_phi, trial_chi, trial_parts)
             if trial <= energy + ARMIJO * tau * slope + slack:
                 break
             tau *= 0.5
@@ -501,21 +533,32 @@ def solve_coupled_gpe(
                 f"iteration diverged at step {it + 1}",
                 residual=residual, iterations=it + 1,
             )
-        chi, phi, energy = trial_chi, trial_phi, trial
+        chi, phi, energy, parts = trial_chi, trial_phi, trial, trial_parts
 
 
 def _newton_step(params, grid, ops, phi, chi, c, mu, res, active):
     """Newton step {species: d} on the stationary equations with the
     norms as constraints, at mean fields c (from `_gradients`), chemical
     potentials mu and residuals res, or None when the bordered system is
-    singular.  The Jacobian is `_band`'s block A, identity rows with zero
-    right-hand side for an absent species.  One banded solve for -res and
-    the border columns chi_a, chi_m, then a 2x2 Schur system for the mu
-    updates keeps chi_s . d_s = 0.  gbsv is called as solve_banded((2,
-    2), ...) calls it, so the step is the same to the bit without the
-    checks and copies around the call."""
+    singular.  The Jacobian is block A of `_second_variation`, which
+    reads only its k terms, with the species' grid points interleaved as
+    in `_band`, built straight into gbsv's general band storage: the
+    diagonal in row 4, the coupling k_am one row off it, each species'
+    off-diagonal two rows off and rows 0-1 for the fill-in; an absent
+    species gets identity rows with zero right-hand side.  One banded
+    solve for -res and the border columns chi_a, chi_m, then a 2x2 Schur
+    system for the mu updates keeps chi_s . d_s = 0.  gbsv is called as
+    solve_banded((2, 2), ...) calls it, so the step is the same to the
+    bit without the checks and copies around the call."""
     n = grid.n_points
-    ab = _general_band(_band(params, ops, phi, mu, active, c=c))
+    k = _second_variation(params, phi[0], phi[1], c, phase=False)
+    ab = np.zeros((7, 2 * n), order="F")
+    ab[4] = 1.0
+    for s in active:
+        ab[4, s::2] = ops[s].diag + k[s] - mu[s]
+        ab[2, 2 + s::2] = ab[6, s:-2:2] = ops[s].offdiag
+    if len(active) == 2:
+        ab[3, 1::2] = ab[5, 0::2] = k[2]
     # Fortran order, as gbsv takes its arrays, so neither is copied
     rhs = np.zeros((2 * n, 3), order="F")
     for s in active:

@@ -14,6 +14,7 @@ the standard 3-point Laplacian, second-order accurate in h.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,12 +59,19 @@ class RadialGrid:
         """Particle number integral(|phi|^2 d^3r)."""
         return self.integrate(np.abs(phi) ** 2)
 
-    def rms_width(self, phi: np.ndarray) -> float:
-        """sqrt(<r^2>) of |phi|^2; collapse indicator when ~ few h."""
-        n = self.norm(phi)
+    @functools.cached_property
+    def _r_squared(self) -> np.ndarray:
+        """r^2, computed on the first call and kept with the grid."""
+        return self.r**2
+
+    def rms_width(self, phi: np.ndarray, density: np.ndarray | None = None) -> float:
+        """sqrt(<r^2>) of |phi|^2; collapse indicator when ~ few h.  A
+        caller that has |phi|^2 already passes it as density."""
+        density = np.abs(phi) ** 2 if density is None else density
+        n = self.integrate(density)
         if n <= 0.0:
             return 0.0
-        return float(np.sqrt(self.integrate(self.r**2 * np.abs(phi) ** 2) / n))
+        return math.sqrt(self.integrate(self._r_squared * density) / n)
 
 
 def build_grid(r_max: float = 8.0, n_points: int = 400) -> RadialGrid:
@@ -243,10 +251,12 @@ def band_eigenvalues(band: np.ndarray, by_index: bool, low, high,
 
 
 def solve_banded_shifted(
-    op: RadialOperator, shift: float, rhs: np.ndarray
+    op: RadialOperator, shift: float, rhs: np.ndarray, off: np.ndarray | None = None
 ) -> np.ndarray:
     """Solve (op + shift*I) chi = rhs for the tridiagonal op; rhs (one
-    vector or one column per right-hand side) is kept.
+    vector or one column per right-hand side) is kept.  off, op.offdiag
+    as an array of n - 1 entries, spares a caller that solves with the
+    same off-diagonal many times building it per call.
 
     Calls LAPACK gtsv directly, the routine solve_banded((1, 1), ...)
     dispatches to, so the result is the same to the bit: this runs at
@@ -257,7 +267,7 @@ def solve_banded_shifted(
     """
     # gtsv overwrites dl, du and b only when told to; without the
     # overwrite flags the wrapper copies them, so one array serves both
-    off = np.full(len(op.diag) - 1, op.offdiag)
+    off = np.full(len(op.diag) - 1, op.offdiag) if off is None else off
     _, _, _, chi, info = _GTSV(off, op.diag + shift, off, rhs)
     if info > 0:
         raise scipy.linalg.LinAlgError("singular matrix")

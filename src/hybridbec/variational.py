@@ -68,7 +68,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# unused; perfbench/run.py --trace 1 needs its -X importtime line (ROADMAP item 9)
+# unused; perfbench/run.py --trace 1 needs its -X importtime line (ROADMAP item 9,
+# tests/test_cli.py::test_import_time_lines_the_traced_benchmark_reads)
 import scipy.optimize  # noqa: F401
 
 from .errors import (

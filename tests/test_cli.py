@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import logging
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -468,6 +470,21 @@ def test_cli_has_every_name_the_benchmark_tracer_wraps():
     spec.loader.exec_module(module)
     assert module.LAYERS
     assert [name for name in module.LAYERS if not callable(getattr(cli, name, None))] == []
+
+
+def test_import_time_lines_the_traced_benchmark_reads():
+    # perfbench/run.py --trace 1 reads the cumulative import times of these
+    # two modules from the -X importtime lines of a fresh `import
+    # hybridbec.cli`; a missing line leaves it the median of no samples and
+    # the traced run fails
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    err = subprocess.run([sys.executable, "-X", "importtime", "-c", "import hybridbec.cli"],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                         timeout=120, check=True).stderr
+    rows = [line.split("|") for line in err.splitlines()]
+    timed = {cells[2].strip() for cells in rows if len(cells) == 3 and cells[1].strip().isdigit()}
+    assert {"hybridbec", "scipy.optimize"} <= timed
 
 
 def test_spectrum_compare_calls_the_methods_the_tracer_times(tmp_path, monkeypatch):

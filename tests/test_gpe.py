@@ -15,6 +15,7 @@ from hybridbec.gpe import (
     gpe_defect,
     solve_coupled_gpe,
 )
+from hybridbec.grid import band_eigenvalues
 
 GRID = build_grid(r_max=8.0, n_points=200)
 
@@ -423,6 +424,49 @@ def test_newton_never_tried_at_or_above_start_tol(monkeypatch, tol):
     assert s.iterations == f.iterations
 
 
+#: E, mu_a, mu_m and residual as float.hex, then the step count, of the
+#: descent on each set, and the step and RMS width (float.hex) of the
+#: CollapseError at lambda_a*N_a = -7.3; taken from the descent that
+#: computed every piece of a step anew, before each step computed its
+#: pieces once and only when it uses them
+PINNED_DESCENTS = {
+    "item2": ("0x1.70c022888d2a5p+8", "0x1.17bcc276a02eep+0", "0x1.1b57d46a52c3dp+1",
+              "0x1.4789baf809a03p-40", 8),
+    "density_sweep": ("0x1.db58235dcc3c6p+6", "0x1.7a39b0e230887p+0", "0x1.2e4e833322278p+1",
+                      "0x1.4b3358b8139eap-40", 6),
+    "decoupled": ("0x1.5f8043f466d30p+7", "0x1.f948c2aa08fcfp+0", "0x1.0ccccccccccccp+1",
+                  "0x1.8cd7c9ed41515p-37", 8),
+    "free": ("0x1.192763a316d15p+15", "0x1.7fef9cf0ce46fp+0", "0x1.0cacabd0a6e60p+1",
+             "0x1.f96cdcdbab637p-35", 2),
+    "thomas_fermi": ("0x1.810f6ec76ca3cp+22", "0x1.15732f7493b63p+3", "0x1.0ccccccccccccp+1",
+                     "0x1.dfa36650a1c8ap-43", 24),
+    "ac3": ("0x1.34114014f4731p+16", "0x1.00bb6b98b9c66p+3", "0x1.2218036ce3a01p+1",
+            "0x1.e5fc2757cb9d5p-43", 23),
+    "collapse": (93, "0x1.0479ee6636a9ap-4"),
+}
+PINNED_SETS = dict(
+    STAGE_SETS,
+    thomas_fermi=(params(lambda_a=1e-3, n_a=1e6, n_m=0.0), build_grid(r_max=8.0, n_points=400)),
+    ac3=(PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=0.1, lambda_am=0.1, alpha=0.5,
+                        lambda_m=0.0, n_a=1e4, n_m=1e4), build_grid(r_max=8.0, n_points=300)),
+    collapse=(PhysicalParams(omega_a=1.0, omega_m=1.4, lambda_a=-7.3e-4, n_a=1e4),
+              build_grid(r_max=8.0, n_points=400)),
+)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DESCENTS))
+def test_descent_is_pinned_bit_for_bit(name):
+    p, g = PINNED_SETS[name]
+    if name == "collapse":
+        with pytest.raises(CollapseError) as err:
+            solve_coupled_gpe(p, g)
+        assert (err.value.iterations, err.value.width.hex()) == PINNED_DESCENTS[name]
+        return
+    s = solve_coupled_gpe(p, g)
+    assert (*(x.hex() for x in (s.energy, s.mu_a, s.mu_m, s.residual)),
+            s.iterations) == PINNED_DESCENTS[name]
+
+
 # -- the descent's fast paths, each against the formula it replaces, bit for bit
 
 
@@ -496,9 +540,12 @@ def test_empty_species_skip_keeps_every_bit(monkeypatch, family, coupling):
     gradients, energy = gpe._gradients, gpe._energy
     checked = []
 
-    def checked_gradients(params, ops_, phi, chi):
+    # parts, the H chi and phi^2 the descent reuses, goes to the call
+    # under test; the reference computes everything from the fields
+    def checked_gradients(params, ops_, phi, chi, parts=None):
         assert any(op is None for op in ops_)
-        (g, c), (g_ref, c_ref) = gradients(params, ops_, phi, chi), gradients(params, ops, phi, chi)
+        (g, c), (g_ref, c_ref) = (gradients(params, ops_, phi, chi, parts),
+                                  gradients(params, ops, phi, chi))
         for s, op in enumerate(ops_):
             if op is None:
                 assert g[s] is None and c[s] is None
@@ -508,8 +555,8 @@ def test_empty_species_skip_keeps_every_bit(monkeypatch, family, coupling):
         checked.append("gradients")
         return g, c
 
-    def checked_energy(params, grid, ops_, phi, chi):
-        out = energy(params, grid, ops_, phi, chi)
+    def checked_energy(params, grid, ops_, phi, chi, parts=None):
+        out = energy(params, grid, ops_, phi, chi, parts)
         assert bits(out) == bits(energy(params, grid, ops, phi, chi))
         checked.append("energy")
         return out
@@ -543,10 +590,10 @@ def test_empty_species_ground_state_matches_full_formulas(monkeypatch, family, c
     skipped = ground_outcome(p)
     ops = full_ops(p, WIDE)
     gradients, energy = gpe._gradients, gpe._energy
-    monkeypatch.setattr(gpe, "_gradients", lambda params, _, phi, chi:
-                        gradients(params, ops, phi, chi))
-    monkeypatch.setattr(gpe, "_energy", lambda params, grid, _, phi, chi:
-                        energy(params, grid, ops, phi, chi))
+    monkeypatch.setattr(gpe, "_gradients", lambda params, _, phi, chi, parts=None:
+                        gradients(params, ops, phi, chi, parts))
+    monkeypatch.setattr(gpe, "_energy", lambda params, grid, _, phi, chi, parts=None:
+                        energy(params, grid, ops, phi, chi, parts))
     assert skipped == ground_outcome(p)
 
 
@@ -578,6 +625,55 @@ def test_ground_states_have_no_negative_phase_mode(name):
     # the lowest level of their one-body operator: their rows are left out
     p, g = STAGE_SETS[name]
     assert gpe.negative_phase_modes(solve_coupled_gpe(p, g), p, g) == 0
+
+
+def padded_phase_count(state, p, g):
+    # the certificate's count over 2n interleaved rows, an empty species'
+    # rows the identity, by sbevx alone (no pbtrf shortcut)
+    populated = [s for s, n in enumerate((p.n_a, p.n_m)) if n > 0.0]
+    fields, mu = (state.phi_a, state.phi_m), (state.mu_a, state.mu_m)
+    band = gpe._band(p, full_ops(p, g), fields, mu, populated, "B")
+    if len(populated) == 1:
+        s, = populated
+        own, band = band, np.zeros((3, 2 * g.n_points))
+        band[0] = 1.0
+        band[0, s::2], band[2, s::2] = own
+    floor = -1.0 - np.abs(band).max(axis=1) @ (1.0, 2.0, 2.0)
+    return len(band_eigenvalues(band, False, floor, -gpe.PHASE_TOL * p.hbar * p.omega_a))
+
+
+def second_s_level_free_gas():
+    # free atoms placed in their second l = 0 level with mu at that level:
+    # B = H - mu has one eigenvalue below zero and the Goldstone zero
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4, n_a=100.0)
+    levels, chi = gpe._operator(gpe.ATOM, p, GRID).eigensolve(2)
+    phi_a = chi[:, 1] * np.sqrt(p.n_a / (4.0 * np.pi * GRID.h)) / GRID.r
+    return p, GRID, CondensateState(grid=GRID, phi_a=phi_a, phi_m=np.zeros(GRID.n_points),
+                                    mu_a=float(levels[1]), mu_m=0.0)
+
+
+def flipped_item2_saddle():
+    p, g = STAGE_SETS["item2"]
+    seed = gaussian_ansatz(p, g)
+    flipped = CondensateState(grid=g, phi_a=seed.phi_a, phi_m=-seed.phi_m,
+                              mu_a=seed.mu_a, mu_m=seed.mu_m)
+    return p, g, solve_coupled_gpe(p, g, SolverOptions(tol=1e-6, max_iters=40000),
+                                   init=flipped)
+
+
+@pytest.mark.parametrize("name, count", [*((name, 0) for name in sorted(STAGE_SETS)),
+                                         ("item2_saddle", 2), ("second_s_level", 1)])
+def test_phase_count_of_the_populated_rows_matches_the_padded_band(name, count):
+    # a one-species state is counted on its own n-row block, which gives
+    # the count of the 2n rows padded with identity rows for the empty one
+    if name == "item2_saddle":
+        p, g, s = flipped_item2_saddle()
+    elif name == "second_s_level":
+        p, g, s = second_s_level_free_gas()
+    else:
+        p, g = STAGE_SETS[name]
+        s = solve_coupled_gpe(p, g)
+    assert gpe.negative_phase_modes(s, p, g) == padded_phase_count(s, p, g) == count
 
 
 def newton_by_solve_banded(params, grid, ops, phi, chi, c, mu, res, active):

@@ -34,10 +34,12 @@ Methods:
   and the sign structure) behind a method flag; negative discriminants
   (f <= 1) flag the mode rather than raising.
 
-Basis-level conventions: "paper" uses hbar*omega*(j + 1/2) for the
-auxiliary level ladder; "oscillator3d" uses the true s-wave 3D oscillator
-levels hbar*omega*(2j + 3/2).  The former is the default, the latter is
-what actually matches the direct grid spectrum.
+Basis-level conventions: "paper", the default, pairs basis state j with
+the paper's ladder hbar*omega*(j + 1/2); "oscillator3d" pairs it with
+its own eigenvalue, the level `oscillator_basis` solves on the grid:
+the s-wave 3D oscillator level hbar*omega*(2j + 3/2) to O(h^2) where the
+state fits in the box, and the box state's level where it does not.
+The latter is what matches the direct grid spectrum.
 
 Both species are solved side by side (`_side_by_side`): one module-level
 worker thread builds the molecule's oscillator basis for the basis
@@ -79,7 +81,7 @@ log = logging.getLogger(__name__)
 #: |E^2| at or below this, in units of (hbar*omega_a)^2, marks the
 #: Goldstone mode of the grid routes
 ZERO_MODE_E2 = 1e-6
-#: basis-level ladders of `basis_levels`; weights of the paper-literal average
+#: basis-level conventions (module docstring); weights of the paper-literal average
 CONVENTIONS = ("paper", "oscillator3d")
 AVERAGINGS = ("density", "volume")
 
@@ -129,26 +131,6 @@ class ModeSet:
     modes: list[Mode] = field(default_factory=list)
     skipped: int = 0
 
-    def energies(self, branch: str = "+") -> np.ndarray:
-        return np.array([m.energy for m in self.modes if m.branch == branch])
-
-
-def basis_levels(
-    species: str, params: PhysicalParams, j_max: int, convention: str = "paper"
-) -> np.ndarray:
-    """Auxiliary level ladder hbar*omega*(j+1/2), j = 0..j_max-1.
-
-    convention "oscillator3d" returns the s-wave 3D oscillator levels
-    hbar*omega*(2j+3/2) instead; see module docstring.
-    """
-    j_max = require_count("j_max", j_max, 1)
-    require_choice("convention", convention, CONVENTIONS)
-    _, omega, _ = _one_body(species, params)
-    j = np.arange(j_max, dtype=float)
-    if convention == "paper":
-        return params.hbar * omega * (j + 0.5)
-    return params.hbar * omega * (2.0 * j + 1.5)
-
 
 #: bases built on each grid, kept for as long as the grid object lives
 _BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -164,9 +146,11 @@ def oscillator_basis(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest j_max s-wave oscillator states of the species' trap.
 
-    Returns (levels, chi) where chi columns are reduced radial functions
-    with sum(chi^2) = 1, so <j|f(r)|j> is just sum(f * chi[:, j]**2); the
-    corresponding density-normalized amplitude is chi/(r*sqrt(4*pi*h)).
+    Returns (levels, chi): levels are the states' own eigenvalues, the
+    basis levels of the "oscillator3d" convention, and chi columns are
+    reduced radial functions with sum(chi^2) = 1, so <j|f(r)|j> is just
+    sum(f * chi[:, j]**2); the corresponding density-normalized amplitude
+    is chi/(r*sqrt(4*pi*h)).
 
     The arrays are read-only: each basis is built once per grid object
     and (mass, omega, hbar, j_max), and handed out again for as long as
@@ -227,26 +211,28 @@ def _backgrounds(state: CondensateState, params: PhysicalParams):
 def _projections(state, params, grid, j_max, convention):
     """(species, delta, mu, levels, chi, w, amp) of ATOM and then
     MOLECULE for the basis methods: delta and mu of `_backgrounds`, the
-    level ladder, basis chi, W with the one-body offset (eps for
-    molecules) folded in and the density-normalized amplitude of each
-    basis state, chi and amp one contiguous row per state.  Where neither
-    basis is on the grid both are built side by side (`_side_by_side`),
-    the grid's `_BASES` entry made here before the worker reads it; else
-    each is looked up, or built here."""
+    basis levels of the convention, basis chi, W with the one-body offset
+    (eps for molecules) folded in and the density-normalized amplitude of
+    each basis state, chi and amp one contiguous row per state.  Where
+    neither basis is on the grid both are built side by side
+    (`_side_by_side`), the grid's `_BASES` entry made here before the
+    worker reads it; else each is looked up, or built here."""
     _require_grid(state, grid)
+    require_choice("convention", convention, CONVENTIONS)
     backgrounds = _backgrounds(state, params)
     pair = ATOM, MOLECULE
-    levels = [basis_levels(sp, params, j_max, convention) for sp in pair]
     bases = _BASES.setdefault(grid, {})
     calls = [functools.partial(oscillator_basis, sp, params, grid, j_max) for sp in pair]
     missing = all(_basis_key(sp, params, j_max) not in bases for sp in pair)
     built = _side_by_side(*calls) if missing else [call() for call in calls]
     scale = grid.r * math.sqrt(4.0 * np.pi * grid.h)
     out = []
-    for (species, plus, delta, mu), ladder, (_, chi) in zip(backgrounds, levels, built):
+    for (species, plus, delta, mu), (levels, chi) in zip(backgrounds, built):
+        _, omega, offset = _one_body(species, params)
+        if convention == "paper":
+            levels = params.hbar * omega * (np.arange(j_max, dtype=float) + 0.5)
         chi = np.ascontiguousarray(chi.T)
-        w = plus - delta + _one_body(species, params)[2]
-        out.append((species, delta, mu, ladder, chi, w, chi / scale))
+        out.append((species, delta, mu, levels, chi, plus - delta + offset, chi / scale))
     return out
 
 

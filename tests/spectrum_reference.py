@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from hybridbec.bdg import (
-    ATOM, MOLECULE, ZERO_MODE_E2, Mode, ModeSet, basis_levels,
+    ATOM, MOLECULE, ZERO_MODE_E2, Mode, ModeSet,
 )
 from hybridbec.gpe import _one_body, _operator, _second_variation
 from hybridbec.grid import RadialOperator, harmonic_potential
@@ -76,11 +76,15 @@ def background(species, state, params):
 
 
 def projection(species, state, params, grid, j_max, convention):
-    levels = basis_levels(species, params, j_max, convention)
+    """Basis levels, chi, W, Delta, mu and amplitudes of one species: the
+    "paper" ladder hbar*omega*(j + 1/2), or for "oscillator3d" the basis
+    states' own eigenvalues."""
     mass, omega, _ = _one_body(species, params)
     op = RadialOperator.build(grid, mass, harmonic_potential(grid, mass, omega),
                               hbar=params.hbar)
-    _, chi = eigensolve(op.diag, op.offdiag, j_max)
+    levels, chi = eigensolve(op.diag, op.offdiag, j_max)
+    if convention == "paper":
+        levels = params.hbar * omega * (np.arange(j_max, dtype=float) + 0.5)
     plus, delta, mu = background(species, state, params)
     w = plus - delta + _one_body(species, params)[2]
     amp = chi / (grid.r[:, None] * math.sqrt(4.0 * np.pi * grid.h))

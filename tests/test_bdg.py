@@ -22,13 +22,13 @@ from hybridbec.bdg import (
     ATOM,
     MOLECULE,
     Mode,
-    basis_levels,
     block_2x2_spectrum,
     direct_grid_spectrum,
     oscillator_basis,
     paper_literal_spectrum,
 )
-from hybridbec.cli import main
+from hybridbec.cli import _solve_ground, main
+from hybridbec.config import RunConfig
 from hybridbec.gpe import CondensateState, SolverOptions, gaussian_ansatz, solve_coupled_gpe
 from hybridbec.grid import RadialOperator
 
@@ -63,24 +63,73 @@ def assert_same_modes(got, ref):
 
 
 def test_basis_levels_paper_convention():
+    # with every coupling off and mu = 0 each block "+" energy is its
+    # basis level: the paper's ladder hbar*omega*(j + 1/2)
     p = PhysicalParams(omega_a=1.0, omega_m=1.4)
-    atom = basis_levels(ATOM, p, 4)
-    assert atom == pytest.approx([0.5, 1.5, 2.5, 3.5], abs=1e-14)
-    mol = basis_levels(MOLECULE, p, 3)
-    assert mol[2] == pytest.approx(3.5, abs=1e-14)  # 1.4 * 2.5
-    assert len(basis_levels(ATOM, p, 7)) == 7
+    g = build_grid(r_max=8.0, n_points=100)
+    zero = np.zeros(g.n_points)
+    s = CondensateState(grid=g, phi_a=zero, phi_m=zero, mu_a=0.0, mu_m=0.0)
+    atom, mol = block_2x2_spectrum(s, p, g, j_max=4)
+    assert [m.energy for m in plus_modes(atom)] == pytest.approx(
+        [0.5, 1.5, 2.5, 3.5], abs=1e-14)
+    assert plus_modes(mol)[2].energy == pytest.approx(3.5, abs=1e-14)  # 1.4 * 2.5
+    assert len(plus_modes(block_2x2_spectrum(s, p, g, j_max=7)[0])) == 7
 
 
 def test_basis_levels_oscillator_convention():
-    p = PhysicalParams(omega_a=1.0, omega_m=1.4)
-    atom = basis_levels(ATOM, p, 3, convention="oscillator3d")
-    assert atom == pytest.approx([1.5, 3.5, 5.5], abs=1e-14)
-    with pytest.raises(ConfigError):
-        basis_levels(ATOM, p, 3, convention="bogus")
-    with pytest.raises(ConfigError):
-        basis_levels(ATOM, p, 0)
-    with pytest.raises(ConfigError):
-        basis_levels("neutron", p, 3)
+    # with every coupling off each "oscillator3d" block "+" energy is the
+    # oscillator_basis eigenvalue minus mu, bit for bit; at r_max 8 the
+    # atoms' level 15 is a box state's, 0.15 above the s-wave ladder's
+    # hbar*omega*(2j + 3/2) = 31.5
+    p = PhysicalParams(omega_a=1.0, omega_m=1.4, n_a=100.0, n_m=50.0)
+    g = build_grid(r_max=8.0, n_points=200)
+    s = gaussian_ansatz(p, g)
+    spectra = block_2x2_spectrum(s, p, g, j_max=16, convention="oscillator3d")
+    for modes, species, mu in zip(spectra, (ATOM, MOLECULE), (s.mu_a, s.mu_m)):
+        levels, _ = oscillator_basis(species, p, g, 16)
+        by_j = sorted((m.j, m.energy) for m in plus_modes(modes))
+        assert [e for _, e in by_j] == [level - mu for level in levels.tolist()]
+    assert oscillator_basis(ATOM, p, g, 16)[0][15] > 31.5 + 0.1
+    with pytest.raises(ConfigError, match="j_max must be an integer >= 1"):
+        block_2x2_spectrum(s, p, g, j_max=0, convention="oscillator3d")
+    with pytest.raises(ConfigError, match="unknown species 'neutron'"):
+        oscillator_basis("neutron", p, g, 3)
+
+
+@pytest.mark.parametrize("method", [block_2x2_spectrum, paper_literal_spectrum])
+def test_basis_spectra_reject_a_bad_convention_before_any_eigensolve(method, monkeypatch):
+    g = build_grid(r_max=8.0, n_points=100)
+    s = gaussian_ansatz(ITEM2, g)
+    solved = []
+    solve = RadialOperator.eigensolve
+    monkeypatch.setattr(RadialOperator, "eigensolve",
+                        lambda op, n_modes: solved.append(n_modes) or solve(op, n_modes))
+    with pytest.raises(ConfigError, match="convention must be one of"):
+        method(s, ITEM2, g, convention="bogus")
+    assert solved == [] and g not in bdg._BASES
+
+
+def test_oscillator3d_block_levels_follow_the_oracle_as_h_shrinks():
+    # spectrum_weak's atoms at 200, 400 and 800 points: each block "+"
+    # level j >= 1 sits by its nearest oracle l = 0 mode, the box states
+    # from j ~ 12 on included, and no distance moves by more than 2e-4
+    # from 200 to 800 points.  j = 1 and 2 are 0.020 and 0.0030 off, the
+    # paper's diagonal approximation; the ladder hbar*omega*(2j + 3/2)
+    # put j = 15 0.16 / 0.26 / 0.29 below its oracle mode
+    data = json.loads((CONFIGS / "spectrum_weak.json").read_text())
+    bounds = np.array([0.021, 0.0031] + [0.002] * 13)
+    distances = {}
+    for n in (200, 400, 800):
+        data["grid"]["n_points"] = n
+        cfg = RunConfig.from_dict(data)
+        g, s = _solve_ground(cfg)
+        atoms, _ = block_2x2_spectrum(s, cfg.params, g, j_max=16, convention="oscillator3d")
+        oracle, _ = direct_grid_spectrum(s, cfg.params, g, l=0, n_modes=20)
+        pool = np.array([m.energy for m in oracle.modes])
+        block = [m.energy for m in sorted(plus_modes(atoms), key=lambda m: m.j)][1:]
+        distances[n] = np.array([np.abs(pool - e).min() for e in block])
+        assert (distances[n] <= bounds).all(), (n, distances[n])
+    assert np.abs(distances[800] - distances[200]).max() <= 2e-4
 
 
 def test_oscillator_basis_orthonormal():
@@ -469,9 +518,8 @@ def test_basis_spectra_take_an_integral_float_j_max(method):
 
 
 @pytest.mark.parametrize("j_max", [2.5, "4", True, 0])
-@pytest.mark.parametrize("method", [block_2x2_spectrum, paper_literal_spectrum,
-                                    lambda s, p, g, j_max: basis_levels(ATOM, p, j_max)],
-                         ids=["block", "paper", "levels"])
+@pytest.mark.parametrize("method", [block_2x2_spectrum, paper_literal_spectrum],
+                         ids=["block", "paper"])
 def test_basis_spectra_reject_a_j_max_that_is_no_count(method, j_max):
     g = build_grid(r_max=8.0, n_points=100)
     with pytest.raises(ConfigError, match="j_max must be an integer >= 1"):
@@ -572,13 +620,15 @@ def test_block_delta_zero_gives_abs_h():
 
 
 def test_block_goldstone_boundary():
-    # constant phi_a with mu tuned so h_0 = Delta_0: E collapses to ~0
+    # constant phi_a with mu tuned to the basis's own level 0 so that
+    # h_0 = Delta_0: E collapses to ~0
     g = build_grid(r_max=6.0, n_points=100)
     lam, c = 0.01, 3.0
     p = PhysicalParams(omega_a=1.0, omega_m=1.0, lambda_a=lam)
+    level_0 = float(oscillator_basis(ATOM, p, g, 1)[0][0])
     st = CondensateState(
         grid=g, phi_a=np.full(g.n_points, c), phi_m=np.zeros(g.n_points),
-        mu_a=1.5 + lam * c * c, mu_m=1.5,
+        mu_a=level_0 + lam * c * c, mu_m=1.5,
     )
     ba, _ = block_2x2_spectrum(st, p, g, j_max=1, convention="oscillator3d")
     m0 = plus_modes(ba)[0]

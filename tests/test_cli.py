@@ -299,6 +299,28 @@ def test_spectrum_basis_eigensolves_per_run(tmp_path, monkeypatch, argv, calls):
     assert solved == calls
 
 
+@pytest.mark.parametrize("argv, section", [
+    (["spectrum", "--method", "block"], "bdg"),
+    (["spectrum", "--method", "paper"], "bdg"),
+    (["spectrum", "--compare"], "bdg"),
+    (["density"], "thermal"),
+], ids=["block", "paper", "compare", "density"])
+def test_j_max_past_the_grid_exits_config_code(tmp_path, capsys, argv, section):
+    # the basis is checked against the grid before any level is computed:
+    # exit 2 naming the grid's limit, not an allocation of j_max floats
+    data = json.loads((CONFIGS / "spectrum_weak.json").read_text())
+    data["grid"]["n_points"] = 100
+    data.setdefault(section, {})["j_max"] = 1e12
+    path = write_config(tmp_path, "huge.json", data)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv[:1] + ["--config", path, "--out", str(out)] + argv[1:]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ConfigError",
+                   "message": "grid supports only 100 basis states, j_max=1000000000000"}
+    assert not out.exists()
+
+
 def test_spectrum_logs_goldstone_pair_below_warning(tmp_path, caplog):
     # the decoupled atoms' Goldstone pair is expected: DEBUG, not WARNING
     with caplog.at_level(logging.DEBUG, logger="hybridbec.bdg"):
